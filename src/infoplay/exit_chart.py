@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _llr_information, _seed_sequence, sample_consistent_gaussian_apriori
+from .entropy import (
+    LLR_CLAMP,
+    _llr_information,
+    _seed_sequence,
+    sample_consistent_gaussian_apriori,
+)
 from .errors import NumericalContractError, ValidationError
 from .turbo import ChannelModel, RscCode, _bcjr_batch, rsc_encode, transmit
 
@@ -180,7 +185,7 @@ def measure_exit_curve(
         app = _bcjr_batch(ls, lp, la, code, terminated=True)
         ext = app - la - ls[:, :block_len]
         i_e = _llr_information(
-            np.clip(ext.ravel(), -50.0, 50.0)[:samples_per_point],
+            np.clip(ext.ravel(), -LLR_CLAMP, LLR_CLAMP)[:samples_per_point],
             bits.ravel()[:samples_per_point],
         )
         points.append((float(ia), i_e))

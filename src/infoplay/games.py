@@ -138,3 +138,47 @@ def apply_move(state: GameState, move: int, game: GameSpec) -> GameState:
         status = ONGOING
     next_player = PLAYER_B if state.to_move == PLAYER_A else PLAYER_A
     return GameState(cells=cells, to_move=next_player, status=status)
+
+
+class StateTable:
+    """The states of one game met so far, interned to integer ids.
+
+    Ids are handed out in order of first sight, starting with the initial
+    state at ``root``.  Per id the table keeps the state, its text key,
+    whether it is terminal and its legal moves (empty when terminal); the
+    child ids of a state are filled through ``apply_move`` the first time
+    they are asked for, so the rules have one implementation and a large
+    board only costs the states actually visited.
+    """
+
+    def __init__(self, game: GameSpec):
+        self.game = game
+        self.states: list[GameState] = []
+        self.keys: list[str] = []
+        self.terminal: list[bool] = []
+        self.moves: list[tuple] = []
+        self._children: list[tuple | None] = []
+        self._ids: dict[GameState, int] = {}
+        self.root = self.intern(initial_state(game))
+
+    def intern(self, state: GameState) -> int:
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = len(self.states)
+            self._ids[state] = sid
+            self.states.append(state)
+            self.keys.append(state.key())
+            terminal = state.status != ONGOING
+            self.terminal.append(terminal)
+            self.moves.append(() if terminal else tuple(legal_moves(state, self.game)))
+            self._children.append(None)
+        return sid
+
+    def children(self, sid: int) -> tuple:
+        """Child ids of state ``sid``, one per legal move, in move order."""
+        kids = self._children[sid]
+        if kids is None:
+            state = self.states[sid]
+            kids = tuple(self.intern(apply_move(state, m, self.game)) for m in self.moves[sid])
+            self._children[sid] = kids
+        return kids

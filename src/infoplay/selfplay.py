@@ -26,15 +26,14 @@ from .games import (
     DRAW,
     GameSpec,
     GameState,
-    ONGOING,
     PLAYER_A,
     PLAYER_B,
-    apply_move,
-    initial_state,
-    legal_moves,
+    StateTable,
 )
 
-SNAPSHOT_HEADER = "# infoplay-agent-v1"
+SNAPSHOT_HEADER = "# infoplay-agent-v2"
+# v1 snapshots also carried derived policy (P) rows; they are still read
+_SNAPSHOT_V1_HEADER = "# infoplay-agent-v1"
 
 _TIE_TOL = 1e-12
 
@@ -50,6 +49,10 @@ class AgentModel:
     prediction used for MI measurement is the count argmax (an unvisited
     state yields an uninformed guess over the whole board, since a fresh
     internal channel carries no information, not even cell occupancy).
+
+    The policy and the opponent model run on the state ids of a
+    ``StateTable``; the methods taking a ``GameState`` intern it into a
+    fresh table and call the same code.
     """
 
     role: str
@@ -57,7 +60,6 @@ class AgentModel:
     epsilon: float = 0.1
     value: dict = field(default_factory=dict)
     opponent_counts: dict = field(default_factory=dict)
-    seen_states: dict = field(default_factory=dict)  # insertion-ordered set
 
     def __post_init__(self):
         if self.role not in (PLAYER_A, PLAYER_B):
@@ -72,19 +74,37 @@ class AgentModel:
     def afterstate_value(self, state: GameState) -> float:
         return self.value.get(state.key(), 0.0)
 
-    def greedy_moves(self, state: GameState, game: GameSpec) -> list[int]:
-        moves = legal_moves(state, game)
-        vals = [self.afterstate_value(apply_move(state, m, game)) for m in moves]
+    def _greedy(self, table: StateTable, sid: int) -> list[int]:
+        """Positions in ``table.moves[sid]`` of the best afterstates."""
+        value, keys = self.value, table.keys
+        vals = [value.get(keys[kid], 0.0) for kid in table.children(sid)]
         best = max(vals)
-        return [m for m, v in zip(moves, vals) if v >= best - _TIE_TOL]
+        return [i for i, v in enumerate(vals) if v >= best - _TIE_TOL]
+
+    def _choose(self, table: StateTable, sid: int, rng, epsilon: float | None = None) -> int:
+        """Epsilon-greedy choice at state ``sid``, as a position in
+        ``table.moves[sid]``; greedy ties are broken uniformly."""
+        eps = self.epsilon if epsilon is None else epsilon
+        if eps > 0.0 and rng.random() < eps:
+            return rng.integers(len(table.moves[sid]))
+        ties = self._greedy(table, sid)
+        return ties[rng.integers(len(ties))]
+
+    def greedy_moves(self, state: GameState, game: GameSpec) -> list[int]:
+        table = StateTable(game)
+        sid = table.intern(state)
+        moves = table.moves[sid]
+        return [moves[i] for i in self._greedy(table, sid)]
 
     def policy_distribution(self, state: GameState, game: GameSpec,
                             epsilon: float | None = None) -> np.ndarray:
         """Move distribution over all cells: epsilon-uniform exploration
         mixed with a greedy distribution that splits ties evenly."""
         eps = self.epsilon if epsilon is None else epsilon
-        moves = legal_moves(state, game)
-        ties = self.greedy_moves(state, game)
+        table = StateTable(game)
+        sid = table.intern(state)
+        moves = list(table.moves[sid])
+        ties = [moves[i] for i in self._greedy(table, sid)]
         dist = np.zeros(game.cells)
         dist[moves] = eps / len(moves)
         dist[ties] += (1.0 - eps) / len(ties)
@@ -92,28 +112,26 @@ class AgentModel:
 
     def sample_move(self, state: GameState, game: GameSpec, rng,
                     epsilon: float | None = None) -> int:
-        eps = self.epsilon if epsilon is None else epsilon
-        if eps > 0.0 and rng.random() < eps:
-            moves = legal_moves(state, game)
-            return moves[rng.integers(len(moves))]
-        ties = self.greedy_moves(state, game)
-        return ties[rng.integers(len(ties))]
+        table = StateTable(game)
+        sid = table.intern(state)
+        return table.moves[sid][self._choose(table, sid, rng, epsilon)]
 
     # -- internal channel (opponent model) ----------------------------
 
-    def observe_opponent_move(self, state: GameState, move: int, game: GameSpec):
-        counts = self.opponent_counts.get(state.key())
+    def _observe(self, key: str, move: int, cells: int):
+        counts = self.opponent_counts.get(key)
         if counts is None:
-            counts = np.zeros(game.cells, dtype=np.int64)
-            self.opponent_counts[state.key()] = counts
+            counts = np.zeros(cells, dtype=np.int64)
+            self.opponent_counts[key] = counts
         counts[move] += 1
 
-    def opponent_model_distribution(self, state: GameState, game: GameSpec) -> np.ndarray:
-        """Predicted opponent move distribution: observed frequencies,
-        falling back to uniform over the legal moves at unseen states."""
-        moves = legal_moves(state, game)
-        dist = np.zeros(game.cells)
-        counts = self.opponent_counts.get(state.key())
+    def observe_opponent_move(self, state: GameState, move: int, game: GameSpec):
+        self._observe(state.key(), move, game.cells)
+
+    def _opponent_distribution(self, key: str, moves, cells: int) -> np.ndarray:
+        moves = list(moves)
+        dist = np.zeros(cells)
+        counts = self.opponent_counts.get(key)
         if counts is None or counts[moves].sum() == 0:
             weights = np.ones(len(moves))
         else:
@@ -121,21 +139,29 @@ class AgentModel:
         dist[moves] = weights / weights.sum()
         return dist
 
-    def predict_opponent_move(self, state: GameState, game: GameSpec, rng) -> int:
-        counts = self.opponent_counts.get(state.key())
-        if counts is None or counts.max() == 0:
-            return int(rng.integers(game.cells))  # uninformed guess
-        ties = np.flatnonzero(counts == counts.max())
+    def opponent_model_distribution(self, state: GameState, game: GameSpec) -> np.ndarray:
+        """Predicted opponent move distribution: observed frequencies,
+        falling back to uniform over the legal moves at unseen states."""
+        table = StateTable(game)
+        sid = table.intern(state)
+        return self._opponent_distribution(table.keys[sid], table.moves[sid], game.cells)
+
+    def _predict(self, key: str, cells: int, rng) -> int:
+        counts = self.opponent_counts.get(key)
+        top = 0 if counts is None else counts.max()
+        if top == 0:
+            return int(rng.integers(cells))  # uninformed guess
+        ties = np.flatnonzero(counts == top)
         return int(ties[rng.integers(len(ties))])
+
+    def predict_opponent_move(self, state: GameState, game: GameSpec, rng) -> int:
+        return self._predict(state.key(), game.cells, rng)
 
     # -- learning ------------------------------------------------------
 
     def td_update(self, afterstate_key: str, target: float):
         old = self.value.get(afterstate_key, 0.0)
         self.value[afterstate_key] = old + self.step_size * (target - old)
-
-    def note_seen(self, state: GameState):
-        self.seen_states.setdefault(state.key())
 
     def reward(self, outcome: str) -> float:
         if outcome == DRAW:
@@ -158,65 +184,77 @@ class Transcript:
     final_state: GameState
 
 
-def _play_episode(agent_a: AgentModel, agent_b: AgentModel, game: GameSpec, rng,
-                  epsilon: float | None = None) -> Transcript:
-    state = initial_state(game)
-    steps = []
-    while state.status == ONGOING:
-        mover = state.to_move
-        agent = agent_a if mover == PLAYER_A else agent_b
-        move = agent.sample_move(state, game, rng, epsilon)
-        steps.append(TranscriptStep(state=state, move=move, mover=mover))
-        state = apply_move(state, move, game)
-    return Transcript(steps=tuple(steps), outcome=state.status, final_state=state)
+def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, rng,
+                  epsilon: float | None = None) -> tuple[list, int]:
+    """One game on state ids: the (state id, move) of every decision, in
+    order, and the id of the final state."""
+    sid = table.root
+    path = []
+    terminal, states, moves = table.terminal, table.states, table.moves
+    while not terminal[sid]:
+        agent = agent_a if states[sid].to_move == PLAYER_A else agent_b
+        i = agent._choose(table, sid, rng, epsilon)
+        path.append((sid, moves[sid][i]))
+        sid = table.children(sid)[i]
+    return path, sid
+
+
+def _transcript(table: StateTable, path, final: int) -> Transcript:
+    steps = tuple(TranscriptStep(state=table.states[sid], move=move,
+                                 mover=table.states[sid].to_move) for sid, move in path)
+    final_state = table.states[final]
+    return Transcript(steps=steps, outcome=final_state.status, final_state=final_state)
 
 
 def self_play_episode(agent_a: AgentModel, agent_b: AgentModel, game: GameSpec,
                       seed, epsilon: float | None = None) -> Transcript:
     """One full game between two frozen agents; reproducible given the seed."""
     rng = np.random.default_rng(seed)
-    return _play_episode(agent_a, agent_b, game, rng, epsilon)
+    table = StateTable(game)
+    return _transcript(table, *_play_episode(agent_a, agent_b, table, rng, epsilon))
 
 
 def internal_rollout(agent: AgentModel, game: GameSpec, seed) -> Transcript:
     """A game the agent plays within itself: its own policy on its side,
     moves sampled from its opponent model on the other side."""
     rng = np.random.default_rng(seed)
-    state = initial_state(game)
-    steps = []
-    while state.status == ONGOING:
-        mover = state.to_move
-        if mover == agent.role:
-            move = agent.sample_move(state, game, rng)
+    table = StateTable(game)
+    sid = table.root
+    path = []
+    while not table.terminal[sid]:
+        moves = table.moves[sid]
+        if table.states[sid].to_move == agent.role:
+            i = agent._choose(table, sid, rng)
         else:
-            dist = agent.opponent_model_distribution(state, game)
-            move = int(rng.choice(game.cells, p=dist))
-        steps.append(TranscriptStep(state=state, move=move, mover=mover))
-        state = apply_move(state, move, game)
-    return Transcript(steps=tuple(steps), outcome=state.status, final_state=state)
+            dist = agent._opponent_distribution(table.keys[sid], moves, game.cells)
+            i = moves.index(int(rng.choice(game.cells, p=dist)))
+        path.append((sid, moves[i]))
+        sid = table.children(sid)[i]
+    return _transcript(table, path, sid)
 
 
-def _training_episode(agent_a: AgentModel, agent_b: AgentModel, game: GameSpec, rng):
+def _training_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, rng):
     """One self-play game with online TD(0) afterstate updates and
     opponent-model observation for both agents."""
-    state = initial_state(game)
+    cells = table.game.cells
+    terminal, states, moves, keys = table.terminal, table.states, table.moves, table.keys
+    sid = table.root
     last_after = {PLAYER_A: None, PLAYER_B: None}
-    while state.status == ONGOING:
-        mover = state.to_move
-        agent = agent_a if mover == PLAYER_A else agent_b
-        other = agent_b if mover == PLAYER_A else agent_a
-        agent.note_seen(state)
-        move = agent.sample_move(state, game, rng)
-        other.observe_opponent_move(state, move, game)
-        after = apply_move(state, move, game)
+    while not terminal[sid]:
+        mover = states[sid].to_move
+        agent, other = (agent_a, agent_b) if mover == PLAYER_A else (agent_b, agent_a)
+        i = agent._choose(table, sid, rng)
+        other._observe(keys[sid], moves[sid][i], cells)
+        after = table.children(sid)[i]
         if last_after[mover] is not None:
-            agent.td_update(last_after[mover], agent.afterstate_value(after))
-        last_after[mover] = after.key()
-        state = after
+            agent.td_update(last_after[mover], agent.value.get(keys[after], 0.0))
+        last_after[mover] = keys[after]
+        sid = after
+    outcome = states[sid].status
     for agent in (agent_a, agent_b):
         if last_after[agent.role] is not None:
-            agent.td_update(last_after[agent.role], agent.reward(state.status))
-    return state.status
+            agent.td_update(last_after[agent.role], agent.reward(outcome))
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -230,19 +268,24 @@ class EvaluationResult:
 
 
 def _evaluate(agent_a: AgentModel, agent_b: AgentModel, game: GameSpec,
-              episodes: int, rng, epsilon: float = 0.0) -> EvaluationResult:
+              episodes: int, rng, epsilon: float = 0.0,
+              table: StateTable | None = None) -> EvaluationResult:
+    """Frozen evaluation games; each game is played out before its
+    decision points are predicted.  ``table`` is reused when given."""
+    table = StateTable(game) if table is None else table
+    states, keys, cells = table.states, table.keys, game.cells
     outcomes = []
     pred_b, act_b, pred_a, act_a = [], [], [], []
     for _ in range(episodes):
-        transcript = _play_episode(agent_a, agent_b, game, rng, epsilon)
-        outcomes.append(transcript.outcome)
-        for step in transcript.steps:
-            if step.mover == PLAYER_B:
-                pred_b.append(agent_a.predict_opponent_move(step.state, game, rng))
-                act_b.append(step.move)
+        path, final = _play_episode(agent_a, agent_b, table, rng, epsilon)
+        outcomes.append(states[final].status)
+        for sid, move in path:
+            if states[sid].to_move == PLAYER_B:
+                pred_b.append(agent_a._predict(keys[sid], cells, rng))
+                act_b.append(move)
             else:
-                pred_a.append(agent_b.predict_opponent_move(step.state, game, rng))
-                act_a.append(step.move)
+                pred_a.append(agent_b._predict(keys[sid], cells, rng))
+                act_a.append(move)
     return EvaluationResult(
         outcomes=tuple(outcomes),
         predicted_b=tuple(pred_b),
@@ -423,6 +466,7 @@ def learn(game: GameSpec, config: LearnConfig, seed, initial_agents=None):
                              epsilon=config.epsilon_start)
         agent_b = AgentModel(role=PLAYER_B, step_size=config.step_size,
                              epsilon=config.epsilon_start)
+    table = StateTable(game)
     root = _seed_sequence(seed)
     anneal = config.anneal_generations or config.generations
     elo_a, elo_b = config.elo_initial, config.elo_initial
@@ -438,10 +482,10 @@ def learn(game: GameSpec, config: LearnConfig, seed, initial_agents=None):
         ss_train, ss_eval = root.spawn(2)
         train_rng = np.random.default_rng(ss_train)
         for _ in range(config.episodes_per_generation):
-            _training_episode(agent_a, agent_b, game, train_rng)
+            _training_episode(agent_a, agent_b, table, train_rng)
         eval_rng = np.random.default_rng(ss_eval)
         ev = _evaluate(agent_a, agent_b, game, config.eval_episodes, eval_rng,
-                       epsilon=config.eval_epsilon)
+                       epsilon=config.eval_epsilon, table=table)
         cross = cross_mi_from_evaluation(ev, game)
         for outcome in ev.outcomes:
             elo_a, elo_b = elo_update(elo_a, elo_b, outcome, config.elo_k, config.c_elo)
@@ -487,21 +531,23 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
         raise ValidationError("agent and opponent must play different roles")
     agent_a = agent if agent.role == PLAYER_A else opponent
     agent_b = opponent if agent.role == PLAYER_A else agent
+    table = StateTable(game)
+    states, keys = table.states, table.keys
     root = _seed_sequence(seed)
     points = []
     for ss, ia in zip(root.spawn(len(grid)), grid):
         rng = np.random.default_rng(ss)
         predicted, actual = [], []
         for _ in range(episodes):
-            transcript = _play_episode(agent_a, agent_b, game, rng, epsilon=0.0)
-            for step in transcript.steps:
-                if step.mover == agent.role:
+            path, _ = _play_episode(agent_a, agent_b, table, rng, epsilon=0.0)
+            for sid, move in path:
+                if states[sid].to_move == agent.role:
                     continue
                 if rng.random() < ia:
-                    predicted.append(step.move)  # revealed
+                    predicted.append(move)  # revealed
                 else:
-                    predicted.append(agent.predict_opponent_move(step.state, game, rng))
-                actual.append(step.move)
+                    predicted.append(agent._predict(keys[sid], game.cells, rng))
+                actual.append(move)
         _, i_e = _paired_mi(predicted, actual, game.cells)
         points.append((float(ia), i_e))
     label = label or f"agent-{agent.role}"
@@ -526,8 +572,7 @@ def generation_csv(records, seed: int | None = None) -> str:
 
 def agent_to_text(agent: AgentModel, game: GameSpec) -> str:
     """Versioned plain-text snapshot: hyperparameters, then one sorted line
-    per table entry (V: afterstate values, O: opponent move counts,
-    P: derived policy rows over the states this agent has acted in)."""
+    per table entry (V: afterstate values, O: opponent move counts)."""
     lines = [
         SNAPSHOT_HEADER,
         f"role {agent.role}",
@@ -541,60 +586,78 @@ def agent_to_text(agent: AgentModel, game: GameSpec) -> str:
         counts = agent.opponent_counts[key]
         packed = ",".join(f"{m}:{int(c)}" for m, c in enumerate(counts) if c)
         lines.append(f"O {key} {packed}")
-    for key in sorted(agent.seen_states):
-        state = _state_from_key(key)
-        dist = agent.policy_distribution(state, game)
-        packed = ",".join(f"{m}:{p!r}" for m, p in enumerate(dist) if p > 0)
-        lines.append(f"P {key} {packed}")
     return "\n".join(lines) + "\n"
 
 
-def _state_from_key(key: str) -> GameState:
-    cells_part, to_move = key.split(":")
-    cells = tuple(".AB".index(ch) for ch in cells_part)
-    return GameState(cells=cells, to_move=to_move)
+def _snapshot_key(key: str, game: GameSpec) -> str:
+    cells, _, to_move = key.partition(":")
+    if len(cells) != game.cells or set(cells) - set(".AB") or to_move not in ("A", "B"):
+        raise ValidationError(f"snapshot key {key!r} is not a {game.game_id} state")
+    return key
+
+
+def _snapshot_counts(packed: str, cells: int) -> np.ndarray:
+    arr = np.zeros(cells, dtype=np.int64)
+    for item in packed.split(","):
+        m, _, c = item.partition(":")
+        try:
+            move, count = int(m), int(c)
+        except ValueError:
+            raise ValidationError(f"opponent count {item!r} is not move:count") from None
+        if not 0 <= move < cells or count < 0:
+            raise ValidationError(f"opponent count {item!r} is out of range")
+        arr[move] = count
+    return arr
+
+
+def _snapshot_float(name: str, text: str) -> float:
+    try:
+        number = float(text)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError(f"snapshot {name} {text!r} is not a finite number")
+    return number
 
 
 def agent_from_text(text: str, game: GameSpec) -> AgentModel:
+    """Read a v2 snapshot, or a v1 one (whose derived P rows are skipped).
+    Any malformed line raises ValidationError."""
     lines = text.strip().split("\n")
-    if not lines or lines[0] != SNAPSHOT_HEADER:
+    if lines[0] not in (SNAPSHOT_HEADER, _SNAPSHOT_V1_HEADER):
         raise ValidationError("not an infoplay agent snapshot (bad header)")
+    v1 = lines[0] == _SNAPSHOT_V1_HEADER
     fields: dict[str, str] = {}
     value: dict[str, float] = {}
     counts: dict[str, np.ndarray] = {}
-    seen: dict[str, None] = {}
     for line in lines[1:]:
         tag, _, rest = line.partition(" ")
         if tag == "V":
             key, _, num = rest.partition(" ")
-            value[key] = float(num)
+            value[_snapshot_key(key, game)] = _snapshot_float(f"value of {key}", num)
         elif tag == "O":
             key, _, packed = rest.partition(" ")
-            arr = np.zeros(game.cells, dtype=np.int64)
-            for item in packed.split(","):
-                m, _, c = item.partition(":")
-                arr[int(m)] = int(c)
-            counts[key] = arr
-        elif tag == "P":
-            key, _, _ = rest.partition(" ")
-            seen[key] = None  # policy rows are derived; reading keys restores them
+            counts[_snapshot_key(key, game)] = _snapshot_counts(packed, game.cells)
+        elif tag == "P" and v1:
+            continue
         elif tag in ("role", "game", "step_size", "epsilon"):
             fields[tag] = rest
         else:
             raise ValidationError(f"unknown snapshot line tag {tag!r}")
-    if fields.get("game") != game.game_id:
+    missing = [name for name in ("role", "game", "step_size", "epsilon") if name not in fields]
+    if missing:
+        raise ValidationError(f"snapshot lacks the line(s) {', '.join(missing)}")
+    if fields["game"] != game.game_id:
         raise ValidationError(
-            f"snapshot is for game {fields.get('game')!r}, not {game.game_id!r}"
+            f"snapshot is for game {fields['game']!r}, not {game.game_id!r}"
         )
-    agent = AgentModel(
+    return AgentModel(
         role=fields["role"],
-        step_size=float(fields["step_size"]),
-        epsilon=float(fields["epsilon"]),
+        step_size=_snapshot_float("step_size", fields["step_size"]),
+        epsilon=_snapshot_float("epsilon", fields["epsilon"]),
         value=value,
         opponent_counts=counts,
-        seen_states=seen,
     )
-    return agent
 
 
 def save_agent(agent: AgentModel, game: GameSpec, path):
@@ -603,5 +666,9 @@ def save_agent(agent: AgentModel, game: GameSpec, path):
 
 
 def load_agent(path, game: GameSpec) -> AgentModel:
-    with open(path, "r", encoding="ascii") as fh:
-        return agent_from_text(fh.read(), game)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ValidationError(f"snapshot {path} is not ASCII text") from None
+    return agent_from_text(text, game)

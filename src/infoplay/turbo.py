@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import LLR_CLAMP, LlrBlock, _llr_information, _seed_sequence
-from .errors import ValidationError
+from .errors import NumericalContractError, ValidationError
 
 AWGN_BPSK = "awgn_bpsk"
 BSC = "bsc"
@@ -126,7 +126,8 @@ def rsc_encode(bits, code: RscCode, terminate: bool = True):
             sys_out.append(b)
             par_out.append(0 if tr.parity_sym[b, s] > 0 else 1)
             s = tr.next_state[b, s]
-        assert s == 0
+        if s != 0:
+            raise NumericalContractError(f"termination left the encoder in state {s}, not 0")
     return np.array(sys_out, dtype=np.int8), np.array(par_out, dtype=np.int8)
 
 

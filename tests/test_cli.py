@@ -15,6 +15,8 @@ from infoplay.cli import (
     run,
 )
 from infoplay.errors import ConfigError
+from infoplay.games import tic_tac_toe
+from infoplay.selfplay import agent_from_text
 
 
 def write_config(path: Path, kind: str, params: dict, seed=42, name=None) -> Path:
@@ -190,6 +192,37 @@ class TestMainEntry:
         cfg = write_config(tmp_path / "c.ini", "capacity", CAPACITY_PARAMS)
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 4
         assert "numerical contract" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [
+        ("role A\n", ""),  # no role line
+        ("0:3,8:1", "3:x"),  # count not an integer
+        ("0:3,8:1", "12:1"),  # move beyond the 9 cells
+        ("0:3,8:1", "3:-1"),  # negative count
+        ("step_size 0.25\n", ""),
+        ("epsilon 0.1\n", ""),
+        ("0.75", "high"),  # value not a float
+        ("0.75", "0.75\u00e9"),  # not ASCII
+    ])
+    def test_malformed_snapshot_exit_code(self, tmp_path, capsys, old, new):
+        snapshot = "\n".join([
+            "# infoplay-agent-v2",
+            "role {role}",
+            "game 3x3-k3",
+            "step_size 0.25",
+            "epsilon 0.1",
+            "V ....A....:B 0.75",
+            "O ....A....:B 0:3,8:1",
+        ]) + "\n"
+        agent_from_text(snapshot.format(role="A"), tic_tac_toe())  # valid unedited
+        (tmp_path / "a.txt").write_text(snapshot.format(role="A").replace(old, new, 1),
+                                        encoding="utf-8")
+        (tmp_path / "b.txt").write_text(snapshot.format(role="B"))
+        cfg = write_config(tmp_path / "ae.ini", "agent-exit",
+                           {"agent_a": "a.txt", "agent_b": "b.txt", "episodes": 100})
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_run_via_main(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", "capacity", CAPACITY_PARAMS, seed=1)

@@ -1,5 +1,6 @@
 """Self-play agents, cross-MI measurement, Elo, learning loop, snapshots."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -41,6 +42,29 @@ GAME = tic_tac_toe()
 QUICK_CONFIG = LearnConfig(
     generations=6, episodes_per_generation=200, eval_episodes=100, anneal_generations=4
 )
+
+# sha256 of generation_csv and of both agents' sorted V/O tables after
+# learn(GAME, QUICK_CONFIG, seed=31), recorded before self-play moved from
+# GameState objects onto interned state ids: the refactor must not move a
+# single draw of the random stream
+QUICK_SEED31_CSV_SHA256 = "3e9a809ba45fe4a2e2c84431c97cfe3c59d9d9fa99bcc3942a9c4334dac31a54"
+QUICK_SEED31_TABLES_SHA256 = "33d250029f02f8d29dff94e70c9f0a6a750967c05260d9af10d2812d0207820c"
+
+
+def tables_text(*agents):
+    rows = []
+    for agent in agents:
+        for key in sorted(agent.value):
+            rows.append(f"{agent.role} V {key} {agent.value[key]!r}")
+        for key in sorted(agent.opponent_counts):
+            packed = ",".join(f"{m}:{int(c)}" for m, c in
+                              enumerate(agent.opponent_counts[key]) if c)
+            rows.append(f"{agent.role} O {key} {packed}")
+    return "\n".join(rows)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestEloWinProb:
@@ -264,6 +288,11 @@ class TestLearn:
         for r in records:
             assert r.a_win_rate + r.b_win_rate + r.draw_rate == pytest.approx(1.0, abs=1e-9)
 
+    def test_pinned_run_digests(self):
+        records, fa, fb = learn(GAME, QUICK_CONFIG, seed=31)
+        assert sha256(generation_csv(records)) == QUICK_SEED31_CSV_SHA256
+        assert sha256(tables_text(fa, fb)) == QUICK_SEED31_TABLES_SHA256
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             LearnConfig(eval_episodes=10)
@@ -327,6 +356,54 @@ class TestSnapshots:
         other = GameSpec(rows=4, cols=4, k=3)
         with pytest.raises(ValidationError):
             agent_from_text(text, other)
+
+    def test_reads_v1_and_drops_policy_rows(self):
+        v1 = "\n".join([
+            "# infoplay-agent-v1",
+            "role A",
+            "game 3x3-k3",
+            "step_size 0.0",
+            "epsilon 0.05",
+            "V ....A....:B 0.75",
+            "O ....A....:B 0:3,8:1",
+            "P .........:A 0:0.1,4:0.9",
+        ]) + "\n"
+        agent = agent_from_text(v1, GAME)
+        assert agent.value == {"....A....:B": 0.75}
+        np.testing.assert_array_equal(agent.opponent_counts["....A....:B"],
+                                      [3, 0, 0, 0, 0, 0, 0, 0, 1])
+        v2 = agent_to_text(agent, GAME)
+        assert v2.splitlines()[0] == "# infoplay-agent-v2"
+        assert not [line for line in v2.splitlines() if line.startswith("P ")]
+        with pytest.raises(ValidationError, match="tag"):
+            agent_from_text(v2 + "P .........:A 0:1.0\n", GAME)  # v2 has no P rows
+
+    @pytest.mark.parametrize("old,new", [
+        ("role A\n", ""),
+        ("step_size 0.25\n", ""),
+        ("epsilon 0.1\n", ""),
+        ("0:3,8:1", "3:x"),
+        ("0:3,8:1", "12:1"),
+        ("0:3,8:1", "3:-1"),
+        ("0.75", "high"),
+        ("0.75", "nan"),
+        ("....A....:B 0.75", "....A...:B 0.75"),
+        ("step_size 0.25", "step_size fast"),
+    ])
+    def test_malformed_snapshot_raises_validation_error(self, old, new):
+        text = "\n".join([
+            "# infoplay-agent-v2",
+            "role A",
+            "game 3x3-k3",
+            "step_size 0.25",
+            "epsilon 0.1",
+            "V ....A....:B 0.75",
+            "O ....A....:B 0:3,8:1",
+        ]) + "\n"
+        agent_from_text(text, GAME)  # the unedited text is valid
+        assert old in text
+        with pytest.raises(ValidationError):
+            agent_from_text(text.replace(old, new, 1), GAME)
 
 
 class TestGenerationCsv:

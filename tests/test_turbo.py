@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from infoplay.entropy import LlrBlock
-from infoplay.errors import ValidationError
+from infoplay import turbo
+from infoplay.errors import NumericalContractError, ValidationError
 from infoplay.turbo import (
     AWGN_BPSK,
     BSC,
@@ -54,6 +55,14 @@ class TestRscEncode:
     def test_terminated_lengths(self):
         sys_bits, par_bits = rsc_encode(np.ones(10, dtype=int), CODE75)
         assert len(sys_bits) == 12 and len(par_bits) == 12
+
+    def test_unterminated_trellis_raises_contract_error(self, monkeypatch):
+        # a tail that never reaches state 0 must fail even under python -O
+        broken = turbo._Trellis(CODE75)
+        broken.term_bit = np.zeros_like(broken.term_bit)
+        monkeypatch.setattr(turbo, "_trellis", lambda code: broken)
+        with pytest.raises(NumericalContractError):
+            rsc_encode(np.ones(1, dtype=int), CODE75)
 
     def test_bad_code_rejected(self):
         with pytest.raises(ValidationError):
