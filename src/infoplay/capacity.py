@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .entropy import MutualInfo
 from .errors import ResourceCapError, ValidationError
-from .games import GameSpec, GameState, K_IN_A_ROW, ONGOING, apply_move, initial_state, legal_moves
+from .games import GameSpec, K_IN_A_ROW, win_lines
 
 DEFAULT_STATE_CAP = 100_000_000
 
@@ -74,12 +75,6 @@ def _symmetry_maps(game: GameSpec) -> list[tuple]:
     return [tuple(g.ravel()) for g in grids]
 
 
-def _state_key(state: GameState, maps: list[tuple] | None):
-    if maps is None:
-        return (state.cells, state.to_move)
-    return (min(tuple(state.cells[i] for i in m) for m in maps), state.to_move)
-
-
 def enumerate_reachable_states(
     game: GameSpec,
     method: str = "bfs",
@@ -90,30 +85,38 @@ def enumerate_reachable_states(
     the empty board under legal play.
 
     ``method`` selects breadth-first or depth-first traversal; both must
-    return the same count.  States are keyed on (cell contents, player to
-    move); symmetry reduction additionally quotients by the board symmetry
-    group and is off by default.
+    return the same count.  States are keyed on their cell contents alone:
+    A moves first, so the player to move follows from the stone counts (A
+    iff #A == #B).  Symmetry reduction additionally quotients by the board
+    symmetry group and is off by default.
     """
     if method not in ("bfs", "dfs"):
         raise ValidationError(f"method must be 'bfs' or 'dfs', got {method!r}")
-    maps = _symmetry_maps(game) if symmetry_reduction else None
-    root = initial_state(game)
-    visited = {_state_key(root, maps)}
+    lines = win_lines(game)
+    runs = {stone: (stone,) * (game.k or 0) for stone in (1, 2)}
+    getters = [itemgetter(*m) for m in _symmetry_maps(game)] if symmetry_reduction else None
+    root = (0,) * game.cells
+    visited = {root if getters is None else min(g(root) for g in getters)}
     frontier = deque([root])
     pop = frontier.popleft if method == "bfs" else frontier.pop
     while frontier:
-        state = pop()
-        if state.status != ONGOING:
-            continue
-        for move in legal_moves(state, game):
-            child = apply_move(state, move, game)
-            key = _state_key(child, maps)
-            if key not in visited:
-                if len(visited) >= max_states:
-                    raise ResourceCapError(
-                        f"reachable-state enumeration exceeded the cap of {max_states} states"
-                    )
-                visited.add(key)
+        cells = pop()
+        stone = 1 if cells.count(1) == cells.count(2) else 2
+        run = runs[stone]
+        for m, c in enumerate(cells):
+            if c:
+                continue
+            child = cells[:m] + (stone,) + cells[m + 1:]
+            key = child if getters is None else min(g(child) for g in getters)
+            if key in visited:
+                continue
+            if len(visited) >= max_states:
+                raise ResourceCapError(
+                    f"reachable-state enumeration exceeded the cap of {max_states} states"
+                )
+            visited.add(key)
+            # only ongoing positions have successors
+            if 0 in child and not any(child[line] == run for line in lines[m]):
                 frontier.append(child)
     count = len(visited)
     return EnumerationResult(count=count, log2_count=math.log2(count))

@@ -188,10 +188,13 @@ def _game_from_params(params) -> GameSpec:
 
 def _run_capacity(rc: ResolvedConfig, outdir: Path) -> dict:
     game = _game_from_params(rc.params)
-    if rc.params["require_exact"]:
-        # raises ResourceCapError (exit 3) instead of leaving the field empty
-        cap.enumerate_reachable_states(game, max_states=rc.params["max_states"])
-    bound = cap.capacity_bounds(game, max_states=rc.params["max_states"])
+    max_states = rc.params["max_states"]
+    bound = cap.capacity_bounds(game, max_states=max_states)
+    if rc.params["require_exact"] and bound.exact_states is None:
+        # exit 3 instead of leaving the field empty
+        raise ResourceCapError(
+            f"reachable-state enumeration exceeded the cap of {max_states} states"
+        )
     (outdir / "capacity.csv").write_text(cap.capacity_csv([bound], seed=rc.seed))
     return {"game_id": bound.game_id, "states": bound.exact_states}
 
@@ -282,10 +285,9 @@ _RUNNERS = {
 }
 
 
-def run(config_path, output_dir=None, seed=None, threads=None) -> Path:
+def run(config_path, output_dir=None, seed=None) -> Path:
     """Execute the configured experiment; returns the final artifact
-    directory.  ``threads`` is a parallelism hint and never changes
-    results."""
+    directory."""
     rc = load_config(config_path)
     if seed is not None:
         rc = ResolvedConfig(kind=rc.kind, name=rc.name, seed=int(seed),
@@ -356,8 +358,6 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the INI config")
     run_p.add_argument("--output-dir", default=None, help="artifact directory root")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="parallelism hint; results never depend on it")
     sub.add_parser("list", help="list experiment kinds and parameter schemas")
     args = parser.parse_args(argv)
 
@@ -365,8 +365,7 @@ def main(argv=None) -> int:
         sys.stdout.write(list_experiments())
         return EXIT_OK
     try:
-        final_dir = run(args.config, output_dir=args.output_dir, seed=args.seed,
-                        threads=args.threads)
+        final_dir = run(args.config, output_dir=args.output_dir, seed=args.seed)
     except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from .errors import ValidationError
+from .errors import NumericalContractError, ValidationError
 
 LLR_CLAMP = 50.0
 
@@ -252,7 +251,56 @@ def j_inverse(i: float) -> float:
         hi *= 2.0
         if hi > 256.0:  # J(256) is 1 to double precision; unreachable for i < 1
             raise ValidationError(f"no finite sigma reaches J(sigma) = {i!r}")
-    return float(optimize.brentq(lambda s: j_function(s) - i, 0.0, hi, xtol=1e-13))
+    return _brentq(lambda s: j_function(s) - i, 0.0, hi, xtol=1e-13)
+
+
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of ``f`` in [xa, xb], where f(xa) and f(xb) differ in sign, by
+    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant steps,
+    falling back to bisection.
+
+    A step-for-step transcription of scipy's ``brentq`` with its default
+    ``rtol = 4 eps`` and ``maxiter = 100``, so roots agree to the bit.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NumericalContractError(f"root search did not converge in {_BRENT_MAXITER} steps")
 
 
 def sample_consistent_gaussian_apriori(truth, ia: float, seed) -> LlrBlock:

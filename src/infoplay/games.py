@@ -8,6 +8,7 @@ state satisfy #A - #B in {0, 1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ValidationError
 
@@ -101,22 +102,29 @@ def legal_moves(state: GameState, game: GameSpec) -> list[int]:
     return [i for i, c in enumerate(state.cells) if c == 0]
 
 
-def _wins_through(cells: tuple, move: int, stone: int, game: GameSpec) -> bool:
+@lru_cache(maxsize=None)
+def win_lines(game: GameSpec) -> tuple:
+    """The win rule as a table: for each cell, the k-in-a-row lines through
+    it, each a slice of a cells tuple taking the line's k cells.
+
+    A move at ``m`` wins iff ``cells[line] == (stone,) * k`` for one of the
+    lines at ``m``.  Every cell's entry is empty for ``board_full_scoring``.
+    """
     if game.win_condition != K_IN_A_ROW:
-        return False
-    k = game.k
-    r0, c0 = divmod(move, game.cols)
-    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
-        run = 1
-        for sign in (1, -1):
-            r, c = r0 + sign * dr, c0 + sign * dc
-            while 0 <= r < game.rows and 0 <= c < game.cols and cells[r * game.cols + c] == stone:
-                run += 1
-                r += sign * dr
-                c += sign * dc
-        if run >= k:
-            return True
-    return False
+        return ((),) * game.cells
+    k, rows, cols = game.k, game.rows, game.cols
+    # a single cell is a line in every direction: count it once
+    directions = ((0, 1), (1, 0), (1, 1), (1, -1)) if k > 1 else ((0, 1),)
+    lines: list[list] = [[] for _ in range(game.cells)]
+    for r in range(rows):
+        for c in range(cols):
+            for dr, dc in directions:
+                r_end, c_end = r + (k - 1) * dr, c + (k - 1) * dc
+                if r_end < rows and 0 <= c_end < cols:
+                    line = slice(r * cols + c, r_end * cols + c_end + 1, dr * cols + dc)
+                    for i in range(line.start, line.stop, line.step):
+                        lines[i].append(line)
+    return tuple(tuple(through) for through in lines)
 
 
 def apply_move(state: GameState, move: int, game: GameSpec) -> GameState:
@@ -126,7 +134,8 @@ def apply_move(state: GameState, move: int, game: GameSpec) -> GameState:
         raise ValidationError(f"illegal move {move!r}")
     stone = _STONE[state.to_move]
     cells = state.cells[:move] + (stone,) + state.cells[move + 1:]
-    if _wins_through(cells, move, stone, game):
+    run = (stone,) * (game.k or 0)
+    if any(cells[line] == run for line in win_lines(game)[move]):
         status = A_WINS if state.to_move == PLAYER_A else B_WINS
     elif 0 not in cells:
         if game.win_condition == BOARD_FULL_SCORING:

@@ -64,3 +64,64 @@ def minimax_value(state, game, cache=None):
     val = max(children) if state.to_move == "A" else min(children)
     cache[key] = val
     return val
+
+
+def ref_count_positions(rows, cols, k=None, symmetry=False):
+    """Positions reachable from the empty rows x cols board, terminal ones
+    included, keyed on (cells, player to move).
+
+    ``k=None`` is board-full scoring (no win rule); otherwise a player
+    wins by placing a stone that makes a run of at least ``k`` along a row,
+    column or diagonal.  With ``symmetry`` positions are counted up to the
+    reflections and rotations of the board.  Plain recursion over tuples
+    with its own win check: no library code is used.
+    """
+    n = rows * cols
+
+    def makes_run(cells, r0, c0, stone):
+        for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+            run = 1
+            for sign in (1, -1):
+                r, c = r0 + sign * dr, c0 + sign * dc
+                while 0 <= r < rows and 0 <= c < cols and cells[r * cols + c] == stone:
+                    run += 1
+                    r, c = r + sign * dr, c + sign * dc
+            if run >= k:
+                return True
+        return False
+
+    symmetries = [lambda r, c: (r, c), lambda r, c: (rows - 1 - r, c),
+                  lambda r, c: (r, cols - 1 - c), lambda r, c: (rows - 1 - r, cols - 1 - c)]
+    if rows == cols:
+        symmetries += [lambda r, c: (c, r), lambda r, c: (cols - 1 - c, r),
+                       lambda r, c: (c, rows - 1 - r), lambda r, c: (cols - 1 - c, rows - 1 - r)]
+    if not symmetry:
+        symmetries = symmetries[:1]
+    images = []
+    for symmetry_map in symmetries:
+        image = [0] * n
+        for r in range(rows):
+            for c in range(cols):
+                r2, c2 = symmetry_map(r, c)
+                image[r * cols + c] = r2 * cols + c2
+        images.append(image)
+
+    seen = set()
+
+    def visit(cells, player, over):
+        key = (min(tuple(cells[i] for i in image) for image in images), player)
+        if key in seen:
+            return
+        seen.add(key)
+        if over:
+            return
+        stone = 1 if player == "A" else 2
+        for p in range(n):
+            if cells[p] == 0:
+                child = list(cells)
+                child[p] = stone
+                won = k is not None and makes_run(child, p // cols, p % cols, stone)
+                visit(tuple(child), "B" if player == "A" else "A", won or 0 not in child)
+
+    visit((0,) * n, "A", False)
+    return len(seen)

@@ -1,8 +1,12 @@
 """Capacity bounds, state enumeration, and the dominance test."""
 
 import math
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import ref_count_positions
 
 from infoplay.capacity import (
     A_DOMINATES,
@@ -47,6 +51,19 @@ class TestLog2Factorial:
             log2_factorial(-1)
 
 
+@st.composite
+def _small_games(draw):
+    """(rows, cols, k) of a board of up to 3x4; k None is board-full scoring."""
+    rows, cols = draw(st.sampled_from([(r, c) for r in (1, 2, 3) for c in (1, 2, 3)]
+                                      + [(1, 4), (2, 4), (3, 4)]))
+    return rows, cols, draw(st.one_of(st.none(), st.integers(1, max(rows, cols))))
+
+
+@lru_cache(maxsize=None)
+def _reference_count(rows, cols, k, symmetry):
+    return ref_count_positions(rows, cols, k, symmetry)
+
+
 class TestEnumeration:
     def test_tic_tac_toe_count_bfs_and_dfs(self):
         game = tic_tac_toe()
@@ -88,6 +105,34 @@ class TestEnumeration:
             bfs = enumerate_reachable_states(game, method="bfs")
             dfs = enumerate_reachable_states(game, method="dfs")
             assert bfs.count == dfs.count, game.game_id
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_small_games(), method=st.sampled_from(["bfs", "dfs"]),
+           symmetry=st.booleans())
+    @example(spec=(3, 4, 1), method="dfs", symmetry=False)  # any first move wins
+    @example(spec=(1, 1, 1), method="bfs", symmetry=True)
+    @example(spec=(1, 1, None), method="dfs", symmetry=False)
+    def test_count_matches_reference(self, spec, method, symmetry):
+        rows, cols, k = spec
+        if k is None:
+            game = GameSpec(rows=rows, cols=cols, win_condition=BOARD_FULL_SCORING, k=None)
+        else:
+            game = GameSpec(rows=rows, cols=cols, k=k)
+        count = enumerate_reachable_states(game, method=method,
+                                           symmetry_reduction=symmetry).count
+        assert count == _reference_count(rows, cols, k, symmetry)
+
+    @pytest.mark.parametrize("method", ["bfs", "dfs"])
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_cap_boundary(self, method, symmetry):
+        game = tic_tac_toe()
+        count = enumerate_reachable_states(game, symmetry_reduction=symmetry).count
+        at_cap = enumerate_reachable_states(game, method=method, max_states=count,
+                                            symmetry_reduction=symmetry)
+        assert at_cap.count == count
+        with pytest.raises(ResourceCapError, match=f"cap of {count - 1} states"):
+            enumerate_reachable_states(game, method=method, max_states=count - 1,
+                                       symmetry_reduction=symmetry)
 
 
 class TestCapacityBounds:

@@ -226,6 +226,6 @@ class TestMainEntry:
 
     def test_run_via_main(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", "capacity", CAPACITY_PARAMS, seed=1)
-        code = main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--threads", "4"])
+        code = main(["run", str(cfg), "--output-dir", str(tmp_path / "out")])
         assert code == EXIT_OK
         assert (tmp_path / "out" / "capacity" / "capacity.csv").exists()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from infoplay.entropy import (
     DiscreteDistribution,
@@ -210,6 +210,20 @@ class TestJInverse:
     def test_one_rejected(self):
         with pytest.raises(ValidationError):
             j_inverse(1.0)
+
+    def test_matches_scipy_brentq_bit_for_bit(self):
+        # every a-priori grid of the demos and configs (np.arange gives
+        # 0.30000000000000004 and friends), plus a dense sweep of (0, 1)
+        demo_grids = [np.arange(0.0, 0.91, 0.1), np.linspace(0.0, 1.0, 6)[:-1],
+                      [x / 10 for x in range(10)], [0.2 * x for x in range(5)]]
+        values = {float(i) for grid in demo_grids for i in grid if i > 0}
+        values |= set(np.linspace(0.001, 0.999, 120).tolist()) | {1e-9, 0.999999}
+        for i in sorted(values):
+            hi = 1.0
+            while j_function(hi) < i:
+                hi *= 2.0
+            expected = optimize.brentq(lambda s: j_function(s) - i, 0.0, hi, xtol=1e-13)
+            assert j_inverse(i) == expected, i
 
 
 class TestConsistentGaussianApriori:
