@@ -154,8 +154,9 @@ def measure_exit_curve(
     For each a-priori information value in ``ia_grid``: draw random
     information bits, encode with a terminated trellis, transmit over the
     channel, synthesize consistent-Gaussian a-priori LLRs at that I_A,
-    run one BCJR pass, and measure the extrinsic output information over
-    all ``samples_per_point`` bits.  Grid points use independently derived
+    and measure the extrinsic output information over all
+    ``samples_per_point`` bits.  One batched BCJR pass decodes the blocks
+    of every grid point together.  Grid points use independently derived
     seeds, so the curve is reproducible bit for bit.
     """
     grid = np.asarray(ia_grid, dtype=float)
@@ -167,26 +168,29 @@ def measure_exit_curve(
         raise ValidationError("samples_per_point must be >= 1000")
     n_blocks = (samples_per_point + block_len - 1) // block_len
     root = _seed_sequence(seed)
-    points = []
+    bits, ls, lp, la = [], [], [], []
     for ss, ia in zip(root.spawn(len(grid)), grid):
         ss_bits, ss_chan, ss_apriori = ss.spawn(3)
-        bits = np.random.default_rng(ss_bits).integers(0, 2, (n_blocks, block_len))
-        encoded = [rsc_encode(row, code) for row in bits]
-        sys_bits = np.array([s for s, _ in encoded])
-        par_bits = np.array([p for _, p in encoded])
+        point_bits = np.random.default_rng(ss_bits).integers(0, 2, (n_blocks, block_len))
+        sys_bits, par_bits = rsc_encode(point_bits, code)
         rx = transmit(
             np.concatenate([sys_bits.ravel(), par_bits.ravel()]), channel, ss_chan
         )
         k = sys_bits.shape[1]
-        ls = rx.llrs[: n_blocks * k].reshape(n_blocks, k)
-        lp = rx.llrs[n_blocks * k:].reshape(n_blocks, k)
-        apriori = sample_consistent_gaussian_apriori(bits.ravel(), float(ia), ss_apriori)
-        la = apriori.llrs.reshape(n_blocks, block_len)
-        app = _bcjr_batch(ls, lp, la, code, terminated=True)
-        ext = app - la - ls[:, :block_len]
+        apriori = sample_consistent_gaussian_apriori(point_bits.ravel(), float(ia), ss_apriori)
+        bits.append(point_bits)
+        ls.append(rx.llrs[: n_blocks * k].reshape(n_blocks, k))
+        lp.append(rx.llrs[n_blocks * k:].reshape(n_blocks, k))
+        la.append(apriori.llrs.reshape(n_blocks, block_len))
+    # one decoder pass over the blocks of every grid point; blocks never mix
+    ls, la = np.concatenate(ls), np.concatenate(la)
+    app = _bcjr_batch(ls, np.concatenate(lp), la, code, terminated=True)
+    ext = (app - la - ls[:, :block_len]).reshape(len(grid), n_blocks * block_len)
+    points = []
+    for ia, point_ext, point_bits in zip(grid, ext, bits):
         i_e = _llr_information(
-            np.clip(ext.ravel(), -LLR_CLAMP, LLR_CLAMP)[:samples_per_point],
-            bits.ravel()[:samples_per_point],
+            np.clip(point_ext, -LLR_CLAMP, LLR_CLAMP)[:samples_per_point],
+            point_bits.ravel()[:samples_per_point],
         )
         points.append((float(ia), i_e))
     return ExitCurve(points=tuple(points), label=label, mc_samples=samples_per_point)

@@ -148,11 +148,12 @@ class AgentModel:
 
     def _predict(self, key: str, cells: int, rng) -> int:
         counts = self.opponent_counts.get(key)
-        top = 0 if counts is None else counts.max()
+        counts = [] if counts is None else counts.tolist()
+        top = max(counts, default=0)
         if top == 0:
             return int(rng.integers(cells))  # uninformed guess
-        ties = np.flatnonzero(counts == top)
-        return int(ties[rng.integers(len(ties))])
+        ties = [move for move, count in enumerate(counts) if count == top]
+        return ties[rng.integers(len(ties))]
 
     def predict_opponent_move(self, state: GameState, game: GameSpec, rng) -> int:
         return self._predict(state.key(), game.cells, rng)

@@ -78,18 +78,26 @@ class _Trellis:
                 self.parity_sym[u, s] = 1.0 - 2.0 * p
                 if a == 0:
                     self.term_bit[s] = u
-        # exactly two incoming edges per state for a binary trellis
-        self.in_u = np.zeros((n, 2), dtype=np.intp)
-        self.in_s = np.zeros((n, 2), dtype=np.intp)
+        self.parity_bit = (self.parity_sym < 0).astype(np.int8)
+        # exactly two incoming edges per state for a binary trellis: edge j
+        # into state t leaves state in_s[j, t] on input in_u[j, t]
+        self.in_u = np.zeros((2, n), dtype=np.intp)
+        self.in_s = np.zeros((2, n), dtype=np.intp)
+        # edge_pos[u, s]: flat (j, t) position of the edge leaving s on u
+        self.edge_pos = np.zeros((2, n), dtype=np.intp)
         fill = np.zeros(n, dtype=np.intp)
         for s in range(n):
             for u in (0, 1):
                 t = self.next_state[u, s]
-                self.in_u[t, fill[t]] = u
-                self.in_s[t, fill[t]] = s
+                j = fill[t]
+                self.in_u[j, t] = u
+                self.in_s[j, t] = s
+                self.edge_pos[u, s] = j * n + t
                 fill[t] += 1
         if not (fill == 2).all():
             raise ValidationError("degenerate trellis: states must have two incoming edges")
+        # incoming edges a terminated tail may take: input = term_bit of the source
+        self.in_forced = self.in_u == self.term_bit[self.in_s]
 
 
 _TRELLIS_CACHE: dict[RscCode, _Trellis] = {}
@@ -104,31 +112,45 @@ def _trellis(code: RscCode) -> _Trellis:
 def rsc_encode(bits, code: RscCode, terminate: bool = True):
     """Encode ``bits``, returning (systematic, parity) arrays.
 
-    With termination the trellis is driven back to the zero state, which
-    appends ``memory`` tail bits to both outputs.
+    ``bits`` is one (N,) block or a (B, N) batch of blocks, encoded
+    together; the outputs have the same leading shape.  With termination
+    the trellis is driven back to the zero state, which appends
+    ``memory`` tail bits to both outputs.
     """
     u = np.asarray(bits)
-    if u.ndim != 1 or u.size == 0:
-        raise ValidationError("input bits must be a non-empty 1-D vector")
+    if u.ndim not in (1, 2) or u.size == 0:
+        raise ValidationError("input bits must be a non-empty 1-D vector or 2-D batch")
     if not np.isin(u, (0, 1)).all():
         raise ValidationError("input bits must be 0/1")
     tr = _trellis(code)
-    m = code.memory
-    sys_out = list(u.astype(int))
-    par_out = []
-    s = 0
-    for b in sys_out:
-        par_out.append(0 if tr.parity_sym[b, s] > 0 else 1)
-        s = tr.next_state[b, s]
-    if terminate:
-        for _ in range(m):
-            b = int(tr.term_bit[s])
-            sys_out.append(b)
-            par_out.append(0 if tr.parity_sym[b, s] > 0 else 1)
-            s = tr.next_state[b, s]
-        if s != 0:
-            raise NumericalContractError(f"termination left the encoder in state {s}, not 0")
-    return np.array(sys_out, dtype=np.int8), np.array(par_out, dtype=np.int8)
+    n_states = code.n_states
+    steps = u.T.reshape(u.shape[-1], -1)  # time-major (N, B)
+    n_info, batch = steps.shape
+    n_out = n_info + (code.memory if terminate else 0)
+    sys_out = np.empty((n_out, batch), dtype=np.int8)
+    par_out = np.empty((n_out, batch), dtype=np.int8)
+    sys_out[:n_info] = steps
+    # flat (u, s) transition index per step: u * S + s
+    edge = steps.astype(np.intp) * n_states
+    next_flat = tr.next_state.ravel()
+    parity_flat = tr.parity_bit.ravel()
+    s = np.zeros(batch, dtype=np.intp)
+    for k in range(n_out):
+        if k < n_info:
+            idx = edge[k] + s
+        else:
+            tail = tr.term_bit[s]
+            sys_out[k] = tail
+            idx = tail * n_states + s
+        par_out[k] = parity_flat[idx]
+        s = next_flat[idx]
+    if terminate and s.any():
+        raise NumericalContractError(
+            f"termination left the encoder in state {int(s[s != 0][0])}, not 0"
+        )
+    if u.ndim == 1:
+        return sys_out[:, 0], par_out[:, 0]
+    return np.ascontiguousarray(sys_out.T), np.ascontiguousarray(par_out.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,28 +183,39 @@ def random_interleaver(n: int, seed) -> Interleaver:
 def s_random_interleaver(n: int, seed, s: int | None = None, max_tries: int = 1000) -> Interleaver:
     """Spread interleaver: positions within distance s map at least s apart.
 
-    Default spread is floor(sqrt(n/2)).  Seeded greedy placement; when it
-    gets stuck, the unplaced values are reshuffled to the front of the
-    next attempt so the hard cases are placed first.  Deterministic for a
-    fixed seed.
+    Default spread is floor(sqrt(n/2)).  Seeded greedy placement: each
+    step places the first candidate at distance >= s from the last s
+    values placed.  When it gets stuck, the unplaced values are
+    reshuffled to the front of the next attempt so the hard cases are
+    placed first.  Deterministic for a fixed seed.
     """
     if s is None:
         s = int(np.sqrt(n / 2))
     rng = np.random.default_rng(seed)
     vector = list(rng.permutation(n))
     for _ in range(max_tries):
-        candidates = list(vector)
+        order = np.array(vector, dtype=np.intp)
+        position = np.empty(n, dtype=np.intp)  # of each value in the candidate order
+        position[order] = np.arange(n)
+        # per candidate: how many of the last s values placed lie closer
+        # than s to it, or above n once it is placed itself
+        busy = np.zeros(n, dtype=np.intp)
         perm: list[int] = []
-        while candidates:
-            for idx, c in enumerate(candidates):
-                if all(abs(c - r) >= s for r in perm[-s:]):
-                    perm.append(c)
-                    del candidates[idx]
-                    break
-            else:
+        while len(perm) < n:
+            idx = int(busy.argmin())  # the first free unblocked candidate
+            if busy[idx]:
                 break
-        if not candidates:
+            busy[idx] = n + 1
+            c = int(order[idx])
+            perm.append(c)
+            if s > 0:
+                busy[position[max(c - s + 1, 0):c + s]] += 1
+                if len(perm) > s:  # perm[-s - 1] leaves the window
+                    r = perm[-s - 1]
+                    busy[position[max(r - s + 1, 0):r + s]] -= 1
+        if len(perm) == n:
             return Interleaver(np.array(perm))
+        candidates = list(order[busy <= n])
         rng.shuffle(candidates)
         vector = candidates + perm
     raise ValidationError(f"could not build an S-random interleaver with s={s} for n={n}")
@@ -248,6 +281,9 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
     counting tail steps when terminated; la: (B, N) a-priori LLRs on the
     information bits.  Returns (B, N) a-posteriori LLRs.  ``exact=False``
     switches max* to a plain max (max-log approximation).
+
+    Internally the batch is the last axis, so every step works on
+    contiguous rows of B values.
     """
     tr = _trellis(code)
     n_states = code.n_states
@@ -255,39 +291,48 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
     n_info = la.shape[1]
     acc = np.logaddexp if exact else np.maximum
 
+    half_sys = ls.T.copy()
+    half_sys[:n_info] += la.T
+    half_sys *= 0.5
+    half_par = 0.5 * lp.T
     xu = np.array([1.0, -1.0])  # BPSK symbol of input bit u
-    # branch metrics gamma[b, k, u, s]
-    lsa = ls.copy()
-    lsa[:, :n_info] += la
-    gamma = 0.5 * lsa[:, :, None, None] * xu[None, None, :, None] + \
-        0.5 * lp[:, :, None, None] * tr.parity_sym[None, None, :, :]
-    if terminated:
-        # tail inputs are forced per state; mask the other edge off
-        forced = np.zeros((2, n_states), dtype=bool)
-        forced[tr.term_bit, np.arange(n_states)] = True
-        gamma[:, n_info:, ~forced] = _NEG_INF
+    # branch metrics gin[k, j, t, b] of incoming edge j into state t
+    gin = np.empty((k_total, 2, n_states, batch))
+    for j in range(2):
+        for t in range(n_states):
+            u, s = tr.in_u[j, t], tr.in_s[j, t]
+            np.add(half_sys * xu[u], half_par * tr.parity_sym[u, s], out=gin[:, j, t])
+            if terminated and not tr.in_forced[j, t]:
+                # tail inputs are forced per state; mask the other edge off
+                gin[n_info:, j, t] = _NEG_INF
+    del half_sys, half_par
 
-    alpha = np.full((k_total + 1, batch, n_states), _NEG_INF)
-    alpha[0, :, 0] = 0.0
+    alpha = np.full((k_total + 1, n_states, batch), _NEG_INF)
+    alpha[0, 0] = 0.0
     for k in range(k_total):
-        cand = alpha[k][:, None, :] + gamma[:, k]
-        nxt = acc(cand[:, tr.in_u[:, 0], tr.in_s[:, 0]], cand[:, tr.in_u[:, 1], tr.in_s[:, 1]])
-        alpha[k + 1] = nxt - nxt.max(axis=1, keepdims=True)
+        cand = alpha[k].take(tr.in_s, axis=0)
+        cand += gin[k]
+        nxt = acc(cand[0], cand[1])
+        np.subtract(nxt, nxt.max(axis=0), out=alpha[k + 1])
 
-    beta = np.full((batch, n_states), _NEG_INF)
+    beta = np.full((n_states, batch), _NEG_INF)
     if terminated:
-        beta[:, 0] = 0.0
+        beta[0] = 0.0
     else:
         beta[:] = 0.0
-    app = np.empty((batch, n_info))
+    app = np.empty((n_info, batch))
+    gin_flat = gin.reshape(k_total, 2 * n_states, batch)
     for k in range(k_total - 1, -1, -1):
-        edge = gamma[:, k] + beta[:, tr.next_state]  # (B, 2, S)
+        # gamma[u, s] of the edge leaving s on input u, plus beta at its end
+        edge = gin_flat[k].take(tr.edge_pos, axis=0)
+        edge += beta.take(tr.next_state, axis=0)
         if k < n_info:
-            metric = alpha[k][:, None, :] + edge
-            app[:, k] = acc.reduce(metric[:, 0, :], axis=1) - acc.reduce(metric[:, 1, :], axis=1)
-        beta = acc(edge[:, 0, :], edge[:, 1, :])
-        beta -= beta.max(axis=1, keepdims=True)
-    return app
+            metric = alpha[k] + edge
+            per_input = acc.reduce(metric, axis=1)
+            np.subtract(per_input[0], per_input[1], out=app[k])
+        beta = acc(edge[0], edge[1])
+        beta -= beta.max(axis=0)
+    return np.ascontiguousarray(app.T)
 
 
 def bcjr_decode(
@@ -366,12 +411,14 @@ class TurboCodeword:
     info_bits: np.ndarray
 
     def concatenated(self) -> np.ndarray:
-        return np.concatenate([self.systematic, self.parity1, self.parity2])
+        return np.concatenate([self.systematic, self.parity1, self.parity2], axis=-1)
 
 
 def turbo_encode(bits, code: RscCode, interleaver: Interleaver) -> TurboCodeword:
+    """Encode one (N,) block or a (B, N) batch; the codeword fields keep
+    the leading batch axis."""
     u = np.asarray(bits)
-    if u.size != len(interleaver):
+    if u.shape[-1:] != (len(interleaver),):
         raise ValidationError("interleaver length must equal the information length")
     sys1, par1 = rsc_encode(u, code, terminate=True)
     _, par2 = rsc_encode(interleaver.interleave(u), code, terminate=False)
@@ -479,17 +526,17 @@ def simulate_turbo(
     channel = ChannelModel(kind=AWGN_BPSK, parameter=ebn0_db, rate=1.0 / 3.0)
 
     bit_rng = np.random.default_rng(ss_bits)
+    truth = np.empty((n_blocks, n_info), dtype=np.int8)
+    for b in range(n_blocks):
+        truth[b] = bit_rng.integers(0, 2, n_info)
+    words = turbo_encode(truth, code, interleaver).concatenated()
     ls = np.empty((n_blocks, n_info + code.memory))
     lp1 = np.empty_like(ls)
     lp2 = np.empty((n_blocks, n_info))
-    truth = np.empty((n_blocks, n_info), dtype=np.int8)
     for b, ss in enumerate(ss_noise.spawn(n_blocks)):
-        bits = bit_rng.integers(0, 2, n_info)
-        cw = turbo_encode(bits, code, interleaver)
-        rx = transmit(cw.concatenated(), channel, ss)
+        rx = transmit(words[b], channel, ss)
         rx_sys, rx_par1, rx_par2 = _split_llrs(rx, n_info, code.memory)
         ls[b], lp1[b], lp2[b] = rx_sys.llrs, rx_par1.llrs, rx_par2.llrs
-        truth[b] = bits
     history, _ = _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters, exact)
     return [
         TurboIterationTrace(block=b, records=tuple(rows[b] for rows in history))

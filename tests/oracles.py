@@ -31,6 +31,107 @@ def ref_encode_75(bits, terminate=True):
     return np.array(sys_out), np.array(par_out)
 
 
+def _ref_trellis(code):
+    """Transition tables of an RSC code, built bit by bit from its
+    polynomials: next state, BPSK parity symbol, the tail input that
+    feeds a zero back, and the two incoming (input, state) edges of each
+    state in order of (state, input)."""
+    m, n = code.memory, 1 << code.memory
+
+    def parity(x):
+        return bin(x).count("1") & 1
+
+    next_state = np.zeros((2, n), dtype=int)
+    parity_sym = np.zeros((2, n))
+    term_bit = np.zeros(n, dtype=int)
+    for s in range(n):
+        for u in (0, 1):
+            a = parity(code.feedback_poly & ((u << m) | s))
+            next_state[u, s] = (a << (m - 1)) | (s >> 1)
+            parity_sym[u, s] = 1.0 - 2.0 * parity(code.feedforward_poly & ((a << m) | s))
+            if a == 0:
+                term_bit[s] = u
+    in_u = np.zeros((n, 2), dtype=int)
+    in_s = np.zeros((n, 2), dtype=int)
+    fill = [0] * n
+    for s in range(n):
+        for u in (0, 1):
+            t = next_state[u, s]
+            in_u[t, fill[t]], in_s[t, fill[t]] = u, s
+            fill[t] += 1
+    return next_state, parity_sym, term_bit, in_u, in_s
+
+
+def ref_bcjr_batch(ls, lp, la, code, terminated, exact=True):
+    """Frozen batch-first log-MAP forward/backward: (B, K) channel LLRs and
+    (B, N) a-priori LLRs in, (B, N) a-posteriori LLRs out.  Kept as the
+    bit-for-bit reference for the library's batch-last kernel."""
+    next_state, parity_sym, term_bit, in_u, in_s = _ref_trellis(code)
+    n_states = 1 << code.memory
+    batch, k_total = ls.shape
+    n_info = la.shape[1]
+    acc = np.logaddexp if exact else np.maximum
+
+    xu = np.array([1.0, -1.0])
+    lsa = ls.copy()
+    lsa[:, :n_info] += la
+    gamma = 0.5 * lsa[:, :, None, None] * xu[None, None, :, None] + \
+        0.5 * lp[:, :, None, None] * parity_sym[None, None, :, :]
+    if terminated:
+        forced = np.zeros((2, n_states), dtype=bool)
+        forced[term_bit, np.arange(n_states)] = True
+        gamma[:, n_info:, ~forced] = -np.inf
+
+    alpha = np.full((k_total + 1, batch, n_states), -np.inf)
+    alpha[0, :, 0] = 0.0
+    for k in range(k_total):
+        cand = alpha[k][:, None, :] + gamma[:, k]
+        nxt = acc(cand[:, in_u[:, 0], in_s[:, 0]], cand[:, in_u[:, 1], in_s[:, 1]])
+        alpha[k + 1] = nxt - nxt.max(axis=1, keepdims=True)
+
+    beta = np.full((batch, n_states), -np.inf)
+    if terminated:
+        beta[:, 0] = 0.0
+    else:
+        beta[:] = 0.0
+    app = np.empty((batch, n_info))
+    for k in range(k_total - 1, -1, -1):
+        edge = gamma[:, k] + beta[:, next_state]
+        if k < n_info:
+            metric = alpha[k][:, None, :] + edge
+            app[:, k] = acc.reduce(metric[:, 0, :], axis=1) - acc.reduce(metric[:, 1, :], axis=1)
+        beta = acc(edge[:, 0, :], edge[:, 1, :])
+        beta -= beta.max(axis=1, keepdims=True)
+    return app
+
+
+def ref_s_random_permutation(n, seed, s=None, max_tries=1000):
+    """Greedy S-random placement by direct scan: each step takes the first
+    candidate at distance >= s from each of the last s values placed; a
+    stuck attempt reshuffles the unplaced values to the front.  Returns
+    the permutation as a list, or None when every attempt gets stuck."""
+    if s is None:
+        s = int(np.sqrt(n / 2))
+    rng = np.random.default_rng(seed)
+    vector = list(rng.permutation(n))
+    for _ in range(max_tries):
+        candidates = list(vector)
+        perm = []
+        while candidates:
+            for idx, c in enumerate(candidates):
+                if all(abs(c - r) >= s for r in perm[-s:]):
+                    perm.append(c)
+                    del candidates[idx]
+                    break
+            else:
+                break
+        if not candidates:
+            return [int(v) for v in perm]
+        rng.shuffle(candidates)
+        vector = candidates + perm
+    return None
+
+
 def brute_force_map(ls, lp, la, n_info):
     """Exhaustive MAP a-posteriori LLRs for the terminated (7,5) code."""
     metrics = np.empty(2**n_info)

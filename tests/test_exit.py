@@ -1,5 +1,7 @@
 """EXIT curves, tunnel analysis, and the staircase decoding trajectory."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,23 @@ class TestMeasuredCurves:
         assert (np.diff(ie) > -0.02).all()
         # information cannot hurt: the top of the grid beats the bottom
         assert ie[-1] >= ie[0]
+
+    def test_exit_config_curve_matches_pinned_digest(self):
+        # the demos/configs/exit.ini run (0.8 dB, seed 42, default grid and
+        # rate); digest recorded before the grid points were decoded in one
+        # batch
+        curve = measure_exit_curve(
+            CODE75,
+            ChannelModel(AWGN_BPSK, 0.8, rate=1.0 / 3.0),
+            ia_grid=[0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+            samples_per_point=20000,
+            seed=42,
+            label="bcjr@0.8dB",
+        )
+        text = exit_curve_csv([curve], seed=42)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f0ffd4baba14e5282501ca7cfb94691c112a1d5c3eacedf912f454806a90bc1e"
+        )
 
     def test_curve_lives_in_unit_square(self):
         curve = measure_exit_curve(
