@@ -26,7 +26,7 @@ import secrets
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +53,10 @@ class Param:
     help: str = ""
 
 
+_BOARD_PARAMS = [Param("rows", "int", 3), Param("cols", "int", 3), Param("k", "int", 3)]
+
+# named as the LearnConfig fields they set
 _LEARN_PARAMS = [
-    Param("rows", "int", 3), Param("cols", "int", 3), Param("k", "int", 3),
     Param("generations", "int", sp.LearnConfig.generations),
     Param("episodes_per_generation", "int", sp.LearnConfig.episodes_per_generation),
     Param("eval_episodes", "int", sp.LearnConfig.eval_episodes),
@@ -97,11 +99,11 @@ SCHEMAS: dict[str, list[Param]] = {
         Param("feedforward", "octal", "5"),
         Param("memory", "int", 2),
     ],
-    "selfplay": list(_LEARN_PARAMS),
+    "selfplay": _BOARD_PARAMS + _LEARN_PARAMS,
     "agent-exit": [
         Param("agent_a", "path", required=True, help="snapshot from a selfplay run"),
         Param("agent_b", "path", required=True),
-        Param("rows", "int", 3), Param("cols", "int", 3), Param("k", "int", 3),
+        *_BOARD_PARAMS,
         Param("ia_grid", "floats", "0,0.2,0.4,0.6,0.8,1.0"),
         Param("episodes", "int", 400),
     ],
@@ -236,13 +238,7 @@ def _run_exit(rc: ResolvedConfig, outdir: Path) -> dict:
 def _run_selfplay(rc: ResolvedConfig, outdir: Path) -> dict:
     p = rc.params
     game = _game_from_params(p)
-    config = sp.LearnConfig(**{
-        k: p[k] for k in (
-            "generations", "episodes_per_generation", "eval_episodes", "stop_window",
-            "stop_delta", "step_size", "step_size_end", "epsilon_start", "epsilon_end",
-            "anneal_generations", "eval_epsilon",
-        )
-    })
+    config = sp.LearnConfig(**{param.name: p[param.name] for param in _LEARN_PARAMS})
     records, agent_a, agent_b = sp.learn(game, config, seed=rc.seed)
     (outdir / "generations.csv").write_text(sp.generation_csv(records, seed=rc.seed))
     (outdir / "agent_a.txt").write_text(sp.agent_to_text(agent_a, game))
@@ -290,8 +286,7 @@ def run(config_path, output_dir=None, seed=None) -> Path:
     directory."""
     rc = load_config(config_path)
     if seed is not None:
-        rc = ResolvedConfig(kind=rc.kind, name=rc.name, seed=int(seed),
-                            params=rc.params, config_dir=rc.config_dir)
+        rc = replace(rc, seed=int(seed))
     base = Path(output_dir) if output_dir is not None else Path.cwd()
     base.mkdir(parents=True, exist_ok=True)
     final_dir = base / rc.name

@@ -60,21 +60,15 @@ class DiscreteDistribution:
             )
         object.__setattr__(self, "probs", p)
 
-    def __len__(self) -> int:
-        return self.probs.size
-
 
 @dataclass(frozen=True, eq=False)
 class JointCounts:
     """Empirical co-occurrence counts of two discrete variables.
 
-    Rows index the first variable, columns the second.  Labels are
-    optional and purely descriptive.
+    Rows index the first variable, columns the second.
     """
 
     counts: np.ndarray
-    row_labels: tuple = ()
-    col_labels: tuple = ()
 
     def __post_init__(self):
         c = np.asarray(self.counts)
@@ -94,7 +88,7 @@ class JointCounts:
         return int(self.counts.sum())
 
     def transpose(self) -> "JointCounts":
-        return JointCounts(self.counts.T, self.col_labels, self.row_labels)
+        return JointCounts(self.counts.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,11 +181,13 @@ def mutual_information_plugin(joint, correction: str | None = None) -> MutualInf
     return MutualInfo(max(info, 0.0), "bits")
 
 
-def _llr_information(llrs: np.ndarray, truth: np.ndarray) -> float:
+def _llr_information(llrs: np.ndarray, truth: np.ndarray) -> float | list[float]:
+    """Normalized information of LLRs about their bits, averaged along the
+    last axis: a float for one block, a list of floats for a (B, N) batch."""
     # ergodic estimator: I = 1 - E[log2(1 + exp(-x*L))], x = +1 for bit 0
     x = 1.0 - 2.0 * truth
     terms = np.logaddexp(0.0, -x * llrs) / _LN2
-    return float(min(max(1.0 - terms.mean(), 0.0), 1.0))
+    return np.clip(1.0 - terms.mean(axis=-1), 0.0, 1.0).tolist()
 
 
 def mi_from_llrs(block: LlrBlock) -> MutualInfo:

@@ -49,10 +49,6 @@ class AgentModel:
     prediction used for MI measurement is the count argmax (an unvisited
     state yields an uninformed guess over the whole board, since a fresh
     internal channel carries no information, not even cell occupancy).
-
-    The policy and the opponent model run on the state ids of a
-    ``StateTable``; the methods taking a ``GameState`` intern it into a
-    fresh table and call the same code.
     """
 
     role: str
@@ -71,9 +67,6 @@ class AgentModel:
 
     # -- policy ------------------------------------------------------
 
-    def afterstate_value(self, state: GameState) -> float:
-        return self.value.get(state.key(), 0.0)
-
     def _greedy(self, table: StateTable, sid: int) -> list[int]:
         """Positions in ``table.moves[sid]`` of the best afterstates."""
         value, keys = self.value, table.keys
@@ -90,32 +83,6 @@ class AgentModel:
         ties = self._greedy(table, sid)
         return ties[rng.integers(len(ties))]
 
-    def greedy_moves(self, state: GameState, game: GameSpec) -> list[int]:
-        table = StateTable(game)
-        sid = table.intern(state)
-        moves = table.moves[sid]
-        return [moves[i] for i in self._greedy(table, sid)]
-
-    def policy_distribution(self, state: GameState, game: GameSpec,
-                            epsilon: float | None = None) -> np.ndarray:
-        """Move distribution over all cells: epsilon-uniform exploration
-        mixed with a greedy distribution that splits ties evenly."""
-        eps = self.epsilon if epsilon is None else epsilon
-        table = StateTable(game)
-        sid = table.intern(state)
-        moves = list(table.moves[sid])
-        ties = [moves[i] for i in self._greedy(table, sid)]
-        dist = np.zeros(game.cells)
-        dist[moves] = eps / len(moves)
-        dist[ties] += (1.0 - eps) / len(ties)
-        return dist
-
-    def sample_move(self, state: GameState, game: GameSpec, rng,
-                    epsilon: float | None = None) -> int:
-        table = StateTable(game)
-        sid = table.intern(state)
-        return table.moves[sid][self._choose(table, sid, rng, epsilon)]
-
     # -- internal channel (opponent model) ----------------------------
 
     def _observe(self, key: str, move: int, cells: int):
@@ -124,9 +91,6 @@ class AgentModel:
             counts = np.zeros(cells, dtype=np.int64)
             self.opponent_counts[key] = counts
         counts[move] += 1
-
-    def observe_opponent_move(self, state: GameState, move: int, game: GameSpec):
-        self._observe(state.key(), move, game.cells)
 
     def _opponent_distribution(self, key: str, moves, cells: int) -> np.ndarray:
         moves = list(moves)
@@ -139,13 +103,6 @@ class AgentModel:
         dist[moves] = weights / weights.sum()
         return dist
 
-    def opponent_model_distribution(self, state: GameState, game: GameSpec) -> np.ndarray:
-        """Predicted opponent move distribution: observed frequencies,
-        falling back to uniform over the legal moves at unseen states."""
-        table = StateTable(game)
-        sid = table.intern(state)
-        return self._opponent_distribution(table.keys[sid], table.moves[sid], game.cells)
-
     def _predict(self, key: str, cells: int, rng) -> int:
         counts = self.opponent_counts.get(key)
         counts = [] if counts is None else counts.tolist()
@@ -154,9 +111,6 @@ class AgentModel:
             return int(rng.integers(cells))  # uninformed guess
         ties = [move for move, count in enumerate(counts) if count == top]
         return ties[rng.integers(len(ties))]
-
-    def predict_opponent_move(self, state: GameState, game: GameSpec, rng) -> int:
-        return self._predict(state.key(), game.cells, rng)
 
     # -- learning ------------------------------------------------------
 
@@ -268,13 +222,11 @@ class EvaluationResult:
     episodes: int
 
 
-def _evaluate(agent_a: AgentModel, agent_b: AgentModel, game: GameSpec,
-              episodes: int, rng, epsilon: float = 0.0,
-              table: StateTable | None = None) -> EvaluationResult:
-    """Frozen evaluation games; each game is played out before its
-    decision points are predicted.  ``table`` is reused when given."""
-    table = StateTable(game) if table is None else table
-    states, keys, cells = table.states, table.keys, game.cells
+def _evaluate(agent_a: AgentModel, agent_b: AgentModel, table: StateTable,
+              episodes: int, rng, epsilon: float = 0.0) -> EvaluationResult:
+    """Frozen evaluation games on ``table``; each game is played out before
+    its decision points are predicted."""
+    states, keys, cells = table.states, table.keys, table.game.cells
     outcomes = []
     pred_b, act_b, pred_a, act_a = [], [], [], []
     for _ in range(episodes):
@@ -343,7 +295,8 @@ def measure_cross_mi(agent_a: AgentModel, agent_b: AgentModel, game: GameSpec,
     if episodes < 100:
         raise ValidationError("episodes must be >= 100 for a stable estimate")
     rng = np.random.default_rng(seed)
-    return cross_mi_from_evaluation(_evaluate(agent_a, agent_b, game, episodes, rng), game)
+    ev = _evaluate(agent_a, agent_b, StateTable(game), episodes, rng)
+    return cross_mi_from_evaluation(ev, game)
 
 
 def elo_win_prob(e_a: float, e_b: float, c_elo: float = 1.0 / 400.0) -> float:
@@ -485,8 +438,8 @@ def learn(game: GameSpec, config: LearnConfig, seed, initial_agents=None):
         for _ in range(config.episodes_per_generation):
             _training_episode(agent_a, agent_b, table, train_rng)
         eval_rng = np.random.default_rng(ss_eval)
-        ev = _evaluate(agent_a, agent_b, game, config.eval_episodes, eval_rng,
-                       epsilon=config.eval_epsilon, table=table)
+        ev = _evaluate(agent_a, agent_b, table, config.eval_episodes, eval_rng,
+                       epsilon=config.eval_epsilon)
         cross = cross_mi_from_evaluation(ev, game)
         for outcome in ev.outcomes:
             elo_a, elo_b = elo_update(elo_a, elo_b, outcome, config.elo_k, config.c_elo)
@@ -591,15 +544,20 @@ def agent_to_text(agent: AgentModel, game: GameSpec) -> str:
 
 
 def _snapshot_key(key: str, game: GameSpec) -> str:
+    """``key`` if it is the key of a state with a legal stone balance
+    (#A - #B in {0, 1}, A to move iff the counts are equal)."""
     cells, _, to_move = key.partition(":")
-    if len(cells) != game.cells or set(cells) - set(".AB") or to_move not in ("A", "B"):
+    n_a, n_b = cells.count("A"), cells.count("B")
+    if (len(cells) != game.cells or set(cells) - set(".AB") or n_a - n_b not in (0, 1)
+            or to_move != (PLAYER_A if n_a == n_b else PLAYER_B)):
         raise ValidationError(f"snapshot key {key!r} is not a {game.game_id} state")
     return key
 
 
 def _snapshot_counts(packed: str, cells: int) -> np.ndarray:
+    """Parse ``move:count,...``; an empty list (all counts zero) is allowed."""
     arr = np.zeros(cells, dtype=np.int64)
-    for item in packed.split(","):
+    for item in packed.split(",") if packed else ():
         m, _, c = item.partition(":")
         try:
             move, count = int(m), int(c)

@@ -14,6 +14,7 @@ alone because blocks never mix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,13 +101,9 @@ class _Trellis:
         self.in_forced = self.in_u == self.term_bit[self.in_s]
 
 
-_TRELLIS_CACHE: dict[RscCode, _Trellis] = {}
-
-
+@lru_cache(maxsize=None)
 def _trellis(code: RscCode) -> _Trellis:
-    if code not in _TRELLIS_CACHE:
-        _TRELLIS_CACHE[code] = _Trellis(code)
-    return _TRELLIS_CACHE[code]
+    return _Trellis(code)
 
 
 def rsc_encode(bits, code: RscCode, terminate: bool = True):
@@ -408,7 +405,6 @@ class TurboCodeword:
     systematic: np.ndarray
     parity1: np.ndarray
     parity2: np.ndarray
-    info_bits: np.ndarray
 
     def concatenated(self) -> np.ndarray:
         return np.concatenate([self.systematic, self.parity1, self.parity2], axis=-1)
@@ -422,7 +418,7 @@ def turbo_encode(bits, code: RscCode, interleaver: Interleaver) -> TurboCodeword
         raise ValidationError("interleaver length must equal the information length")
     sys1, par1 = rsc_encode(u, code, terminate=True)
     _, par2 = rsc_encode(interleaver.interleave(u), code, terminate=False)
-    return TurboCodeword(systematic=sys1, parity1=par1, parity2=par2, info_bits=u.astype(np.int8))
+    return TurboCodeword(systematic=sys1, parity1=par1, parity2=par2)
 
 
 def _split_llrs(rx: LlrBlock, n: int, m: int):
@@ -435,7 +431,7 @@ def _split_llrs(rx: LlrBlock, n: int, m: int):
     )
 
 
-def _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters, exact=True):
+def _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters):
     """Shared batched loop: returns (records per iteration per block, decoded bits)."""
     batch, _ = ls.shape
     n = len(interleaver)
@@ -445,24 +441,17 @@ def _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters, exact=T
     history = []
     decoded = None
     for it in range(1, max_iters + 1):
-        app1 = _bcjr_batch(ls, lp1, ext2_outer, code, terminated=True, exact=exact)
+        app1 = _bcjr_batch(ls, lp1, ext2_outer, code, terminated=True)
         ext1 = np.clip(app1 - ext2_outer - ls[:, :n], -LLR_CLAMP, LLR_CLAMP)
         la2 = interleaver.interleave(ext1)
-        app2 = _bcjr_batch(ls_inner, lp2, la2, code, terminated=False, exact=exact)
+        app2 = _bcjr_batch(ls_inner, lp2, la2, code, terminated=False)
         ext2 = np.clip(app2 - la2 - ls_inner, -LLR_CLAMP, LLR_CLAMP)
         ext2_outer = interleaver.deinterleave(ext2)
         decoded = (interleaver.deinterleave(app2) < 0).astype(np.int8)
-        rows = []
-        for b in range(batch):
-            rows.append(
-                IterationRecord(
-                    iteration=it,
-                    i_e_dec1=_llr_information(ext1[b], truth[b]),
-                    i_e_dec2=_llr_information(ext2[b], truth_inner[b]),
-                    ber=float((decoded[b] != truth[b]).mean()),
-                )
-            )
-        history.append(rows)
+        rows = zip(_llr_information(ext1, truth), _llr_information(ext2, truth_inner),
+                   (decoded != truth).mean(axis=1).tolist())
+        history.append([IterationRecord(iteration=it, i_e_dec1=i1, i_e_dec2=i2, ber=ber)
+                        for i1, i2, ber in rows])
     return history, decoded
 
 
@@ -471,7 +460,6 @@ def turbo_decode(
     interleaver: Interleaver,
     code: RscCode,
     max_iters: int = 8,
-    exact: bool = True,
 ):
     """Iteratively decode one received rate-1/3 block.
 
@@ -493,7 +481,6 @@ def turbo_decode(
         interleaver,
         code,
         max_iters,
-        exact,
     )
     trace = TurboIterationTrace(block=0, records=tuple(rows[0] for rows in history))
     return trace, decoded[0]
@@ -507,7 +494,6 @@ def simulate_turbo(
     seed,
     code: RscCode = RscCode(),
     interleaver_kind: str = "uniform",
-    exact: bool = True,
 ) -> list[TurboIterationTrace]:
     """Encode, transmit, and decode ``n_blocks`` independent blocks over an
     AWGN channel at the given Eb/N0, decoding all blocks in one batch.
@@ -537,7 +523,7 @@ def simulate_turbo(
         rx = transmit(words[b], channel, ss)
         rx_sys, rx_par1, rx_par2 = _split_llrs(rx, n_info, code.memory)
         ls[b], lp1[b], lp2[b] = rx_sys.llrs, rx_par1.llrs, rx_par2.llrs
-    history, _ = _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters, exact)
+    history, _ = _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters)
     return [
         TurboIterationTrace(block=b, records=tuple(rows[b] for rows in history))
         for b in range(n_blocks)

@@ -1,5 +1,6 @@
 """Experiment runner: config schema, artifacts, atomicity, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -152,7 +153,9 @@ class TestMainEntry:
         assert len(kinds) == 5
 
     def test_list_is_stable(self):
-        assert list_experiments() == list_experiments()
+        # sha256 of the listing of the schemas as committed; a schema edit must update it
+        digest = hashlib.sha256(list_experiments().encode()).hexdigest()
+        assert digest == "c2cf1cdb68935991c82bae9c8647c97335666a8abff4f27008539081dfc1e8e3"
 
     def test_schema_grammar(self):
         for line in list_experiments().splitlines():
@@ -202,6 +205,9 @@ class TestMainEntry:
         ("epsilon 0.1\n", ""),
         ("0.75", "high"),  # value not a float
         ("0.75", "0.75\u00e9"),  # not ASCII
+        ("....A....:B 0.75", "AAAA.....:B 0.75"),  # stone balance broken
+        ("....A....:B 0.75", "....A....:A 0.75"),  # wrong player to move
+        ("....A....:B 0.75", ".........:B 0.75"),  # B cannot move first
     ])
     def test_malformed_snapshot_exit_code(self, tmp_path, capsys, old, new):
         snapshot = "\n".join([

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from infoplay.errors import EstimationError, ValidationError
@@ -15,6 +17,7 @@ from infoplay.games import (
     BOARD_FULL_SCORING,
     DRAW,
     GameSpec,
+    StateTable,
     apply_move,
     initial_state,
     tic_tac_toe,
@@ -38,6 +41,18 @@ from infoplay.selfplay import (
 from oracles import minimax_value
 
 GAME = tic_tac_toe()
+
+
+def _reachable_keys(game):
+    table = StateTable(game)
+    sid = 0
+    while sid < len(table.states):  # children() interns as the walk goes
+        table.children(sid)
+        sid += 1
+    return table.keys
+
+
+_REACHABLE_KEYS = _reachable_keys(GAME)
 
 QUICK_CONFIG = LearnConfig(
     generations=6, episodes_per_generation=200, eval_episodes=100, anneal_generations=4
@@ -389,6 +404,11 @@ class TestSnapshots:
         ("0.75", "nan"),
         ("....A....:B 0.75", "....A...:B 0.75"),
         ("step_size 0.25", "step_size fast"),
+        # keys of states no game reaches: stone balance or player to move
+        ("....A....:B 0.75", "AAAA.....:B 0.75"),
+        ("....A....:B 0.75", "....A....:A 0.75"),
+        ("....A....:B 0.75", ".........:B 0.75"),
+        ("O ....A....:B", "O ....B....:A"),
     ])
     def test_malformed_snapshot_raises_validation_error(self, old, new):
         text = "\n".join([
@@ -404,6 +424,25 @@ class TestSnapshots:
         assert old in text
         with pytest.raises(ValidationError):
             agent_from_text(text.replace(old, new, 1), GAME)
+
+    @settings(max_examples=100, deadline=None)
+    @given(role=st.sampled_from("AB"),
+           rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           value=st.dictionaries(st.sampled_from(_REACHABLE_KEYS),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+           counts=st.dictionaries(st.sampled_from(_REACHABLE_KEYS),
+                                  st.lists(st.integers(0, 2**40), min_size=9, max_size=9)))
+    @example(role="B", rates=(0.25, 0.1), value={}, counts={"....A....:B": [0] * 9})
+    def test_round_trip_property(self, role, rates, value, counts):
+        agent = AgentModel(role=role, step_size=rates[0], epsilon=rates[1], value=value,
+                           opponent_counts={k: np.array(c, dtype=np.int64)
+                                            for k, c in counts.items()})
+        text = agent_to_text(agent, GAME)
+        clone = agent_from_text(text, GAME)
+        assert agent_to_text(clone, GAME) == text
+        assert (clone.role, clone.step_size, clone.epsilon) == (role, *rates)
+        assert clone.value == value
+        assert {k: c.tolist() for k, c in clone.opponent_counts.items()} == counts
 
 
 class TestGenerationCsv:
