@@ -9,7 +9,6 @@ board"; both are reported side by side rather than conflated.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -77,48 +76,45 @@ def _symmetry_maps(game: GameSpec) -> list[tuple]:
 
 def enumerate_reachable_states(
     game: GameSpec,
-    method: str = "bfs",
     max_states: int = DEFAULT_STATE_CAP,
     symmetry_reduction: bool = False,
 ) -> EnumerationResult:
     """Count the distinct positions (terminal ones included) reachable from
     the empty board under legal play.
 
-    ``method`` selects breadth-first or depth-first traversal; both must
-    return the same count.  States are keyed on their cell contents alone:
-    A moves first, so the player to move follows from the stone counts (A
-    iff #A == #B).  Symmetry reduction additionally quotients by the board
-    symmetry group and is off by default.
+    Counting goes ply by ply: every move adds one stone, so the positions
+    after ply p come only from the ongoing positions after ply p - 1, and A
+    places on the even plies.  Positions are keyed on their cells alone.
+    Symmetry reduction additionally quotients by the board symmetry group
+    and is off by default.
     """
-    if method not in ("bfs", "dfs"):
-        raise ValidationError(f"method must be 'bfs' or 'dfs', got {method!r}")
     lines = win_lines(game)
-    runs = {stone: (stone,) * (game.k or 0) for stone in (1, 2)}
     getters = [itemgetter(*m) for m in _symmetry_maps(game)] if symmetry_reduction else None
-    root = (0,) * game.cells
-    visited = {root if getters is None else min(g(root) for g in getters)}
-    frontier = deque([root])
-    pop = frontier.popleft if method == "bfs" else frontier.pop
-    while frontier:
-        cells = pop()
-        stone = 1 if cells.count(1) == cells.count(2) else 2
-        run = runs[stone]
-        for m, c in enumerate(cells):
-            if c:
-                continue
-            child = cells[:m] + (stone,) + cells[m + 1:]
-            key = child if getters is None else min(g(child) for g in getters)
-            if key in visited:
-                continue
-            if len(visited) >= max_states:
-                raise ResourceCapError(
-                    f"reachable-state enumeration exceeded the cap of {max_states} states"
-                )
-            visited.add(key)
-            # only ongoing positions have successors
-            if 0 in child and not any(child[line] == run for line in lines[m]):
-                frontier.append(child)
-    count = len(visited)
+    frontier = [(0,) * game.cells]
+    count = 1
+    for ply in range(game.cells):
+        stone = 1 + ply % 2  # A on the even plies
+        run = (stone,) * (game.k or 0)
+        layer = set()
+        ongoing = []
+        for cells in frontier:
+            for m, c in enumerate(cells):
+                if c:
+                    continue
+                child = cells[:m] + (stone,) + cells[m + 1:]
+                key = child if getters is None else min(g(child) for g in getters)
+                if key in layer:
+                    continue
+                if count >= max_states:
+                    raise ResourceCapError(
+                        f"reachable-state enumeration exceeded the cap of {max_states} states"
+                    )
+                layer.add(key)
+                count += 1
+                # only ongoing positions have successors
+                if 0 in child and not any(child[line] == run for line in lines[m]):
+                    ongoing.append(child)
+        frontier = ongoing
     return EnumerationResult(count=count, log2_count=math.log2(count))
 
 

@@ -7,7 +7,7 @@ state satisfy #A - #B in {0, 1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import ValidationError
@@ -23,7 +23,7 @@ A_WINS = "A_wins"
 B_WINS = "B_wins"
 DRAW = "draw"
 
-_STONE = {PLAYER_A: 1, PLAYER_B: 2}
+_STATUSES = (ONGOING, A_WINS, B_WINS, DRAW)
 _CELL_CHARS = ".AB"
 
 
@@ -73,17 +73,23 @@ def tic_tac_toe() -> GameSpec:
 
 @dataclass(frozen=True)
 class GameState:
+    """A position: its cells and its status.  The player to move is not
+    stored but follows from the stones: A iff #A == #B."""
+
     cells: tuple
-    to_move: str
     status: str = ONGOING
+    to_move: str = field(init=False)
 
     def __post_init__(self):
+        if not {0, 1, 2}.issuperset(self.cells):
+            raise ValidationError(f"cells must lie in {{0, 1, 2}}, got {self.cells!r}")
+        if self.status not in _STATUSES:
+            raise ValidationError(f"unknown status {self.status!r}")
         n_a = self.cells.count(1)
         n_b = self.cells.count(2)
         if n_a - n_b not in (0, 1):
             raise ValidationError(f"stone balance violated: {n_a} A vs {n_b} B stones")
-        if self.to_move not in (PLAYER_A, PLAYER_B):
-            raise ValidationError(f"bad player {self.to_move!r}")
+        object.__setattr__(self, "to_move", PLAYER_A if n_a == n_b else PLAYER_B)
 
     def key(self) -> str:
         """Stable text key for tabular agents and snapshot files."""
@@ -91,7 +97,7 @@ class GameState:
 
 
 def initial_state(game: GameSpec) -> GameState:
-    return GameState(cells=(0,) * game.cells, to_move=PLAYER_A, status=ONGOING)
+    return GameState(cells=(0,) * game.cells)
 
 
 def legal_moves(state: GameState, game: GameSpec) -> list[int]:
@@ -130,13 +136,13 @@ def win_lines(game: GameSpec) -> tuple:
 def apply_move(state: GameState, move: int, game: GameSpec) -> GameState:
     if state.status != ONGOING:
         raise ValidationError("cannot move in a terminal state")
-    if not (0 <= move < game.cells) or state.cells[move] != 0:
+    if not isinstance(move, int) or not 0 <= move < game.cells or state.cells[move] != 0:
         raise ValidationError(f"illegal move {move!r}")
-    stone = _STONE[state.to_move]
+    stone = 1 if state.to_move == PLAYER_A else 2
     cells = state.cells[:move] + (stone,) + state.cells[move + 1:]
     run = (stone,) * (game.k or 0)
     if any(cells[line] == run for line in win_lines(game)[move]):
-        status = A_WINS if state.to_move == PLAYER_A else B_WINS
+        status = A_WINS if stone == 1 else B_WINS
     elif 0 not in cells:
         if game.win_condition == BOARD_FULL_SCORING:
             n_a, n_b = cells.count(1), cells.count(2)
@@ -145,16 +151,15 @@ def apply_move(state: GameState, move: int, game: GameSpec) -> GameState:
             status = DRAW
     else:
         status = ONGOING
-    next_player = PLAYER_B if state.to_move == PLAYER_A else PLAYER_A
-    return GameState(cells=cells, to_move=next_player, status=status)
+    return GameState(cells=cells, status=status)
 
 
 class StateTable:
     """The states of one game met so far, interned to integer ids.
 
     Ids are handed out in order of first sight, starting with the initial
-    state at ``root``.  Per id the table keeps the state, its text key,
-    whether it is terminal and its legal moves (empty when terminal); the
+    state at ``root``.  Per id the table keeps the state, its text key and
+    its legal moves, which are empty exactly when the state is terminal; the
     child ids of a state are filled through ``apply_move`` the first time
     they are asked for, so the rules have one implementation and a large
     board only costs the states actually visited.
@@ -164,7 +169,6 @@ class StateTable:
         self.game = game
         self.states: list[GameState] = []
         self.keys: list[str] = []
-        self.terminal: list[bool] = []
         self.moves: list[tuple] = []
         self._children: list[tuple | None] = []
         self._ids: dict[GameState, int] = {}
@@ -177,9 +181,8 @@ class StateTable:
             self._ids[state] = sid
             self.states.append(state)
             self.keys.append(state.key())
-            terminal = state.status != ONGOING
-            self.terminal.append(terminal)
-            self.moves.append(() if terminal else tuple(legal_moves(state, self.game)))
+            ongoing = state.status == ONGOING
+            self.moves.append(tuple(legal_moves(state, self.game)) if ongoing else ())
             self._children.append(None)
         return sid
 

@@ -29,6 +29,7 @@ from .games import (
     PLAYER_A,
     PLAYER_B,
     StateTable,
+    _CELL_CHARS,
 )
 
 SNAPSHOT_HEADER = "# infoplay-agent-v2"
@@ -129,7 +130,6 @@ class AgentModel:
 class TranscriptStep:
     state: GameState
     move: int
-    mover: str
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, r
     order, and the id of the final state."""
     sid = table.root
     path = []
-    terminal, states, moves = table.terminal, table.states, table.moves
-    while not terminal[sid]:
+    states, moves = table.states, table.moves
+    while moves[sid]:
         agent = agent_a if states[sid].to_move == PLAYER_A else agent_b
         i = agent._choose(table, sid, rng, epsilon)
         path.append((sid, moves[sid][i]))
@@ -155,8 +155,7 @@ def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, r
 
 
 def _transcript(table: StateTable, path, final: int) -> Transcript:
-    steps = tuple(TranscriptStep(state=table.states[sid], move=move,
-                                 mover=table.states[sid].to_move) for sid, move in path)
+    steps = tuple(TranscriptStep(state=table.states[sid], move=move) for sid, move in path)
     final_state = table.states[final]
     return Transcript(steps=steps, outcome=final_state.status, final_state=final_state)
 
@@ -176,7 +175,7 @@ def internal_rollout(agent: AgentModel, game: GameSpec, seed) -> Transcript:
     table = StateTable(game)
     sid = table.root
     path = []
-    while not table.terminal[sid]:
+    while table.moves[sid]:
         moves = table.moves[sid]
         if table.states[sid].to_move == agent.role:
             i = agent._choose(table, sid, rng)
@@ -192,10 +191,10 @@ def _training_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTabl
     """One self-play game with online TD(0) afterstate updates and
     opponent-model observation for both agents."""
     cells = table.game.cells
-    terminal, states, moves, keys = table.terminal, table.states, table.moves, table.keys
+    states, moves, keys = table.states, table.moves, table.keys
     sid = table.root
     last_after = {PLAYER_A: None, PLAYER_B: None}
-    while not terminal[sid]:
+    while moves[sid]:
         mover = states[sid].to_move
         agent, other = (agent_a, agent_b) if mover == PLAYER_A else (agent_b, agent_a)
         i = agent._choose(table, sid, rng)
@@ -544,12 +543,14 @@ def agent_to_text(agent: AgentModel, game: GameSpec) -> str:
 
 
 def _snapshot_key(key: str, game: GameSpec) -> str:
-    """``key`` if it is the key of a state with a legal stone balance
-    (#A - #B in {0, 1}, A to move iff the counts are equal)."""
-    cells, _, to_move = key.partition(":")
-    n_a, n_b = cells.count("A"), cells.count("B")
-    if (len(cells) != game.cells or set(cells) - set(".AB") or n_a - n_b not in (0, 1)
-            or to_move != (PLAYER_A if n_a == n_b else PLAYER_B)):
+    """``key`` if it is the key of a ``game`` state, checked by rebuilding
+    the state from the board characters and comparing its key."""
+    board = key.partition(":")[0]
+    try:
+        state = GameState(cells=tuple(_CELL_CHARS.index(c) for c in board))
+    except ValueError:
+        state = None
+    if state is None or len(board) != game.cells or state.key() != key:
         raise ValidationError(f"snapshot key {key!r} is not a {game.game_id} state")
     return key
 

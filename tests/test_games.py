@@ -73,7 +73,29 @@ class TestTermination:
 class TestInvariants:
     def test_stone_balance_enforced(self):
         with pytest.raises(ValidationError):
-            GameState(cells=(1, 1, 0, 0, 0, 0, 0, 0, 0), to_move="B")
+            GameState(cells=(1, 1, 0, 0, 0, 0, 0, 0, 0))
+
+    def test_player_to_move_follows_from_the_stones(self):
+        assert GameState(cells=(0,) * 9).to_move == "A"
+        assert GameState(cells=(1,) + (0,) * 8).to_move == "B"
+        assert GameState(cells=(1, 2) + (0,) * 7).to_move == "A"
+        with pytest.raises(TypeError):
+            GameState(cells=(1,) + (0,) * 8, to_move="A")
+
+    @pytest.mark.parametrize("cells, status", [
+        ((3,) + (0,) * 8, ONGOING),
+        ((-1,) + (0,) * 8, ONGOING),
+        ((0,) * 9, "banana"),
+    ])
+    def test_malformed_state_rejected(self, cells, status):
+        with pytest.raises(ValidationError):
+            GameState(cells=cells, status=status)
+
+    @pytest.mark.parametrize("move", [1.5, "4", None, -1, 9])
+    def test_malformed_move_rejected(self, move):
+        game = tic_tac_toe()
+        with pytest.raises(ValidationError):
+            apply_move(initial_state(game), move, game)
 
     def test_moves_alternate(self):
         game = tic_tac_toe()
@@ -118,7 +140,7 @@ class TestStateTable:
         for pick in [*picks, None]:
             assert table.states[sid] == state
             assert table.keys[sid] == state.key()
-            assert table.terminal[sid] == (state.status != ONGOING)
+            assert (not table.moves[sid]) == (state.status != ONGOING)
             assert table.intern(state) == sid
             if state.status != ONGOING:
                 assert table.moves[sid] == ()

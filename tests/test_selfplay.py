@@ -1,6 +1,7 @@
 """Self-play agents, cross-MI measurement, Elo, learning loop, snapshots."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from infoplay.games import (
 from infoplay.selfplay import (
     AgentModel,
     LearnConfig,
+    _snapshot_key,
     _stop_rule_fires,
     agent_exit_curve,
     agent_from_text,
@@ -443,6 +445,25 @@ class TestSnapshots:
         assert (clone.role, clone.step_size, clone.epsilon) == (role, *rates)
         assert clone.value == value
         assert {k: c.tolist() for k, c in clone.opponent_counts.items()} == counts
+
+    def test_snapshot_keys_exhaustive(self):
+        # a key is accepted exactly when its board has a reachable stone
+        # balance and its suffix names the player to move (A iff #A == #B)
+        keys = [f"{''.join(board)}:{player}"
+                for board in itertools.product(".AB", repeat=9) for player in "AB"]
+        keys += ["........:A", "..........:A", "A.......:B", "A.........:B",
+                 ".........", "A........", ".........:", ".........:AB",
+                 ".........:A:A", "A........:B:", "X........:A", "a........:A", ""]
+        for key in keys:
+            board, colon, player = key.partition(":")
+            n_a, n_b = board.count("A"), board.count("B")
+            valid = (colon == ":" and len(board) == 9 and set(board) <= set(".AB")
+                     and n_a - n_b in (0, 1) and player == ("A" if n_a == n_b else "B"))
+            if valid:
+                assert _snapshot_key(key, GAME) == key
+            else:
+                with pytest.raises(ValidationError):
+                    _snapshot_key(key, GAME)
 
 
 class TestGenerationCsv:
