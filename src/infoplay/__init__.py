@@ -46,7 +46,6 @@ from .selfplay import (
     load_agent,
     measure_cross_mi,
     save_agent,
-    self_play_episode,
 )
 from .turbo import (
     ChannelModel,

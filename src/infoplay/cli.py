@@ -35,7 +35,8 @@ from . import capacity as cap
 from . import exit_chart as exit_mod
 from . import selfplay as sp
 from . import turbo as turbo_mod
-from .errors import ConfigError, NumericalContractError, ResourceCapError, ValidationError
+from .errors import (ConfigError, EstimationError, NumericalContractError, ResourceCapError,
+                     ValidationError)
 from .games import BOARD_FULL_SCORING, GameSpec, K_IN_A_ROW
 
 EXIT_OK = 0
@@ -361,7 +362,8 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         final_dir = run(args.config, output_dir=args.output_dir, seed=args.seed)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, EstimationError, OSError) as exc:
+        # so are a game where one side never moves and an unreadable snapshot
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceCapError as exc:

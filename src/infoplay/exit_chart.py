@@ -24,6 +24,10 @@ from .turbo import ChannelModel, RscCode, _bcjr_batch, rsc_encode, transmit
 MONOTONE_DIP_TOLERANCE = 0.02
 TUNNEL_EPSILON = 1e-3
 TRAJECTORY_EPSILON = 1e-2
+TRAJECTORY_MAX_STEPS = 64
+EXIT_BLOCK_LEN = 1000  # bits per BCJR block in a curve measurement
+SVG_SIZE = 480
+SVG_MARGIN = 48
 
 OPEN = "open"
 PINCHED = "pinched"
@@ -125,7 +129,6 @@ class TunnelReport:
     status: str
     min_gap: float
     pinch_point: tuple | None
-    epsilon: float
 
     def __post_init__(self):
         if self.status not in (OPEN, PINCHED):
@@ -147,7 +150,6 @@ def measure_exit_curve(
     samples_per_point: int,
     seed,
     label: str = "decoder",
-    block_len: int = 1000,
 ) -> ExitCurve:
     """Monte Carlo EXIT transfer curve of one BCJR component decoder.
 
@@ -166,12 +168,12 @@ def measure_exit_curve(
         raise ValidationError("ia_grid must be sorted and within [0, 1)")
     if samples_per_point < 1000:
         raise ValidationError("samples_per_point must be >= 1000")
-    n_blocks = (samples_per_point + block_len - 1) // block_len
+    n_blocks = (samples_per_point + EXIT_BLOCK_LEN - 1) // EXIT_BLOCK_LEN
     root = _seed_sequence(seed)
     bits, ls, lp, la = [], [], [], []
     for ss, ia in zip(root.spawn(len(grid)), grid):
         ss_bits, ss_chan, ss_apriori = ss.spawn(3)
-        point_bits = np.random.default_rng(ss_bits).integers(0, 2, (n_blocks, block_len))
+        point_bits = np.random.default_rng(ss_bits).integers(0, 2, (n_blocks, EXIT_BLOCK_LEN))
         sys_bits, par_bits = rsc_encode(point_bits, code)
         rx = transmit(
             np.concatenate([sys_bits.ravel(), par_bits.ravel()]), channel, ss_chan
@@ -181,11 +183,11 @@ def measure_exit_curve(
         bits.append(point_bits)
         ls.append(rx.llrs[: n_blocks * k].reshape(n_blocks, k))
         lp.append(rx.llrs[n_blocks * k:].reshape(n_blocks, k))
-        la.append(apriori.llrs.reshape(n_blocks, block_len))
+        la.append(apriori.llrs.reshape(n_blocks, EXIT_BLOCK_LEN))
     # one decoder pass over the blocks of every grid point; blocks never mix
     ls, la = np.concatenate(ls), np.concatenate(la)
     app = _bcjr_batch(ls, np.concatenate(lp), la, code, terminated=True)
-    ext = (app - la - ls[:, :block_len]).reshape(len(grid), n_blocks * block_len)
+    ext = (app - la - ls[:, :EXIT_BLOCK_LEN]).reshape(len(grid), n_blocks * EXIT_BLOCK_LEN)
     points = []
     for ia, point_ext, point_bits in zip(grid, ext, bits):
         i_e = _llr_information(
@@ -196,11 +198,7 @@ def measure_exit_curve(
     return ExitCurve(points=tuple(points), label=label, mc_samples=samples_per_point)
 
 
-def tunnel_analysis(
-    curve_a: ExitCurve,
-    curve_b: ExitCurve,
-    epsilon: float = TUNNEL_EPSILON,
-) -> TunnelReport:
+def tunnel_analysis(curve_a: ExitCurve, curve_b: ExitCurve) -> TunnelReport:
     """Gap between decoder A's curve and decoder B's transposed curve.
 
     The gap g(x) = curve_a(x) - curve_b^{-1}(x) is piecewise linear, so it
@@ -208,7 +206,7 @@ def tunnel_analysis(
     (the endpoints (0,0) and (1,1) are where the curves are allowed to
     meet) plus the interior zero crossings of any segment whose ends
     straddle zero.  The tunnel is pinched when the minimum interior gap
-    falls to ``epsilon`` or below; the pinch point is the first x where
+    falls to ``TUNNEL_EPSILON`` or below; the pinch point is the first x where
     that happens, which is where the staircase trajectory stalls.
 
     Verdicts hold on the jointly measured domain: when a Monte Carlo
@@ -254,39 +252,32 @@ def tunnel_analysis(
             status=PINCHED,
             min_gap=float(gap_at(np.array([0.0]))[0]),
             pinch_point=(0.0, float(curve_a.evaluate(0.0))),
-            epsilon=epsilon,
         )
     min_gap = float(np.min(gap[inner]))
-    hits = np.nonzero(inner & (gap <= epsilon))[0]
+    hits = np.nonzero(inner & (gap <= TUNNEL_EPSILON))[0]
     if hits.size:
         x = float(xs[hits[0]])
         return TunnelReport(
             status=PINCHED,
             min_gap=min_gap,
             pinch_point=(x, float(curve_a.evaluate(x))),
-            epsilon=epsilon,
         )
-    return TunnelReport(status=OPEN, min_gap=min_gap, pinch_point=None, epsilon=epsilon)
+    return TunnelReport(status=OPEN, min_gap=min_gap, pinch_point=None)
 
 
-def decoding_trajectory(
-    curve_a: ExitCurve,
-    curve_b: ExitCurve,
-    max_steps: int = 64,
-    epsilon: float = TRAJECTORY_EPSILON,
-) -> Trajectory:
+def decoding_trajectory(curve_a: ExitCurve, curve_b: ExitCurve) -> Trajectory:
     """Staircase iteration i_e1 <- curve_a(i_e2); i_e2 <- curve_b(i_e1),
     started from (0, 0).
 
-    Stops at a fixed point (componentwise change below epsilon), in the
-    epsilon-neighborhood of (1, 1), or after max_steps; ``converged`` says
-    whether the endpoint is the (1, 1) corner.
+    Stops at a fixed point (componentwise change below TRAJECTORY_EPSILON),
+    in the TRAJECTORY_EPSILON-neighborhood of (1, 1), or after
+    TRAJECTORY_MAX_STEPS; ``converged`` says whether the endpoint is the
+    (1, 1) corner.
     """
-    if max_steps < 1:
-        raise ValidationError("max_steps must be >= 1")
+    epsilon = TRAJECTORY_EPSILON
     steps = []
     ie1 = ie2 = 0.0
-    for _ in range(max_steps):
+    for _ in range(TRAJECTORY_MAX_STEPS):
         new_ie1 = float(curve_a.evaluate(ie2))
         new_ie2 = float(curve_b.evaluate(new_ie1))
         steps.append((new_ie1, new_ie2))
@@ -310,15 +301,13 @@ def exit_curve_csv(curves, seed: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_xy(ia: float, ie: float, size: int, margin: int) -> tuple:
-    span = size - 2 * margin
-    return margin + ia * span, size - margin - ie * span
+def _svg_xy(ia: float, ie: float) -> tuple:
+    span = SVG_SIZE - 2 * SVG_MARGIN
+    return SVG_MARGIN + ia * span, SVG_SIZE - SVG_MARGIN - ie * span
 
 
-def _polyline(pairs, size, margin, stroke, dasharray=None) -> str:
-    pts = " ".join(
-        f"{x:.2f},{y:.2f}" for x, y in (_svg_xy(a, e, size, margin) for a, e in pairs)
-    )
+def _polyline(pairs, stroke, dasharray=None) -> str:
+    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (_svg_xy(a, e) for a, e in pairs))
     dash = f' stroke-dasharray="{dasharray}"' if dasharray else ""
     return f'<polyline fill="none" stroke="{stroke}" stroke-width="1.5"{dash} points="{pts}" />'
 
@@ -327,12 +316,11 @@ def render_exit_chart(
     curve_a: ExitCurve,
     curve_b: ExitCurve | None = None,
     trajectory: Trajectory | None = None,
-    size: int = 480,
-    margin: int = 48,
 ) -> str:
     """Plain-text SVG of the unit square with curve A, curve B transposed,
     and an optional staircase overlay.  Element order and float formatting
     are fixed so identical inputs give byte-identical output."""
+    size, margin = SVG_SIZE, SVG_MARGIN
     span = size - 2 * margin
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -358,11 +346,11 @@ def render_exit_chart(
             path.append((prev_ie2, ie1))  # vertical rise on decoder 1's curve
             path.append((ie2, ie1))  # horizontal step to decoder 2's curve
             prev_ie2 = ie2
-        parts.append(_polyline(path, size, margin, "#888888", dasharray="3,2"))
-    parts.append(_polyline(curve_a.points, size, margin, "#1f6fb2"))
+        parts.append(_polyline(path, "#888888", dasharray="3,2"))
+    parts.append(_polyline(curve_a.points, "#1f6fb2"))
     if curve_b is not None:
         transposed = [(ie, ia) for ia, ie in curve_b.points]
-        parts.append(_polyline(transposed, size, margin, "#b23a1f"))
+        parts.append(_polyline(transposed, "#b23a1f"))
     label_y = size - margin + 28
     parts.append(
         f'<text x="{size // 2}" y="{label_y}" text-anchor="middle" '

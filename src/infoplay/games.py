@@ -81,8 +81,8 @@ class GameState:
     to_move: str = field(init=False)
 
     def __post_init__(self):
-        if not {0, 1, 2}.issuperset(self.cells):
-            raise ValidationError(f"cells must lie in {{0, 1, 2}}, got {self.cells!r}")
+        if not all(type(c) is int and 0 <= c <= 2 for c in self.cells):
+            raise ValidationError(f"cells must be ints in {{0, 1, 2}}, got {self.cells!r}")
         if self.status not in _STATUSES:
             raise ValidationError(f"unknown status {self.status!r}")
         n_a = self.cells.count(1)

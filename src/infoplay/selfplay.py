@@ -38,6 +38,9 @@ _SNAPSHOT_V1_HEADER = "# infoplay-agent-v1"
 
 _TIE_TOL = 1e-12
 
+# every learning run starts both agents at this rating
+ELO_INITIAL = 1000.0
+
 
 @dataclass
 class AgentModel:
@@ -126,23 +129,11 @@ class AgentModel:
         return 1.0 if won else -1.0
 
 
-@dataclass(frozen=True)
-class TranscriptStep:
-    state: GameState
-    move: int
-
-
-@dataclass(frozen=True)
-class Transcript:
-    steps: tuple
-    outcome: str
-    final_state: GameState
-
-
 def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, rng,
                   epsilon: float | None = None) -> tuple[list, int]:
-    """One game on state ids: the (state id, move) of every decision, in
-    order, and the id of the final state."""
+    """One game between two agents on ``table``: the (state id, move) of
+    every decision, in order, and the id of the final state.  Every game
+    the agents play with each other is played here."""
     sid = table.root
     path = []
     states, moves = table.states, table.moves
@@ -154,57 +145,43 @@ def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, r
     return path, sid
 
 
-def _transcript(table: StateTable, path, final: int) -> Transcript:
-    steps = tuple(TranscriptStep(state=table.states[sid], move=move) for sid, move in path)
-    final_state = table.states[final]
-    return Transcript(steps=steps, outcome=final_state.status, final_state=final_state)
-
-
-def self_play_episode(agent_a: AgentModel, agent_b: AgentModel, game: GameSpec,
-                      seed, epsilon: float | None = None) -> Transcript:
-    """One full game between two frozen agents; reproducible given the seed."""
-    rng = np.random.default_rng(seed)
-    table = StateTable(game)
-    return _transcript(table, *_play_episode(agent_a, agent_b, table, rng, epsilon))
-
-
-def internal_rollout(agent: AgentModel, game: GameSpec, seed) -> Transcript:
-    """A game the agent plays within itself: its own policy on its side,
-    moves sampled from its opponent model on the other side."""
-    rng = np.random.default_rng(seed)
-    table = StateTable(game)
-    sid = table.root
-    path = []
-    while table.moves[sid]:
-        moves = table.moves[sid]
-        if table.states[sid].to_move == agent.role:
-            i = agent._choose(table, sid, rng)
-        else:
-            dist = agent._opponent_distribution(table.keys[sid], moves, game.cells)
-            i = moves.index(int(rng.choice(game.cells, p=dist)))
-        path.append((sid, moves[i]))
-        sid = table.children(sid)[i]
-    return _transcript(table, path, sid)
-
-
-def _training_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, rng):
-    """One self-play game with online TD(0) afterstate updates and
-    opponent-model observation for both agents."""
+def internal_rollout(agent: AgentModel, table: StateTable, rng) -> tuple[list, int]:
+    """A game the agent plays within itself on ``table``: its own policy on
+    its side, moves sampled from its opponent model on the other side.
+    Returns the path and final state id, as ``_play_episode`` does."""
     cells = table.game.cells
     states, moves, keys = table.states, table.moves, table.keys
     sid = table.root
-    last_after = {PLAYER_A: None, PLAYER_B: None}
+    path = []
     while moves[sid]:
+        if states[sid].to_move == agent.role:
+            i = agent._choose(table, sid, rng)
+        else:
+            dist = agent._opponent_distribution(keys[sid], moves[sid], cells)
+            i = moves[sid].index(int(rng.choice(cells, p=dist)))
+        path.append((sid, moves[sid][i]))
+        sid = table.children(sid)[i]
+    return path, sid
+
+
+def _training_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, rng):
+    """One self-play game, then TD(0) afterstate updates and opponent-model
+    observation for both agents along its path.  Playing first reads the
+    same values as updating online: an update only touches an afterstate
+    with fewer stones than any value the rest of the game reads."""
+    path, final = _play_episode(agent_a, agent_b, table, rng)
+    cells = table.game.cells
+    states, keys = table.states, table.keys
+    last_after = {PLAYER_A: None, PLAYER_B: None}
+    afters = [sid for sid, _ in path[1:]] + [final]
+    for (sid, move), after in zip(path, afters):
         mover = states[sid].to_move
         agent, other = (agent_a, agent_b) if mover == PLAYER_A else (agent_b, agent_a)
-        i = agent._choose(table, sid, rng)
-        other._observe(keys[sid], moves[sid][i], cells)
-        after = table.children(sid)[i]
+        other._observe(keys[sid], move, cells)
         if last_after[mover] is not None:
             agent.td_update(last_after[mover], agent.value.get(keys[after], 0.0))
         last_after[mover] = keys[after]
-        sid = after
-    outcome = states[sid].status
+    outcome = states[final].status
     for agent in (agent_a, agent_b):
         if last_after[agent.role] is not None:
             agent.td_update(last_after[agent.role], agent.reward(outcome))
@@ -218,7 +195,6 @@ class EvaluationResult:
     actual_b: tuple
     predicted_a: tuple  # B's predictions of A's moves
     actual_a: tuple
-    episodes: int
 
 
 def _evaluate(agent_a: AgentModel, agent_b: AgentModel, table: StateTable,
@@ -244,7 +220,6 @@ def _evaluate(agent_a: AgentModel, agent_b: AgentModel, table: StateTable,
         actual_b=tuple(act_b),
         predicted_a=tuple(pred_a),
         actual_a=tuple(act_a),
-        episodes=episodes,
     )
 
 
@@ -254,7 +229,6 @@ class CrossMi:
     i_ab: MutualInfo
     bits_ba_per_game: float
     bits_ab_per_game: float
-    decision_points: int
 
 
 def _paired_mi(predicted, actual, cells: int) -> tuple[float, float]:
@@ -265,7 +239,6 @@ def _paired_mi(predicted, actual, cells: int) -> tuple[float, float]:
 
 
 def cross_mi_from_evaluation(ev: EvaluationResult, game: GameSpec) -> CrossMi:
-    points = len(ev.actual_b) + len(ev.actual_a)
     if min(len(ev.actual_b), len(ev.actual_a)) < 30:
         raise EstimationError(
             f"too few decision points pooled ({len(ev.actual_b)} for B, "
@@ -276,9 +249,8 @@ def cross_mi_from_evaluation(ev: EvaluationResult, game: GameSpec) -> CrossMi:
     return CrossMi(
         i_ba=MutualInfo(norm_ba, "normalized"),
         i_ab=MutualInfo(norm_ab, "normalized"),
-        bits_ba_per_game=bits_ba * len(ev.actual_b) / ev.episodes,
-        bits_ab_per_game=bits_ab * len(ev.actual_a) / ev.episodes,
-        decision_points=points,
+        bits_ba_per_game=bits_ba * len(ev.actual_b) / len(ev.outcomes),
+        bits_ab_per_game=bits_ab * len(ev.actual_a) / len(ev.outcomes),
     )
 
 
@@ -357,9 +329,6 @@ class LearnConfig:
     epsilon_end: float = 0.05
     anneal_generations: int | None = 45
     eval_epsilon: float = 0.0
-    elo_initial: float = 1000.0
-    elo_k: float = 16.0
-    c_elo: float = 1.0 / 400.0
 
     def __post_init__(self):
         if self.generations < 1 or self.episodes_per_generation < 1:
@@ -375,8 +344,6 @@ class LearnConfig:
                 raise ValidationError("exploration rates must lie in [0, 1]")
         if not (0.0 < self.step_size <= 1.0) or not (0.0 <= self.step_size_end <= 1.0):
             raise ValidationError("step sizes must lie in (0, 1]")
-        if self.elo_k <= 0 or self.c_elo <= 0:
-            raise ValidationError("elo parameters must be positive")
 
 
 def _stop_rule_fires(i_ba: list, i_ab: list, window: int, delta: float) -> bool:
@@ -422,7 +389,7 @@ def learn(game: GameSpec, config: LearnConfig, seed, initial_agents=None):
     table = StateTable(game)
     root = _seed_sequence(seed)
     anneal = config.anneal_generations or config.generations
-    elo_a, elo_b = config.elo_initial, config.elo_initial
+    elo_a = elo_b = ELO_INITIAL
     records: list[GenerationRecord] = []
     series_ba: list[float] = []
     series_ab: list[float] = []
@@ -441,7 +408,7 @@ def learn(game: GameSpec, config: LearnConfig, seed, initial_agents=None):
                        epsilon=config.eval_epsilon)
         cross = cross_mi_from_evaluation(ev, game)
         for outcome in ev.outcomes:
-            elo_a, elo_b = elo_update(elo_a, elo_b, outcome, config.elo_k, config.c_elo)
+            elo_a, elo_b = elo_update(elo_a, elo_b, outcome)
         n = len(ev.outcomes)
         record = GenerationRecord(
             generation=gen,

@@ -501,6 +501,8 @@ def simulate_turbo(
     Traces come back in block order; the per-block results are identical
     to running ``turbo_decode`` on each block alone.
     """
+    if min(n_info, n_blocks, max_iters) < 1:
+        raise ValidationError("n_info, n_blocks and max_iters must each be >= 1")
     root = _seed_sequence(seed)
     ss_perm, ss_bits, ss_noise = root.spawn(3)
     if interleaver_kind == "uniform":

@@ -1,10 +1,18 @@
 """Experiment runner: config schema, artifacts, atomicity, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoplay.cli import (
     EXIT_CONFIG,
@@ -39,6 +47,82 @@ SELFPLAY_PARAMS = {
     "eval_episodes": 100,
     "anneal_generations": 2,
 }
+
+# a valid snapshot for 3x3-k3; the agent-exit cases below read it as a.txt
+# (role A) and b.txt (role B) next to their config
+SNAPSHOT = "\n".join([
+    "# infoplay-agent-v2",
+    "role {role}",
+    "game 3x3-k3",
+    "step_size 0.25",
+    "epsilon 0.1",
+    "V ....A....:B 0.75",
+    "O ....A....:B 0:3,8:1",
+]) + "\n"
+
+# per kind, params that run in well under a second
+SMALL_PARAMS = {
+    "capacity": dict(CAPACITY_PARAMS, max_states=10_000),
+    "turbo": dict(TURBO_PARAMS, n_info=16, blocks=1),
+    "exit": {"ia_grid": "0,0.5", "samples_per_point": 1000},
+    "selfplay": dict(SELFPLAY_PARAMS, generations=1, episodes_per_generation=5),
+    "agent-exit": {"agent_a": "a.txt", "agent_b": "b.txt", "ia_grid": "0,1", "episodes": 100},
+}
+
+_BOARD_VALUES = {"rows": (1, 2, 0, -1), "cols": (1, 2, 0, -1), "k": (1, 2, 0, -2)}
+
+# per kind, values each param is fuzzed with besides "nan" and "x": zero,
+# negatives and edge values, every size kept small
+FUZZ_VALUES = {
+    "capacity": dict(_BOARD_VALUES, win=("board_full_scoring", "x"), labels=(2, 0),
+                     max_states=(10, 0, -1), require_exact=(1, -1)),
+    "turbo": {"n_info": (1, 2, 0, -3), "ebn0_db": (0, -5, "inf"), "blocks": (2, 0, -1),
+              "iterations": (2, 0, -1), "interleaver": ("s_random", "x"),
+              "feedback": ("13", "0", "9"), "feedforward": ("0", "17"), "memory": (1, 3, 0, -1)},
+    "exit": {"ebn0_db": (0, -5, "inf"), "rate": (1, 0, -1, 2),
+             "ia_grid": ("0.5,0.2", "0", "0,1", "-1,0.5"), "samples_per_point": (999, 0, -1),
+             "feedback": ("0",), "feedforward": ("0",), "memory": (1, 0, -1)},
+    "selfplay": dict(_BOARD_VALUES, generations=(2, 0, -1), episodes_per_generation=(1, 0, -1),
+                     eval_episodes=(99, 0), stop_window=(0, -1), stop_delta=(0, -1, "inf"),
+                     step_size=(1, 0, 2, -1), step_size_end=(1, -1, 2),
+                     epsilon_start=(0, 1, -1, 2), epsilon_end=(0, -1, 2),
+                     anneal_generations=(1, 0, -1), eval_epsilon=(1, -1, 2, "inf")),
+    "agent-exit": dict(_BOARD_VALUES, agent_a=("b.txt", "missing.txt", "junk.txt", "."),
+                       agent_b=("a.txt", "missing.txt"), ia_grid=("1,0", "0", "-1,2"),
+                       episodes=(99, 0, -1)),
+}
+
+
+def fuzzed_overrides(kind: str):
+    """``(kind, overrides)`` with up to three params of ``kind`` set to
+    fuzz values, to be laid over its small params."""
+    pairs = [(name, value) for name, values in FUZZ_VALUES[kind].items()
+             for value in (*values, "nan", "x")]
+    return st.tuples(st.just(kind), st.lists(st.sampled_from(pairs), max_size=3).map(dict))
+
+
+def run_main(kind: str, params: dict) -> int:
+    """``main(["run", ...])`` on a config of ``kind`` with ``params``, in a
+    fresh directory that also holds the snapshots a.txt and b.txt."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "a.txt").write_text(SNAPSHOT.format(role="A"))
+        (tmp / "b.txt").write_text(SNAPSHOT.format(role="B"))
+        (tmp / "junk.txt").write_bytes(b"\xff\xfe not a snapshot")
+        cfg = write_config(tmp / "c.ini", kind, params)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["run", str(cfg), "--output-dir", str(tmp / "out")])
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: importing the package must not load it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probe = "import sys, infoplay; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestConfigLoading:
@@ -228,25 +312,31 @@ class TestMainEntry:
         ("....A....:B 0.75", ".........:B 0.75"),  # B cannot move first
     ])
     def test_malformed_snapshot_exit_code(self, tmp_path, capsys, old, new):
-        snapshot = "\n".join([
-            "# infoplay-agent-v2",
-            "role {role}",
-            "game 3x3-k3",
-            "step_size 0.25",
-            "epsilon 0.1",
-            "V ....A....:B 0.75",
-            "O ....A....:B 0:3,8:1",
-        ]) + "\n"
-        agent_from_text(snapshot.format(role="A"), tic_tac_toe())  # valid unedited
-        (tmp_path / "a.txt").write_text(snapshot.format(role="A").replace(old, new, 1),
+        agent_from_text(SNAPSHOT.format(role="A"), tic_tac_toe())  # valid unedited
+        (tmp_path / "a.txt").write_text(SNAPSHOT.format(role="A").replace(old, new, 1),
                                         encoding="utf-8")
-        (tmp_path / "b.txt").write_text(snapshot.format(role="B"))
+        (tmp_path / "b.txt").write_text(SNAPSHOT.format(role="B"))
         cfg = write_config(tmp_path / "ae.ini", "agent-exit",
                            {"agent_a": "a.txt", "agent_b": "b.txt", "episodes": 100})
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("kind,overrides", [
+        ("selfplay", {"rows": 2, "cols": 1, "k": 1}),  # B never moves: no MI estimate
+        ("turbo", {"iterations": 0}),
+        ("turbo", {"n_info": -3}),
+        ("agent-exit", {"agent_a": "missing.txt"}),
+    ], ids=["one-side-never-moves", "no-iterations", "negative-n-info", "missing-snapshot"])
+    def test_unusable_config_exit_code(self, kind, overrides):
+        assert run_main(kind, dict(SMALL_PARAMS[kind], **overrides)) == EXIT_CONFIG
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=st.sampled_from(sorted(FUZZ_VALUES)).flatmap(fuzzed_overrides))
+    def test_fuzzed_config_ends_in_an_exit_code(self, case):
+        kind, overrides = case
+        assert run_main(kind, dict(SMALL_PARAMS[kind], **overrides)) in (0, 2, 3, 4)
 
     def test_run_via_main(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", "capacity", CAPACITY_PARAMS, seed=1)

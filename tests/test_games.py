@@ -86,6 +86,7 @@ class TestInvariants:
         ((3,) + (0,) * 8, ONGOING),
         ((-1,) + (0,) * 8, ONGOING),
         ((0,) * 9, "banana"),
+        ((1.0,) + (0,) * 8, ONGOING),  # equals 1 but is no int: key() could not index
     ])
     def test_malformed_state_rejected(self, cells, status):
         with pytest.raises(ValidationError):

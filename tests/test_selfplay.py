@@ -26,6 +26,7 @@ from infoplay.games import (
 from infoplay.selfplay import (
     AgentModel,
     LearnConfig,
+    _play_episode,
     _snapshot_key,
     _stop_rule_fires,
     agent_exit_curve,
@@ -37,7 +38,6 @@ from infoplay.selfplay import (
     internal_rollout,
     learn,
     measure_cross_mi,
-    self_play_episode,
 )
 
 from oracles import minimax_value
@@ -132,21 +132,29 @@ class TestEloUpdate:
             elo_update(1500, 1500, DRAW, k_factor=0)
 
 
+def play(agent_a, agent_b, table, seed):
+    """One ``_play_episode`` game on ``table`` from a fresh seeded stream:
+    the moves played and the final state."""
+    path, final = _play_episode(agent_a, agent_b, table, np.random.default_rng(seed))
+    return [move for _, move in path], table.states[final]
+
+
 class TestSelfPlayEpisode:
     def test_reproducible_given_seed(self):
         a, b = AgentModel(role="A"), AgentModel(role="B")
-        t1 = self_play_episode(a, b, GAME, seed=5)
-        t2 = self_play_episode(a, b, GAME, seed=5)
-        assert [s.move for s in t1.steps] == [s.move for s in t2.steps]
-        assert t1.outcome in (A_WINS, B_WINS, DRAW)
+        moves1, final1 = play(a, b, StateTable(GAME), seed=5)
+        moves2, final2 = play(a, b, StateTable(GAME), seed=5)
+        assert moves1 == moves2 and final1 == final2
+        assert final1.status in (A_WINS, B_WINS, DRAW)
 
     def test_stone_balance_on_every_transcript_state(self):
         a, b = AgentModel(role="A"), AgentModel(role="B")
+        table = StateTable(GAME)
         for seed in range(50):
-            t = self_play_episode(a, b, GAME, seed=seed)
-            for step in t.steps:
-                n_a = step.state.cells.count(1)
-                n_b = step.state.cells.count(2)
+            path, _ = _play_episode(a, b, table, np.random.default_rng(seed))
+            for sid, _ in path:
+                n_a = table.states[sid].cells.count(1)
+                n_b = table.states[sid].cells.count(2)
                 assert n_a - n_b in (0, 1)
 
     def test_minimax_agent_never_loses_to_random(self):
@@ -154,16 +162,15 @@ class TestSelfPlayEpisode:
         minimax_value(initial_state(GAME), GAME, cache)
         oracle = AgentModel(role="A", value={k: v for k, v in cache.items()}, epsilon=0.0)
         rando = AgentModel(role="B", epsilon=1.0)
-        losses = sum(
-            self_play_episode(oracle, rando, GAME, seed=s).outcome == B_WINS
-            for s in range(1000)
-        )
+        table = StateTable(GAME)
+        losses = sum(play(oracle, rando, table, seed=s)[1].status == B_WINS
+                     for s in range(1000))
         assert losses == 0
 
     def test_one_cell_game_single_move(self):
         game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
-        t = self_play_episode(AgentModel(role="A"), AgentModel(role="B"), game, seed=1)
-        assert len(t.steps) == 1 and t.outcome == A_WINS
+        moves, final = play(AgentModel(role="A"), AgentModel(role="B"), StateTable(game), 1)
+        assert len(moves) == 1 and final.status == A_WINS
 
 
 def fixed_line_agents(moves):
@@ -185,15 +192,20 @@ def fixed_line_agents(moves):
     return agent_a, agent_b, state
 
 
+def rollout_moves(agent, table, seed):
+    path, _ = internal_rollout(agent, table, np.random.default_rng(seed))
+    return [move for _, move in path]
+
+
 class TestInternalRollout:
     def test_uniform_model_matches_uniform_opponent(self):
         agent = AgentModel(role="A", epsilon=0.0)
         first = apply_move(initial_state(GAME), 4, GAME)
         agent.value[first.key()] = 1.0  # pin A's first move to the center
         counts = np.zeros(9, dtype=int)
+        table = StateTable(GAME)
         for seed in range(10_000):
-            t = internal_rollout(agent, GAME, seed=seed)
-            counts[t.steps[1].move] += 1
+            counts[rollout_moves(agent, table, seed)[1]] += 1
         legal = [m for m in range(9) if m != 4]
         result = stats.chisquare(counts[legal])
         assert result.pvalue > 0.01
@@ -202,15 +214,15 @@ class TestInternalRollout:
         # a full fixed line: both the policy and the opponent model are
         # concentrated, so the rollout has no randomness left
         agent_a, _, final = fixed_line_agents([0, 4, 8, 1, 7, 2, 6])
-        t1 = internal_rollout(agent_a, GAME, seed=1)
-        t2 = internal_rollout(agent_a, GAME, seed=999)
-        assert [s.move for s in t1.steps] == [s.move for s in t2.steps] == [0, 4, 8, 1, 7, 2, 6]
+        table = StateTable(GAME)
+        _, last = internal_rollout(agent_a, table, np.random.default_rng(1))
+        assert table.states[last] == final
+        moves = rollout_moves(agent_a, table, 1)
+        assert moves == rollout_moves(agent_a, table, 999) == [0, 4, 8, 1, 7, 2, 6]
 
     def test_reproducible_given_seed(self):
-        agent = AgentModel(role="B")
-        t1 = internal_rollout(agent, GAME, seed=3)
-        t2 = internal_rollout(agent, GAME, seed=3)
-        assert [s.move for s in t1.steps] == [s.move for s in t2.steps]
+        agent, table = AgentModel(role="B"), StateTable(GAME)
+        assert rollout_moves(agent, table, 3) == rollout_moves(agent, table, 3)
 
 
 class TestMeasureCrossMi:
