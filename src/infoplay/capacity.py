@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -74,6 +73,29 @@ def _symmetry_maps(game: GameSpec) -> list[tuple]:
     return [tuple(g.ravel()) for g in grids]
 
 
+def _symmetry_tables(game: GameSpec, dtype) -> list[list[np.ndarray]]:
+    """For each board symmetry, one 256-entry table per byte of a position
+    key: OR-ing ``tables[c // 8][(key >> c) & 255]`` over the bytes gives
+    the key of the image.  Image cell i holds the stone of cell ``map[i]``,
+    in both halves of the key."""
+    n = game.cells
+    tables = []
+    for perm in _symmetry_maps(game):
+        dst = [0] * n
+        for i, j in enumerate(perm):
+            dst[j] = i
+        dst += [n + i for i in dst]
+        per_byte = []
+        for c in range(0, 2 * n, 8):
+            table = [0]
+            for b in range(c, c + 8):
+                bit = 1 << dst[b] if b < 2 * n else 0
+                table += [t | bit for t in table]
+            per_byte.append(np.array(table, dtype=dtype))
+        tables.append(per_byte)
+    return tables
+
+
 def enumerate_reachable_states(
     game: GameSpec,
     max_states: int = DEFAULT_STATE_CAP,
@@ -84,37 +106,56 @@ def enumerate_reachable_states(
 
     Counting goes ply by ply: every move adds one stone, so the positions
     after ply p come only from the ongoing positions after ply p - 1, and A
-    places on the even plies.  Positions are keyed on their cells alone.
-    Symmetry reduction additionally quotients by the board symmetry group
-    and is off by default.
+    places on the even plies.  A position is one key, A's cell mask OR B's
+    mask shifted up by the cell count: a ``uint64`` when both masks fit in
+    64 bits, else a Python int in an ``object`` array.  Each layer's
+    children OR the mover's bit into every empty cell of every frontier
+    key, and a sort with a neighbour comparison deduplicates them.  Only
+    the new stone can complete a line, so a position is won when the
+    mover's mask covers a line mask from ``win_lines``; the other positions
+    with an empty cell are the next frontier.  Symmetry reduction
+    additionally quotients by the board symmetry group, keying each child
+    on the least key among its images, and is off by default.
     """
-    lines = win_lines(game)
-    getters = [itemgetter(*m) for m in _symmetry_maps(game)] if symmetry_reduction else None
-    frontier = [(0,) * game.cells]
+    n = game.cells
+    dtype = np.uint64 if 2 * n <= 64 else object
+    bits = [1 << m for m in range(n)]
+    lines = {sum(1 << i for i in range(*line.indices(n)))
+             for through in win_lines(game) for line in through}
+    tables = _symmetry_tables(game, dtype) if symmetry_reduction else []
+    frontier = np.zeros(1, dtype=dtype)
     count = 1
-    for ply in range(game.cells):
-        stone = 1 + ply % 2  # A on the even plies
-        run = (stone,) * (game.k or 0)
-        layer = set()
-        ongoing = []
-        for cells in frontier:
-            for m, c in enumerate(cells):
-                if c:
-                    continue
-                child = cells[:m] + (stone,) + cells[m + 1:]
-                key = child if getters is None else min(g(child) for g in getters)
-                if key in layer:
-                    continue
-                if count >= max_states:
-                    raise ResourceCapError(
-                        f"reachable-state enumeration exceeded the cap of {max_states} states"
-                    )
-                layer.add(key)
-                count += 1
-                # only ongoing positions have successors
-                if 0 in child and not any(child[line] == run for line in lines[m]):
-                    ongoing.append(child)
-        frontier = ongoing
+    for ply in range(n):
+        if not frontier.size:
+            break
+        shift = n * (ply % 2)  # A on the even plies, in the low half
+        occupied = frontier | frontier >> n
+        # every frontier key holds ply stones, so it has n - ply children
+        children = np.empty(frontier.size * (n - ply), dtype=dtype)
+        start = 0
+        for bit in bits:
+            free = frontier[(occupied & bit) == 0]
+            children[start:start + free.size] = free | bit << shift
+            start += free.size
+        if tables:
+            key_bytes = [(children >> c & 255).astype(np.uint8) for c in range(0, 2 * n, 8)]
+            for per_byte in tables:
+                image = per_byte[0][key_bytes[0]]
+                for table, byte in zip(per_byte[1:], key_bytes[1:]):
+                    image |= table[byte]
+                np.minimum(children, image, out=children)
+        children.sort()
+        layer = children[np.concatenate(([True], children[1:] != children[:-1]))]
+        count += layer.size
+        if count > max_states:
+            raise ResourceCapError(
+                f"reachable-state enumeration exceeded the cap of {max_states} states"
+            )
+        won = np.zeros(layer.size, dtype=bool)
+        for line in lines:
+            mask = line << shift
+            won |= (layer & mask) == mask
+        frontier = layer[~won]
     return EnumerationResult(count=count, log2_count=math.log2(count))
 
 

@@ -37,7 +37,7 @@ def _as_bits(x) -> np.ndarray:
     bits = np.asarray(x)
     if bits.ndim != 1:
         raise ValidationError("bit vector must be one-dimensional")
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if bits.dtype.kind not in "biuf" or bits.size and not np.isin(bits, (0, 1)).all():
         raise ValidationError("bit vector entries must be 0 or 1")
     return bits.astype(np.int8)
 
@@ -65,7 +65,8 @@ class DiscreteDistribution:
 class JointCounts:
     """Empirical co-occurrence counts of two discrete variables.
 
-    Rows index the first variable, columns the second.
+    Rows index the first variable, columns the second.  Counts are stored
+    as int64, so each count and their total must lie below 2**63.
     """
 
     counts: np.ndarray
@@ -74,14 +75,20 @@ class JointCounts:
         c = np.asarray(self.counts)
         if c.ndim != 2 or c.size == 0:
             raise ValidationError("counts must be a non-empty 2-D table")
-        if not np.issubdtype(c.dtype, np.integer):
-            rounded = np.rint(c)
-            if not np.isfinite(c).all() or (np.abs(c - rounded) > 0).any():
+        if c.dtype.kind == "f":
+            c = c.astype(np.float64)
+            if not (np.isfinite(c) & (c == np.rint(c))).all():
                 raise ValidationError("counts must be integers")
-            c = rounded.astype(np.int64)
+        elif c.dtype.kind not in "biu":
+            raise ValidationError(f"counts must be integers, got dtype {c.dtype}")
         if (c < 0).any():
             raise ValidationError("counts must be non-negative")
-        object.__setattr__(self, "counts", c.astype(np.int64))
+        if c.dtype.kind in "uf" and (c >= 2**63).any():
+            raise ValidationError("counts must be below 2**63 to fit int64")
+        c = c.astype(np.int64)
+        if c.sum(dtype=object) >= 2**63:
+            raise ValidationError("the total count must be below 2**63 to fit int64")
+        object.__setattr__(self, "counts", c)
 
     @property
     def total(self) -> int:
@@ -95,14 +102,18 @@ class JointCounts:
 class LlrBlock:
     """A block of LLRs together with the ground-truth bits they refer to.
 
-    LLRs are clamped to ``±LLR_CLAMP`` on construction.
+    LLRs are real numbers, clamped to ``±LLR_CLAMP`` on construction
+    (infinities included); NaN is rejected.
     """
 
     llrs: np.ndarray
     truth: np.ndarray
 
     def __post_init__(self):
-        llrs = np.clip(np.asarray(self.llrs, dtype=float), -LLR_CLAMP, LLR_CLAMP)
+        llrs = np.asarray(self.llrs)
+        if llrs.dtype.kind not in "biuf":
+            raise ValidationError(f"llrs must be real numbers, got dtype {llrs.dtype}")
+        llrs = np.clip(np.asarray(llrs, dtype=float), -LLR_CLAMP, LLR_CLAMP)
         truth = _as_bits(self.truth)
         if llrs.ndim != 1 or llrs.size != truth.size:
             raise ValidationError("llrs and truth must be 1-D vectors of equal length")

@@ -312,10 +312,10 @@ class LearnConfig:
     """Committed defaults for the tic-tac-toe scale harness.
 
     Exploration and the TD step size both anneal linearly over
-    ``anneal_generations``; the step size anneals to zero, which freezes
-    the value tables (and with them the greedy play lines) so the
-    exchanged-information series can actually plateau and trip the
-    stopping rule.
+    ``anneal_generations`` (``None`` or 0: over all ``generations``); the
+    step size anneals to zero, which freezes the value tables (and with
+    them the greedy play lines) so the exchanged-information series can
+    actually plateau and trip the stopping rule.
     """
 
     generations: int = 70
@@ -335,6 +335,8 @@ class LearnConfig:
             raise ValidationError("generation and episode counts must be >= 1")
         if self.eval_episodes < 100:
             raise ValidationError("eval_episodes must be >= 100")
+        if self.anneal_generations is not None and self.anneal_generations < 0:
+            raise ValidationError("anneal_generations must be >= 0 (0 or None: all generations)")
         if self.stop_window < 1:
             raise ValidationError("stop_window must be >= 1")
         if not self.stop_delta > 0:

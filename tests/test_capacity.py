@@ -1,6 +1,7 @@
 """Capacity bounds, state enumeration, and the dominance test."""
 
 import math
+import time
 from functools import lru_cache
 
 import pytest
@@ -65,7 +66,7 @@ def _reference_count(rows, cols, k, symmetry):
 
 
 class TestEnumeration:
-    def test_tic_tac_toe_count_bfs_and_dfs(self):
+    def test_tic_tac_toe_count(self):
         res = enumerate_reachable_states(tic_tac_toe())
         assert res.count == 5478
         assert res.log2_count == pytest.approx(math.log2(5478), abs=1e-12)
@@ -108,6 +109,46 @@ class TestEnumeration:
             game = GameSpec(rows=rows, cols=cols, k=k)
         count = enumerate_reachable_states(game, symmetry_reduction=symmetry).count
         assert count == _reference_count(rows, cols, k, symmetry)
+
+    @pytest.mark.parametrize("spec,symmetry,count", [
+        ((4, 4, 3), False, 6_036_001),
+        ((4, 4, 4), True, 1_217_977),
+    ])
+    def test_four_by_four_counts(self, spec, symmetry, count):
+        rows, cols, k = spec
+        game = GameSpec(rows=rows, cols=cols, k=k)
+        assert enumerate_reachable_states(game, symmetry_reduction=symmetry).count == count
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize("side", [6, 10])
+    def test_wide_keys_match_reference(self, side, symmetry):
+        # 2 * cells > 64: the keys are Python ints in an object array
+        game = GameSpec(rows=side, cols=side, k=1)
+        count = enumerate_reachable_states(game, symmetry_reduction=symmetry).count
+        assert count == _reference_count(side, side, 1, symmetry)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_small_games(), symmetry=st.booleans(), data=st.data())
+    def test_cap_raises_iff_count_exceeds_it(self, spec, symmetry, data):
+        rows, cols, k = spec
+        if k is None:
+            game = GameSpec(rows=rows, cols=cols, win_condition=BOARD_FULL_SCORING, k=None)
+        else:
+            game = GameSpec(rows=rows, cols=cols, k=k)
+        count = _reference_count(rows, cols, k, symmetry)
+        cap = data.draw(st.integers(0, 2 * count))
+        if cap < count:
+            with pytest.raises(ResourceCapError, match=f"cap of {cap} states"):
+                enumerate_reachable_states(game, max_states=cap, symmetry_reduction=symmetry)
+        else:
+            res = enumerate_reachable_states(game, max_states=cap, symmetry_reduction=symmetry)
+            assert res.count == count
+
+    def test_cap_stops_a_go_sized_board_early(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="cap of 10000 states"):
+            enumerate_reachable_states(GameSpec(rows=19, cols=19, k=5), max_states=10_000)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("symmetry", [False, True])
     def test_cap_boundary(self, symmetry):

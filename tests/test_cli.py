@@ -328,7 +328,9 @@ class TestMainEntry:
         ("turbo", {"iterations": 0}),
         ("turbo", {"n_info": -3}),
         ("agent-exit", {"agent_a": "missing.txt"}),
-    ], ids=["one-side-never-moves", "no-iterations", "negative-n-info", "missing-snapshot"])
+        ("selfplay", {"anneal_generations": -1}),
+    ], ids=["one-side-never-moves", "no-iterations", "negative-n-info", "missing-snapshot",
+            "negative-anneal"])
     def test_unusable_config_exit_code(self, kind, overrides):
         assert run_main(kind, dict(SMALL_PARAMS[kind], **overrides)) == EXIT_CONFIG
 

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, optimize
 
 from infoplay.entropy import (
+    LLR_CLAMP,
     DiscreteDistribution,
     JointCounts,
     LlrBlock,
@@ -34,6 +38,33 @@ def j_quadrature_oracle(sigma):
 
     val, _ = integrate.quad(integrand, mu - 10 * sigma, mu + 10 * sigma, limit=200)
     return 1.0 - val
+
+
+# any numeric dtype, plus complex and text, which are never valid input
+_DTYPES = st.one_of(hnp.boolean_dtypes(), hnp.integer_dtypes(), hnp.unsigned_integer_dtypes(),
+                    hnp.floating_dtypes(), hnp.complex_number_dtypes(),
+                    st.just(np.dtype("U2")))
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+
+
+def _valid_counts(arr):
+    """A count table, stated without numpy: 2-D, non-empty, real entries
+    that are non-negative integers, each and in total below 2**63."""
+    if arr.ndim != 2 or arr.size == 0 or arr.dtype.kind not in "biuf":
+        return False
+    values = arr.ravel().tolist()
+    if not all(math.isfinite(v) and v == int(v) and v >= 0 for v in values):
+        return False
+    return max(map(int, values)) < 2**63 and sum(map(int, values)) < 2**63
+
+
+def _valid_llr_block(llrs, truth):
+    """An LLR block, stated without numpy: 1-D real LLRs without NaN and
+    as many 0/1 truth bits."""
+    return (llrs.ndim == 1 and truth.ndim == 1 and llrs.size == truth.size
+            and llrs.dtype.kind in "biuf" and truth.dtype.kind in "biuf"
+            and not any(math.isnan(v) for v in llrs.tolist())
+            and all(v in (0, 1) for v in truth.tolist()))
 
 
 class TestShannonEntropy:
@@ -144,6 +175,34 @@ class TestPluginMI:
         with pytest.raises(ValidationError):
             mutual_information_plugin(np.zeros((2, 2), dtype=int))
 
+    @pytest.mark.parametrize("counts", [
+        np.array([[2**63]], dtype=np.uint64),
+        np.array([[1e19]]),
+        np.array([[2.0**63]]),
+        np.array([[2**62, 2**62], [2**62, 2**62]], dtype=np.int64),  # total wraps to 0
+    ])
+    def test_counts_beyond_int64_rejected(self, counts):
+        with pytest.raises(ValidationError, match="2\\*\\*63"):
+            mutual_information_plugin(counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=hnp.arrays(_DTYPES, _SHAPES))
+    @example(counts=np.array([[2**63 - 1]], dtype=np.uint64))
+    @example(counts=np.array([[2.0**63 - 1024, 0.0]]))
+    @example(counts=np.array([[2**62, 2**62 - 1]], dtype=np.int64))
+    @example(counts=np.array([[2**62, 2**62]], dtype=np.int64))
+    @example(counts=np.array([[1.5]]))
+    @example(counts=np.array([[True, False]]))
+    def test_validation_property(self, counts):
+        if _valid_counts(counts):
+            joint = JointCounts(counts)
+            assert joint.counts.dtype == np.int64
+            assert joint.counts.tolist() == [[int(v) for v in row] for row in counts.tolist()]
+            assert joint.total == sum(int(v) for v in counts.ravel().tolist())
+        else:
+            with pytest.raises(ValidationError):
+                JointCounts(counts)
+
 
 class TestMiFromLlrs:
     def test_zero_llrs_no_information(self):
@@ -173,6 +232,28 @@ class TestMiFromLlrs:
     def test_unit_is_normalized(self):
         block = LlrBlock(np.zeros(4), np.zeros(4, dtype=int))
         assert mi_from_llrs(block).unit == "normalized"
+
+    @settings(max_examples=300, deadline=None)
+    @given(llrs=hnp.arrays(_DTYPES, _SHAPES), data=st.data())
+    @example(llrs=np.array([np.inf, -np.inf, 1e300]), data=None)
+    @example(llrs=np.array([np.nan, 0.0, 1.0]), data=None)
+    @example(llrs=np.array([1 + 2j, 0, 0]), data=None)
+    def test_llr_block_validation_property(self, llrs, data):
+        n = llrs.shape[0] if llrs.ndim else 1
+        bits = st.builds(np.array, st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         st.sampled_from([bool, np.int8, np.uint64, np.float32]))
+        truth = (np.array([0, 1, 0]) if data is None
+                 else data.draw(st.one_of(bits, hnp.arrays(_DTYPES, _SHAPES))))
+        if _valid_llr_block(llrs, truth):
+            block = LlrBlock(llrs, truth)
+            assert block.llrs.dtype == np.float64
+            assert np.isfinite(block.llrs).all()
+            assert block.llrs.tolist() == [min(max(float(v), -LLR_CLAMP), LLR_CLAMP)
+                                           for v in llrs.tolist()]
+            assert block.truth.tolist() == [int(v) for v in truth.tolist()]
+        else:
+            with pytest.raises(ValidationError):
+                LlrBlock(llrs, truth)
 
 
 class TestJFunction:

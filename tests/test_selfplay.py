@@ -328,6 +328,19 @@ class TestLearn:
         with pytest.raises(ValidationError):
             LearnConfig(stop_delta=0.0)
 
+    def test_negative_anneal_generations_rejected(self):
+        with pytest.raises(ValidationError, match="anneal_generations"):
+            LearnConfig(anneal_generations=-1)
+
+    @pytest.mark.parametrize("anneal", [None, 0])
+    def test_anneal_defaults_to_all_generations(self, anneal):
+        cfg = LearnConfig(generations=3, episodes_per_generation=5, eval_episodes=100,
+                          anneal_generations=anneal)
+        _, agent_a, agent_b = learn(GAME, cfg, seed=1)
+        for agent in (agent_a, agent_b):
+            assert agent.epsilon == pytest.approx(cfg.epsilon_end, abs=1e-12)
+            assert agent.step_size == pytest.approx(cfg.step_size_end, abs=1e-12)
+
 
 class TestAgentExitCurve:
     def test_untrained_agent_no_information_at_zero(self):
