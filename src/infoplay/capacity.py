@@ -75,15 +75,13 @@ def _symmetry_maps(game: GameSpec) -> list[tuple]:
 
 def _symmetry_tables(game: GameSpec, dtype) -> list[list[np.ndarray]]:
     """For each board symmetry, one 256-entry table per byte of a position
-    key: OR-ing ``tables[c // 8][(key >> c) & 255]`` over the bytes gives
-    the key of the image.  Image cell i holds the stone of cell ``map[i]``,
-    in both halves of the key."""
+    key: OR-ing ``per_byte[c // 8][(key >> c) & 255]`` over the byte
+    offsets c gives the key of the image.  Image cell i holds the stone of
+    cell ``perm[i]``, in both halves of the key."""
     n = game.cells
     tables = []
     for perm in _symmetry_maps(game):
-        dst = [0] * n
-        for i, j in enumerate(perm):
-            dst[j] = i
+        dst = np.argsort(perm).tolist()  # cell j moves to cell dst[j]
         dst += [n + i for i in dst]
         per_byte = []
         for c in range(0, 2 * n, 8):
