@@ -114,6 +114,13 @@ def enumerate_reachable_states(
     with an empty cell are the next frontier.  Symmetry reduction
     additionally quotients by the board symmetry group, keying each child
     on the least key among its images, and is off by default.
+
+    ``max_states`` bounds memory as well as the count.  A child has at most
+    one parent per stone of the mover (times the group order under
+    symmetry reduction), which bounds a layer's distinct children from
+    below; a layer certain to push the count past the cap is refused
+    before it is built.  Either way the error is raised exactly when the
+    full count exceeds the cap.
     """
     n = game.cells
     dtype = np.uint64 if 2 * n <= 64 else object
@@ -121,11 +128,17 @@ def enumerate_reachable_states(
     lines = {sum(1 << i for i in range(*line.indices(n)))
              for through in win_lines(game) for line in through}
     tables = _symmetry_tables(game, dtype) if symmetry_reduction else []
+    group = len(tables) or 1
+    exceeded = f"reachable-state enumeration exceeded the cap of {max_states} states"
     frontier = np.zeros(1, dtype=dtype)
     count = 1
     for ply in range(n):
         if not frontier.size:
             break
+        # the mover holds (ply + 2) // 2 stones in each child
+        least_children = -(-frontier.size * (n - ply) // ((ply + 2) // 2 * group))
+        if count + least_children > max_states:
+            raise ResourceCapError(exceeded)
         shift = n * (ply % 2)  # A on the even plies, in the low half
         occupied = frontier | frontier >> n
         # every frontier key holds ply stones, so it has n - ply children
@@ -146,9 +159,7 @@ def enumerate_reachable_states(
         layer = children[np.concatenate(([True], children[1:] != children[:-1]))]
         count += layer.size
         if count > max_states:
-            raise ResourceCapError(
-                f"reachable-state enumeration exceeded the cap of {max_states} states"
-            )
+            raise ResourceCapError(exceeded)
         won = np.zeros(layer.size, dtype=bool)
         for line in lines:
             mask = line << shift

@@ -6,9 +6,12 @@ Polynomials use the standard octal convention: bit ``memory - d`` of the
 integer is the coefficient of D^d, so (7, 5) with memory 2 is the
 canonical feedback 1+D+D^2 / feedforward 1+D^2 component code.
 
-The forward/backward recursions operate on a batch axis so independent
-blocks decode together; results are identical to decoding each block
-alone because blocks never mix.
+The component decoder keeps four branch metrics per trellis step, one
+per (input bit, parity bit) pair, and advances the forward and backward
+recursions together in one loop over the steps, as one stacked state.
+Both recursions operate on a batch axis so independent blocks decode
+together; results are identical to decoding each block alone because
+blocks never mix.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ AWGN_BPSK = "awgn_bpsk"
 BSC = "bsc"
 
 _NEG_INF = -np.inf
+# float64 elements per run of steps in the a-posteriori pass (192 KiB)
+_APP_RUN_ELEMENTS = 24_576
 
 
 def _parity(x: int) -> int:
@@ -69,23 +74,19 @@ class _Trellis:
         n = code.n_states
         self.code = code
         self.next_state = np.zeros((2, n), dtype=np.intp)
-        self.parity_sym = np.zeros((2, n))  # BPSK symbol of the parity bit
+        self.parity_bit = np.zeros((2, n), dtype=np.int8)
         self.term_bit = np.zeros(n, dtype=np.intp)  # input forcing a zero into the register
         for s in range(n):
             for u in (0, 1):
                 a = _parity(code.feedback_poly & ((u << m) | s))
-                p = _parity(code.feedforward_poly & ((a << m) | s))
                 self.next_state[u, s] = (a << (m - 1)) | (s >> 1)
-                self.parity_sym[u, s] = 1.0 - 2.0 * p
+                self.parity_bit[u, s] = _parity(code.feedforward_poly & ((a << m) | s))
                 if a == 0:
                     self.term_bit[s] = u
-        self.parity_bit = (self.parity_sym < 0).astype(np.int8)
         # exactly two incoming edges per state for a binary trellis: edge j
         # into state t leaves state in_s[j, t] on input in_u[j, t]
         self.in_u = np.zeros((2, n), dtype=np.intp)
         self.in_s = np.zeros((2, n), dtype=np.intp)
-        # edge_pos[u, s]: flat (j, t) position of the edge leaving s on u
-        self.edge_pos = np.zeros((2, n), dtype=np.intp)
         fill = np.zeros(n, dtype=np.intp)
         for s in range(n):
             for u in (0, 1):
@@ -93,12 +94,17 @@ class _Trellis:
                 j = fill[t]
                 self.in_u[j, t] = u
                 self.in_s[j, t] = s
-                self.edge_pos[u, s] = j * n + t
                 fill[t] += 1
         if not (fill == 2).all():
             raise ValidationError("degenerate trellis: states must have two incoming edges")
-        # incoming edges a terminated tail may take: input = term_bit of the source
-        self.in_forced = self.in_u == self.term_bit[self.in_s]
+        # branch-metric row 2u + p of each edge: incoming edge j into t, and
+        # the edge leaving s on input u
+        self.row_in = 2 * self.in_u + self.parity_bit[self.in_u, self.in_s]
+        self.row_out = 2 * np.arange(2)[:, None] + self.parity_bit
+        # sources of both recursions in a stacked (alpha | beta) state of 2S
+        # rows: [e, 0] is incoming edge e's origin, [e, 1] the end of the
+        # edge leaving each state on input e
+        self.stacked_src = np.stack([self.in_s, n + self.next_state], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +163,10 @@ class Interleaver:
     permutation: np.ndarray
 
     def __post_init__(self):
-        perm = np.asarray(self.permutation, dtype=np.intp)
+        perm = np.asarray(self.permutation)
+        if perm.dtype.kind not in "iu":
+            raise ValidationError(f"permutation must hold integers, got dtype {perm.dtype}")
+        perm = perm.astype(np.intp)
         if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise ValidationError("permutation must be a bijection on [0, N)")
         object.__setattr__(self, "permutation", perm)
@@ -279,8 +288,20 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
     information bits.  Returns (B, N) a-posteriori LLRs.  ``exact=False``
     switches max* to a plain max (max-log approximation).
 
-    Internally the batch is the last axis, so every step works on
-    contiguous rows of B values.
+    An edge's branch metric depends only on its input bit u and parity
+    bit p, so step k has four: row 4k + 2u + p of one (4K, B) table holds
+    0.5 ls (1 - 2u) + 0.5 lp (1 - 2p), a-priori included.  One loop
+    advances alpha(k) and beta(K - k) together: ``hist[k]`` stacks them as
+    (2, S, B), one ``take`` gathers the forward edges into each state and
+    the backward edges out of each state, and ``midx[k]`` names the metric
+    rows of both.  The a-posteriori LLRs are then formed from the stored
+    alpha and beta over runs of steps.  The batch is the last axis, so
+    every step works on contiguous rows of B values.
+
+    A terminated tail needs no edge mask: the register then holds exactly
+    the bits fed in during the tail, so a path over any other tail edge
+    ends off state 0, where beta(K) is -inf; alpha is read on the
+    information steps only.
     """
     tr = _trellis(code)
     n_states = code.n_states
@@ -288,48 +309,52 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
     n_info = la.shape[1]
     acc = np.logaddexp if exact else np.maximum
 
-    half_sys = ls.T.copy()
-    half_sys[:n_info] += la.T
-    half_sys *= 0.5
-    half_par = 0.5 * lp.T
-    xu = np.array([1.0, -1.0])  # BPSK symbol of input bit u
-    # branch metrics gin[k, j, t, b] of incoming edge j into state t
-    gin = np.empty((k_total, 2, n_states, batch))
-    for j in range(2):
-        for t in range(n_states):
-            u, s = tr.in_u[j, t], tr.in_s[j, t]
-            np.add(half_sys * xu[u], half_par * tr.parity_sym[u, s], out=gin[:, j, t])
-            if terminated and not tr.in_forced[j, t]:
-                # tail inputs are forced per state; mask the other edge off
-                gin[n_info:, j, t] = _NEG_INF
-    del half_sys, half_par
+    # the result is allocated first and written in place: peak RSS depends
+    # on the order of the large allocations
+    app = np.empty((batch, n_info))
+    # one buffer: the metric table, then hist[k] = (alpha(k), beta(K - k))
+    n_rows = 4 * k_total
+    buf = np.empty((n_rows + (k_total + 1) * 2 * n_states) * batch)
+    gam = buf[:n_rows * batch].reshape(n_rows, batch)
+    hist = buf[n_rows * batch:].reshape(k_total + 1, 2, n_states, batch)
+    rows = gam.reshape(k_total, 4, batch)
+    g00, g01, g10, g11 = rows.transpose(1, 0, 2)  # gamma by (u, p)
+    g00[:] = ls.T
+    g00[:n_info] += la.T
+    g00 *= 0.5  # half the systematic LLR
+    np.multiply(lp.T, 0.5, out=g01)  # half the parity LLR
+    # the +-1 factors only flip signs, so these are exact
+    np.subtract(g01, g00, out=g10)
+    np.add(g00, g01, out=g11)
+    np.negative(g10, out=g01)
+    g00[:] = g11
+    np.negative(g11, out=g11)
 
-    alpha = np.full((k_total + 1, n_states, batch), _NEG_INF)
-    alpha[0, 0] = 0.0
+    # midx[k, e, 0]: rows of the edges e into each state at step k;
+    # midx[k, e, 1]: rows of the edges leaving each state on input e at step K-1-k
+    first_row = 4 * np.arange(k_total)[:, None, None]
+    midx = np.stack([first_row + tr.row_in, first_row[::-1] + tr.row_out], axis=2)
+
+    hist[0] = _NEG_INF
+    hist[0, 0, 0] = 0.0
+    hist[0, 1, 0 if terminated else slice(None)] = 0.0
+    flat = hist.reshape(k_total + 1, 2 * n_states, batch)
     for k in range(k_total):
-        cand = alpha[k].take(tr.in_s, axis=0)
-        cand += gin[k]
-        nxt = acc(cand[0], cand[1])
-        np.subtract(nxt, nxt.max(axis=0), out=alpha[k + 1])
+        x = flat[k].take(tr.stacked_src, axis=0)
+        x += gam.take(midx[k], axis=0)
+        y = acc(x[0], x[1], out=hist[k + 1])
+        y -= y.max(axis=1, keepdims=True)
 
-    beta = np.full((n_states, batch), _NEG_INF)
-    if terminated:
-        beta[0] = 0.0
-    else:
-        beta[:] = 0.0
-    app = np.empty((n_info, batch))
-    gin_flat = gin.reshape(k_total, 2 * n_states, batch)
-    for k in range(k_total - 1, -1, -1):
-        # gamma[u, s] of the edge leaving s on input u, plus beta at its end
-        edge = gin_flat[k].take(tr.edge_pos, axis=0)
-        edge += beta.take(tr.next_state, axis=0)
-        if k < n_info:
-            metric = alpha[k] + edge
-            per_input = acc.reduce(metric, axis=1)
-            np.subtract(per_input[0], per_input[1], out=app[k])
-        beta = acc(edge[0], edge[1])
-        beta -= beta.max(axis=0)
-    return np.ascontiguousarray(app.T)
+    # edge (u, s) at step k: (beta(k + 1) at its end + gamma) + alpha(k) at s
+    run = max(1, _APP_RUN_ELEMENTS // (2 * n_states * batch))
+    for a in range(0, n_info, run):
+        b = min(a + run, n_info)
+        metric = hist[k_total - b:k_total - a, 1][::-1].take(tr.next_state, axis=1)
+        metric += rows[a:b].take(tr.row_out, axis=1)
+        metric += hist[a:b, 0, None]
+        per_input = acc.reduce(metric, axis=2)
+        np.subtract(per_input[:, 0], per_input[:, 1], out=app[:, a:b].T)
+    return app
 
 
 def bcjr_decode(

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -149,6 +150,18 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError, match="cap of 10000 states"):
             enumerate_reachable_states(GameSpec(rows=19, cols=19, k=5), max_states=10_000)
         assert time.perf_counter() - start < 1.0
+
+    def test_cap_bounds_memory_as_well_as_the_count(self):
+        # 5x5-k5 holds 614,726 positions up to ply 5 and 4,156,726 up to
+        # ply 6; building the 10,626,000 children of ply 6 takes 85 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="cap of 1000000 states"):
+                enumerate_reachable_states(GameSpec(rows=5, cols=5, k=5), max_states=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     @pytest.mark.parametrize("symmetry", [False, True])
     def test_cap_boundary(self, symmetry):

@@ -135,6 +135,18 @@ class TestInterleaver:
         with pytest.raises(ValidationError):
             Interleaver(np.array([0, 0, 2]))
 
+    @pytest.mark.parametrize("perm", [np.array([0.5, 1.7]), np.array([1.0, 0.0]),
+                                      np.array([True, False]), [1.0, 0.0]])
+    def test_non_integer_permutation_rejected(self, perm):
+        with pytest.raises(ValidationError, match="integers"):
+            Interleaver(perm)
+
+    def test_integer_permutation_of_any_width_accepted(self):
+        for dtype in (np.int8, np.uint16, np.int64):
+            il = Interleaver(np.array([2, 0, 1], dtype=dtype))
+            assert il.permutation.dtype == np.intp
+            assert il.interleave(np.arange(3)).tolist() == [2, 0, 1]
+
 
 class TestTransmit:
     def test_high_snr_signs(self):
@@ -289,6 +301,24 @@ class TestBcjrKernel:
         for b in range(ls.shape[0]):
             one = turbo._bcjr_batch(ls[b:b + 1], lp[b:b + 1], la[b:b + 1], code, terminated, exact)
             assert np.array_equal(got[b:b + 1], one)
+
+    # batch 1 spans two a-posteriori runs of steps; batch 200 spans many,
+    # the last one partial
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("terminated", [True, False])
+    @pytest.mark.parametrize("code", [CODE75, RscCode(0o13, 0o15, memory=3)],
+                             ids=["memory2", "memory3"])
+    @pytest.mark.parametrize("batch, n_info", [(1, 4096), (200, 1000)])
+    def test_long_blocks_match_frozen_reference(self, batch, n_info, code, terminated, exact):
+        run = turbo._APP_RUN_ELEMENTS // (2 * code.n_states * batch)
+        assert n_info > run and n_info % run
+        rng = np.random.default_rng(batch + code.memory)
+        k_total = n_info + (code.memory if terminated else 0)
+        ls = rng.normal(2.0, 4.0, (batch, k_total))
+        lp = rng.normal(2.0, 4.0, (batch, k_total))
+        la = np.clip(rng.normal(0.0, 8.0, (batch, n_info)), -LLR_CLAMP, LLR_CLAMP)
+        got = turbo._bcjr_batch(ls, lp, la, code, terminated, exact)
+        assert np.array_equal(got, ref_bcjr_batch(ls, lp, la, code, terminated, exact))
 
 
 def transmit_turbo_blocks(n_info, ebn0_db, n_blocks, seed):
