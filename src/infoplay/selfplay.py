@@ -42,6 +42,13 @@ _TIE_TOL = 1e-12
 ELO_INITIAL = 1000.0
 
 
+def _pick(options, rng):
+    """A uniform draw from ``options``.  A single option takes no draw:
+    numpy's ``integers(1)`` reads no bits, so skipping it moves no later
+    draw of the stream."""
+    return options[rng.integers(len(options))] if len(options) > 1 else options[0]
+
+
 @dataclass
 class AgentModel:
     """One tabular self-play agent.
@@ -78,14 +85,20 @@ class AgentModel:
         best = max(vals)
         return [i for i, v in enumerate(vals) if v >= best - _TIE_TOL]
 
-    def _choose(self, table: StateTable, sid: int, rng, epsilon: float | None = None) -> int:
+    def _choose(self, table: StateTable, sid: int, rng, epsilon: float | None = None,
+                memo: dict | None = None) -> int:
         """Epsilon-greedy choice at state ``sid``, as a position in
-        ``table.moves[sid]``; greedy ties are broken uniformly."""
+        ``table.moves[sid]``; greedy ties are broken uniformly.  ``memo``
+        (state id -> greedy ties) serves a pass in which this agent is
+        frozen, so its ties at a state are worked out once."""
         eps = self.epsilon if epsilon is None else epsilon
         if eps > 0.0 and rng.random() < eps:
-            return rng.integers(len(table.moves[sid]))
-        ties = self._greedy(table, sid)
-        return ties[rng.integers(len(ties))]
+            return _pick(range(len(table.moves[sid])), rng)
+        if memo is None:
+            ties = self._greedy(table, sid)
+        elif (ties := memo.get(sid)) is None:
+            ties = memo[sid] = self._greedy(table, sid)
+        return _pick(ties, rng)
 
     # -- internal channel (opponent model) ----------------------------
 
@@ -107,14 +120,23 @@ class AgentModel:
         dist[moves] = weights / weights.sum()
         return dist
 
-    def _predict(self, key: str, cells: int, rng) -> int:
+    def _prediction_ties(self, key: str, cells: int):
+        """The moves with the top count at ``key``, or the whole board."""
         counts = self.opponent_counts.get(key)
         counts = [] if counts is None else counts.tolist()
         top = max(counts, default=0)
         if top == 0:
-            return int(rng.integers(cells))  # uninformed guess
-        ties = [move for move, count in enumerate(counts) if count == top]
-        return ties[rng.integers(len(ties))]
+            return range(cells)  # uninformed guess
+        return [move for move, count in enumerate(counts) if count == top]
+
+    def _predict(self, table: StateTable, sid: int, rng, memo: dict) -> int:
+        """Binned prediction of the opponent's move at state ``sid``: the
+        argmax of the counts, ties broken uniformly.  Predictions are made
+        only in frozen passes, so ``memo`` (state id -> tied moves) keeps
+        each state's ties for the pass."""
+        if (ties := memo.get(sid)) is None:
+            ties = memo[sid] = self._prediction_ties(table.keys[sid], table.game.cells)
+        return _pick(ties, rng)
 
     # -- learning ------------------------------------------------------
 
@@ -130,16 +152,18 @@ class AgentModel:
 
 
 def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, rng,
-                  epsilon: float | None = None) -> tuple[list, int]:
+                  epsilon: float | None = None, memo: dict | None = None) -> tuple[list, int]:
     """One game between two agents on ``table``: the (state id, move) of
     every decision, in order, and the id of the final state.  Every game
-    the agents play with each other is played here."""
+    the agents play with each other is played here.  ``memo`` holds the
+    greedy ties of frozen agents (see ``AgentModel._choose``); the state
+    fixes the player to move, so one dict serves both."""
     sid = table.root
     path = []
     states, moves = table.states, table.moves
     while moves[sid]:
         agent = agent_a if states[sid].to_move == PLAYER_A else agent_b
-        i = agent._choose(table, sid, rng, epsilon)
+        i = agent._choose(table, sid, rng, epsilon, memo)
         path.append((sid, moves[sid][i]))
         sid = table.children(sid)[i]
     return path, sid
@@ -200,19 +224,21 @@ class EvaluationResult:
 def _evaluate(agent_a: AgentModel, agent_b: AgentModel, table: StateTable,
               episodes: int, rng, epsilon: float = 0.0) -> EvaluationResult:
     """Frozen evaluation games on ``table``; each game is played out before
-    its decision points are predicted."""
-    states, keys, cells = table.states, table.keys, table.game.cells
+    its decision points are predicted.  Both agents stay frozen for the
+    pass, so each state's greedy and prediction ties are worked out once."""
+    states = table.states
+    choice_ties, prediction_ties = {}, {}
     outcomes = []
     pred_b, act_b, pred_a, act_a = [], [], [], []
     for _ in range(episodes):
-        path, final = _play_episode(agent_a, agent_b, table, rng, epsilon)
+        path, final = _play_episode(agent_a, agent_b, table, rng, epsilon, choice_ties)
         outcomes.append(states[final].status)
         for sid, move in path:
             if states[sid].to_move == PLAYER_B:
-                pred_b.append(agent_a._predict(keys[sid], cells, rng))
+                pred_b.append(agent_a._predict(table, sid, rng, prediction_ties))
                 act_b.append(move)
             else:
-                pred_a.append(agent_b._predict(keys[sid], cells, rng))
+                pred_a.append(agent_b._predict(table, sid, rng, prediction_ties))
                 act_a.append(move)
     return EvaluationResult(
         outcomes=tuple(outcomes),
@@ -454,21 +480,23 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
     agent_a = agent if agent.role == PLAYER_A else opponent
     agent_b = opponent if agent.role == PLAYER_A else agent
     table = StateTable(game)
-    states, keys = table.states, table.keys
+    states = table.states
+    # both agents are frozen for the whole curve
+    choice_ties, prediction_ties = {}, {}
     root = _seed_sequence(seed)
     points = []
     for ss, ia in zip(root.spawn(len(grid)), grid):
         rng = np.random.default_rng(ss)
         predicted, actual = [], []
         for _ in range(episodes):
-            path, _ = _play_episode(agent_a, agent_b, table, rng, epsilon=0.0)
+            path, _ = _play_episode(agent_a, agent_b, table, rng, 0.0, choice_ties)
             for sid, move in path:
                 if states[sid].to_move == agent.role:
                     continue
                 if rng.random() < ia:
                     predicted.append(move)  # revealed
                 else:
-                    predicted.append(agent._predict(keys[sid], game.cells, rng))
+                    predicted.append(agent._predict(table, sid, rng, prediction_ties))
                 actual.append(move)
         _, i_e = _paired_mi(predicted, actual, game.cells)
         points.append((float(ia), i_e))
@@ -524,17 +552,24 @@ def _snapshot_key(key: str, game: GameSpec) -> str:
     return key
 
 
+_COUNT_MAX = np.iinfo(np.int64).max
+
+
 def _snapshot_counts(packed: str, cells: int) -> np.ndarray:
     """Parse ``move:count,...``; an empty list (all counts zero) is allowed."""
     arr = np.zeros(cells, dtype=np.int64)
+    seen = set()
     for item in packed.split(",") if packed else ():
         m, _, c = item.partition(":")
         try:
             move, count = int(m), int(c)
         except ValueError:
             raise ValidationError(f"opponent count {item!r} is not move:count") from None
-        if not 0 <= move < cells or count < 0:
+        if not 0 <= move < cells or not 0 <= count <= _COUNT_MAX:
             raise ValidationError(f"opponent count {item!r} is out of range")
+        if move in seen:
+            raise ValidationError(f"opponent count {item!r} repeats move {move}")
+        seen.add(move)
         arr[move] = count
     return arr
 
@@ -547,6 +582,12 @@ def _snapshot_float(name: str, text: str) -> float:
     if not math.isfinite(number):
         raise ValidationError(f"snapshot {name} {text!r} is not a finite number")
     return number
+
+
+def _snapshot_unique(seen: dict, key: str, line: str):
+    """The writer puts each key on one line; a repeat would silently win."""
+    if key in seen:
+        raise ValidationError(f"snapshot line {line!r} repeats an earlier key")
 
 
 def agent_from_text(text: str, game: GameSpec) -> AgentModel:
@@ -563,13 +604,16 @@ def agent_from_text(text: str, game: GameSpec) -> AgentModel:
         tag, _, rest = line.partition(" ")
         if tag == "V":
             key, _, num = rest.partition(" ")
+            _snapshot_unique(value, key, line)
             value[_snapshot_key(key, game)] = _snapshot_float(f"value of {key}", num)
         elif tag == "O":
             key, _, packed = rest.partition(" ")
+            _snapshot_unique(counts, key, line)
             counts[_snapshot_key(key, game)] = _snapshot_counts(packed, game.cells)
         elif tag == "P" and v1:
             continue
         elif tag in ("role", "game", "step_size", "epsilon"):
+            _snapshot_unique(fields, tag, line)
             fields[tag] = rest
         else:
             raise ValidationError(f"unknown snapshot line tag {tag!r}")

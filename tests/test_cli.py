@@ -310,6 +310,9 @@ class TestMainEntry:
         ("....A....:B 0.75", "AAAA.....:B 0.75"),  # stone balance broken
         ("....A....:B 0.75", "....A....:A 0.75"),  # wrong player to move
         ("....A....:B 0.75", ".........:B 0.75"),  # B cannot move first
+        ("0:3,8:1", "4:99999999999999999999999"),  # count beyond int64
+        ("V ....A....:B 0.75", "V ....A....:B 0.75\nV ....A....:B 0.5"),  # repeated key
+        ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nO ....A....:B 1:1"),
     ])
     def test_malformed_snapshot_exit_code(self, tmp_path, capsys, old, new):
         agent_from_text(SNAPSHOT.format(role="A"), tic_tac_toe())  # valid unedited

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from infoplay.entropy import _seed_sequence
 from infoplay.errors import EstimationError, ValidationError
 from infoplay.exit_chart import tunnel_analysis
 from infoplay.games import (
@@ -24,8 +25,11 @@ from infoplay.games import (
     tic_tac_toe,
 )
 from infoplay.selfplay import (
+    _TIE_TOL,
     AgentModel,
     LearnConfig,
+    _evaluate,
+    _paired_mi,
     _play_episode,
     _snapshot_key,
     _stop_rule_fires,
@@ -368,6 +372,137 @@ class TestAgentExitCurve:
             agent_exit_curve(a1, a2, GAME, [0.0, 1.0], episodes=100, seed=1)
 
 
+def test_numpy_integers_of_one_reads_no_bits():
+    # self-play skips the draw when there is one option; that moves no later
+    # draw only because integers(1) returns 0 without touching the stream,
+    # whether or not half of a 32-bit word is buffered
+    for seed in (0, 1, 2026):
+        rng = np.random.default_rng(seed)
+        buffered = []
+        for _ in range(4):
+            before = rng.bit_generator.state
+            buffered.append(before["has_uint32"])
+            assert rng.integers(1) == 0
+            assert rng.bit_generator.state == before
+            rng.integers(3)  # one 32-bit draw: toggles the buffered half-word
+        assert buffered == [0, 1, 0, 1]
+
+
+_SMALL_GAME = GameSpec(rows=2, cols=3, k=2)
+_SMALL_KEYS = _reachable_keys(_SMALL_GAME)
+# exact ties, ties within _TIE_TOL and clear gaps
+_TIE_VALUES = (0.0, _TIE_TOL / 2, -_TIE_TOL / 2, 0.5, 0.5 + _TIE_TOL / 3, -0.25, 1.0)
+
+
+def ref_choose(agent, table, sid, rng, epsilon):
+    """The epsilon-greedy choice worked out afresh, with a draw at every
+    choice, one option included."""
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(len(table.moves[sid])))
+    vals = [agent.value.get(table.keys[kid], 0.0) for kid in table.children(sid)]
+    ties = [i for i, v in enumerate(vals) if v >= max(vals) - _TIE_TOL]
+    return ties[rng.integers(len(ties))]
+
+
+def ref_predict(agent, key, cells, rng):
+    counts = agent.opponent_counts.get(key)
+    if counts is None or counts.max() == 0:
+        return int(rng.integers(cells))
+    ties = np.flatnonzero(counts == counts.max())
+    return int(ties[rng.integers(len(ties))])
+
+
+def ref_play(agent_a, agent_b, table, rng, epsilon):
+    sid, path = table.root, []
+    while table.moves[sid]:
+        agent = agent_a if table.states[sid].to_move == "A" else agent_b
+        i = ref_choose(agent, table, sid, rng, epsilon)
+        path.append((sid, table.moves[sid][i]))
+        sid = table.children(sid)[i]
+    return path, sid
+
+
+def ref_evaluate(agent_a, agent_b, table, episodes, rng, epsilon):
+    cells = table.game.cells
+    outcomes, pred_b, act_b, pred_a, act_a = [], [], [], [], []
+    for _ in range(episodes):
+        path, final = ref_play(agent_a, agent_b, table, rng, epsilon)
+        outcomes.append(table.states[final].status)
+        for sid, move in path:
+            if table.states[sid].to_move == "B":
+                pred_b.append(ref_predict(agent_a, table.keys[sid], cells, rng))
+                act_b.append(move)
+            else:
+                pred_a.append(ref_predict(agent_b, table.keys[sid], cells, rng))
+                act_a.append(move)
+    return tuple(outcomes), tuple(pred_b), tuple(act_b), tuple(pred_a), tuple(act_a)
+
+
+def ref_exit_points(agent, opponent, game, grid, episodes, seed):
+    agent_a, agent_b = (agent, opponent) if agent.role == "A" else (opponent, agent)
+    table = StateTable(game)
+    points = []
+    for ss, ia in zip(_seed_sequence(seed).spawn(len(grid)), grid):
+        rng = np.random.default_rng(ss)
+        predicted, actual = [], []
+        for _ in range(episodes):
+            path, _ = ref_play(agent_a, agent_b, table, rng, 0.0)
+            for sid, move in path:
+                if table.states[sid].to_move == agent.role:
+                    continue
+                if rng.random() < ia:
+                    predicted.append(move)
+                else:
+                    predicted.append(ref_predict(agent, table.keys[sid], game.cells, rng))
+                actual.append(move)
+        points.append((float(ia), _paired_mi(predicted, actual, game.cells)[1]))
+    return tuple(points)
+
+
+@st.composite
+def frozen_agent_pairs(draw):
+    """A game and two agents whose value tables hold exact and near ties and
+    whose opponent counts hold tied argmaxes, all-zero rows and, for every
+    key left out, unvisited states."""
+    game = draw(st.sampled_from([_SMALL_GAME, GAME]))
+    keys = st.sampled_from(_SMALL_KEYS if game is _SMALL_GAME else _REACHABLE_KEYS)
+    agents = []
+    for role in "AB":
+        value = draw(st.dictionaries(keys, st.sampled_from(_TIE_VALUES), max_size=40))
+        counts = draw(st.dictionaries(
+            keys, st.lists(st.integers(0, 2), min_size=game.cells, max_size=game.cells),
+            max_size=40))
+        agents.append(AgentModel(role=role, value=value, opponent_counts={
+            k: np.array(c, dtype=np.int64) for k, c in counts.items()}))
+    return game, agents[0], agents[1]
+
+
+class TestFrozenPasses:
+    """Frozen passes work out each state's ties once and draw only when
+    there is a choice; they must match a reference that does neither."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=frozen_agent_pairs(), epsilon=st.sampled_from([0.0, 0.1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_evaluate_matches_reference(self, pair, epsilon, seed):
+        game, agent_a, agent_b = pair
+        table = StateTable(game)
+        ev = _evaluate(agent_a, agent_b, table, 60, np.random.default_rng(seed), epsilon)
+        expected = ref_evaluate(agent_a, agent_b, table, 60, np.random.default_rng(seed),
+                                epsilon)
+        assert (ev.outcomes, ev.predicted_b, ev.actual_b, ev.predicted_a,
+                ev.actual_a) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(pair=frozen_agent_pairs(), seed=st.integers(0, 2**32 - 1))
+    def test_agent_exit_curve_matches_reference(self, pair, seed):
+        game, agent_a, agent_b = pair
+        for agent, opponent in ((agent_a, agent_b), (agent_b, agent_a)):
+            curve = agent_exit_curve(agent, opponent, game, [0.0, 0.5], 100, seed)
+            assert curve.points == ref_exit_points(agent, opponent, game, [0.0, 0.5],
+                                                   100, seed)
+
+
 class TestSnapshots:
     def test_round_trip_preserves_behavior_and_bytes(self, tmp_path):
         records, fa, fb = learn(GAME, QUICK_CONFIG, seed=31)
@@ -436,6 +571,12 @@ class TestSnapshots:
         ("....A....:B 0.75", "....A....:A 0.75"),
         ("....A....:B 0.75", ".........:B 0.75"),
         ("O ....A....:B", "O ....B....:A"),
+        ("0:3,8:1", "4:99999999999999999999999"),  # count beyond int64
+        ("0:3,8:1", "0:3,0:1"),  # one move counted twice
+        # a repeated line, which would silently win over the first
+        ("V ....A....:B 0.75", "V ....A....:B 0.75\nV ....A....:B 0.5"),
+        ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nO ....A....:B 1:1"),
+        ("epsilon 0.1\n", "epsilon 0.1\nepsilon 0.2\n"),
     ])
     def test_malformed_snapshot_raises_validation_error(self, old, new):
         text = "\n".join([
