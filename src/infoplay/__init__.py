@@ -41,7 +41,6 @@ from .selfplay import (
     agent_exit_curve,
     elo_update,
     elo_win_prob,
-    internal_rollout,
     learn,
     load_agent,
     measure_cross_mi,

@@ -26,7 +26,7 @@ import secrets
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from . import selfplay as sp
 from . import turbo as turbo_mod
 from .errors import (ConfigError, EstimationError, NumericalContractError, ResourceCapError,
                      ValidationError)
-from .games import BOARD_FULL_SCORING, GameSpec, K_IN_A_ROW
+from .games import BOARD_FULL_SCORING, GameSpec, K_IN_A_ROW, PLAYER_A, PLAYER_B
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,19 +56,10 @@ class Param:
 
 _BOARD_PARAMS = [Param("rows", "int", 3), Param("cols", "int", 3), Param("k", "int", 3)]
 
-# named as the LearnConfig fields they set
+# one param per LearnConfig field, typed by its default
 _LEARN_PARAMS = [
-    Param("generations", "int", sp.LearnConfig.generations),
-    Param("episodes_per_generation", "int", sp.LearnConfig.episodes_per_generation),
-    Param("eval_episodes", "int", sp.LearnConfig.eval_episodes),
-    Param("stop_window", "int", sp.LearnConfig.stop_window),
-    Param("stop_delta", "float", sp.LearnConfig.stop_delta),
-    Param("step_size", "float", sp.LearnConfig.step_size),
-    Param("step_size_end", "float", sp.LearnConfig.step_size_end),
-    Param("epsilon_start", "float", sp.LearnConfig.epsilon_start),
-    Param("epsilon_end", "float", sp.LearnConfig.epsilon_end),
-    Param("anneal_generations", "int", sp.LearnConfig.anneal_generations),
-    Param("eval_epsilon", "float", sp.LearnConfig.eval_epsilon),
+    Param(f.name, "int" if isinstance(f.default, int) else "float", f.default)
+    for f in fields(sp.LearnConfig)
 ]
 
 SCHEMAS: dict[str, list[Param]] = {
@@ -138,6 +129,13 @@ class ResolvedConfig:
     config_dir: Path
 
 
+def _check_seed(seed: int) -> int:
+    """``seed`` if numpy's ``SeedSequence`` accepts it (>= 0)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def load_config(path) -> ResolvedConfig:
     path = Path(path)
     if not path.is_file():
@@ -156,11 +154,15 @@ def load_config(path) -> ResolvedConfig:
             f"experiment.kind must be one of {sorted(SCHEMAS)}, got {kind!r}"
         )
     name = exp.get("name", kind)
+    if name in ("", ".", "..") or Path(name).name != name:
+        # run() replaces <output-dir>/<name> wholesale
+        raise ConfigError(f"experiment.name must be a plain directory name, got {name!r}")
     if "seed" in exp:
         try:
             seed = int(exp["seed"])
         except ValueError as exc:
             raise ConfigError(f"experiment.seed: {exp['seed']!r} is not an integer") from exc
+        _check_seed(seed)
     else:
         seed = secrets.randbits(63)  # echoed into the manifest and headers
     raw_params = dict(parser["params"]) if "params" in parser else {}
@@ -257,6 +259,9 @@ def _run_agent_exit(rc: ResolvedConfig, outdir: Path) -> dict:
     game = _game_from_params(p)
     agent_a = sp.load_agent(p["agent_a"], game)
     agent_b = sp.load_agent(p["agent_b"], game)
+    if (agent_a.role, agent_b.role) != (PLAYER_A, PLAYER_B):
+        raise ConfigError(f"agent_a and agent_b hold roles {agent_a.role} and "
+                          f"{agent_b.role}; they must hold A and B")
     root = np.random.SeedSequence(rc.seed)
     seed_a, seed_b = root.spawn(2)
     curve_a = sp.agent_exit_curve(agent_a, agent_b, game, p["ia_grid"],
@@ -287,7 +292,7 @@ def run(config_path, output_dir=None, seed=None) -> Path:
     directory."""
     rc = load_config(config_path)
     if seed is not None:
-        rc = replace(rc, seed=int(seed))
+        rc = replace(rc, seed=_check_seed(int(seed)))
     base = Path(output_dir) if output_dir is not None else Path.cwd()
     base.mkdir(parents=True, exist_ok=True)
     final_dir = base / rc.name

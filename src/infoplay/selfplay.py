@@ -33,8 +33,6 @@ from .games import (
 )
 
 SNAPSHOT_HEADER = "# infoplay-agent-v2"
-# v1 snapshots also carried derived policy (P) rows; they are still read
-_SNAPSHOT_V1_HEADER = "# infoplay-agent-v1"
 
 _TIE_TOL = 1e-12
 
@@ -55,11 +53,10 @@ class AgentModel:
 
     ``value`` maps afterstate keys to expected outcome in [-1, 1] from
     this agent's perspective.  ``opponent_counts`` maps decision-state
-    keys to observed opponent move counts; normalized over legal moves it
-    is the opponent model used for internal rollouts, while the binned
-    prediction used for MI measurement is the count argmax (an unvisited
-    state yields an uninformed guess over the whole board, since a fresh
-    internal channel carries no information, not even cell occupancy).
+    keys to observed opponent move counts; the binned prediction used for
+    MI measurement is the count argmax (an unvisited state yields an
+    uninformed guess over the whole board, since a fresh internal channel
+    carries no information, not even cell occupancy).
     """
 
     role: str
@@ -109,17 +106,6 @@ class AgentModel:
             self.opponent_counts[key] = counts
         counts[move] += 1
 
-    def _opponent_distribution(self, key: str, moves, cells: int) -> np.ndarray:
-        moves = list(moves)
-        dist = np.zeros(cells)
-        counts = self.opponent_counts.get(key)
-        if counts is None or counts[moves].sum() == 0:
-            weights = np.ones(len(moves))
-        else:
-            weights = counts[moves].astype(float)
-        dist[moves] = weights / weights.sum()
-        return dist
-
     def _prediction_ties(self, key: str, cells: int):
         """The moves with the top count at ``key``, or the whole board."""
         counts = self.opponent_counts.get(key)
@@ -164,25 +150,6 @@ def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, r
     while moves[sid]:
         agent = agent_a if states[sid].to_move == PLAYER_A else agent_b
         i = agent._choose(table, sid, rng, epsilon, memo)
-        path.append((sid, moves[sid][i]))
-        sid = table.children(sid)[i]
-    return path, sid
-
-
-def internal_rollout(agent: AgentModel, table: StateTable, rng) -> tuple[list, int]:
-    """A game the agent plays within itself on ``table``: its own policy on
-    its side, moves sampled from its opponent model on the other side.
-    Returns the path and final state id, as ``_play_episode`` does."""
-    cells = table.game.cells
-    states, moves, keys = table.states, table.moves, table.keys
-    sid = table.root
-    path = []
-    while moves[sid]:
-        if states[sid].to_move == agent.role:
-            i = agent._choose(table, sid, rng)
-        else:
-            dist = agent._opponent_distribution(keys[sid], moves[sid], cells)
-            i = moves[sid].index(int(rng.choice(cells, p=dist)))
         path.append((sid, moves[sid][i]))
         sid = table.children(sid)[i]
     return path, sid
@@ -389,7 +356,7 @@ def _stop_rule_fires(i_ba: list, i_ab: list, window: int, delta: float) -> bool:
     return all(c < delta for c in changes)
 
 
-def learn(game: GameSpec, config: LearnConfig, seed, initial_agents=None):
+def learn(game: GameSpec, config: LearnConfig, seed):
     """Run the instrumented self-play loop.
 
     Per generation: training episodes (epsilon-greedy TD(0) on both
@@ -397,23 +364,15 @@ def learn(game: GameSpec, config: LearnConfig, seed, initial_agents=None):
     frozen evaluation pass recording cross MI, Elo, and outcome rates.
     Stops early when the windowed stopping rule fires; the recorded MI
     need not reach 1.0, since learning may stop at a local optimum.
-    Deterministic given (game, config, seed).
-
-    ``initial_agents`` resumes from an (agent_a, agent_b) pair, e.g.
-    loaded snapshots; otherwise both agents start fresh.  Returns
-    (records, agent_a, agent_b).
+    Deterministic given (game, config, seed).  Both agents start fresh.
+    Returns (records, agent_a, agent_b).
     """
     if not isinstance(config, LearnConfig):
         raise ValidationError("config must be a LearnConfig")
-    if initial_agents is not None:
-        agent_a, agent_b = initial_agents
-        if agent_a.role != PLAYER_A or agent_b.role != PLAYER_B:
-            raise ValidationError("initial_agents must be an (A, B) pair")
-    else:
-        agent_a = AgentModel(role=PLAYER_A, step_size=config.step_size,
-                             epsilon=config.epsilon_start)
-        agent_b = AgentModel(role=PLAYER_B, step_size=config.step_size,
-                             epsilon=config.epsilon_start)
+    agent_a = AgentModel(role=PLAYER_A, step_size=config.step_size,
+                         epsilon=config.epsilon_start)
+    agent_b = AgentModel(role=PLAYER_B, step_size=config.step_size,
+                         epsilon=config.epsilon_start)
     table = StateTable(game)
     root = _seed_sequence(seed)
     anneal = config.anneal_generations or config.generations
@@ -591,12 +550,10 @@ def _snapshot_unique(seen: dict, key: str, line: str):
 
 
 def agent_from_text(text: str, game: GameSpec) -> AgentModel:
-    """Read a v2 snapshot, or a v1 one (whose derived P rows are skipped).
-    Any malformed line raises ValidationError."""
+    """Read a v2 snapshot.  Any malformed line raises ValidationError."""
     lines = text.strip().split("\n")
-    if lines[0] not in (SNAPSHOT_HEADER, _SNAPSHOT_V1_HEADER):
+    if lines[0] != SNAPSHOT_HEADER:
         raise ValidationError("not an infoplay agent snapshot (bad header)")
-    v1 = lines[0] == _SNAPSHOT_V1_HEADER
     fields: dict[str, str] = {}
     value: dict[str, float] = {}
     counts: dict[str, np.ndarray] = {}
@@ -610,8 +567,6 @@ def agent_from_text(text: str, game: GameSpec) -> AgentModel:
             key, _, packed = rest.partition(" ")
             _snapshot_unique(counts, key, line)
             counts[_snapshot_key(key, game)] = _snapshot_counts(packed, game.cells)
-        elif tag == "P" and v1:
-            continue
         elif tag in ("role", "game", "step_size", "epsilon"):
             _snapshot_unique(fields, tag, line)
             fields[tag] = rest

@@ -421,29 +421,17 @@ class TurboIterationTrace:
         raise KeyError(iteration)
 
 
-@dataclass(frozen=True, eq=False)
-class TurboCodeword:
-    """Rate-1/3 parallel concatenation: systematic and first parity are
-    terminated (length N + memory), the interleaved encoder is left open
-    (length N)."""
-
-    systematic: np.ndarray
-    parity1: np.ndarray
-    parity2: np.ndarray
-
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate([self.systematic, self.parity1, self.parity2], axis=-1)
-
-
-def turbo_encode(bits, code: RscCode, interleaver: Interleaver) -> TurboCodeword:
-    """Encode one (N,) block or a (B, N) batch; the codeword fields keep
-    the leading batch axis."""
+def turbo_encode(bits, code: RscCode, interleaver: Interleaver) -> np.ndarray:
+    """Encode one (N,) block or a (B, N) batch into the rate-1/3 parallel
+    concatenation [systematic | parity1 | parity2] along the last axis.
+    Systematic and first parity are terminated (length N + memory), the
+    interleaved encoder is left open (length N)."""
     u = np.asarray(bits)
     if u.shape[-1:] != (len(interleaver),):
         raise ValidationError("interleaver length must equal the information length")
     sys1, par1 = rsc_encode(u, code, terminate=True)
     _, par2 = rsc_encode(interleaver.interleave(u), code, terminate=False)
-    return TurboCodeword(systematic=sys1, parity1=par1, parity2=par2)
+    return np.concatenate([sys1, par1, par2], axis=-1)
 
 
 def _split_llrs(rx: LlrBlock, n: int, m: int):
@@ -489,7 +477,7 @@ def turbo_decode(
     """Iteratively decode one received rate-1/3 block.
 
     ``received`` holds the channel LLRs for [systematic | parity1 |
-    parity2] as produced by transmitting ``TurboCodeword.concatenated()``.
+    parity2] as produced by transmitting ``turbo_encode``'s codeword.
     Returns (TurboIterationTrace, decoded info bits); BER in the trace is
     measured on information bits only, against the truth carried by the
     block.
@@ -542,7 +530,7 @@ def simulate_turbo(
     truth = np.empty((n_blocks, n_info), dtype=np.int8)
     for b in range(n_blocks):
         truth[b] = bit_rng.integers(0, 2, n_info)
-    words = turbo_encode(truth, code, interleaver).concatenated()
+    words = turbo_encode(truth, code, interleaver)
     ls = np.empty((n_blocks, n_info + code.memory))
     lp1 = np.empty_like(ls)
     lp2 = np.empty((n_blocks, n_info))

@@ -313,6 +313,7 @@ class TestMainEntry:
         ("0:3,8:1", "4:99999999999999999999999"),  # count beyond int64
         ("V ....A....:B 0.75", "V ....A....:B 0.75\nV ....A....:B 0.5"),  # repeated key
         ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nO ....A....:B 1:1"),
+        ("# infoplay-agent-v2", "# infoplay-agent-v1"),  # old format, no longer read
     ])
     def test_malformed_snapshot_exit_code(self, tmp_path, capsys, old, new):
         agent_from_text(SNAPSHOT.format(role="A"), tic_tac_toe())  # valid unedited
@@ -332,10 +333,34 @@ class TestMainEntry:
         ("turbo", {"n_info": -3}),
         ("agent-exit", {"agent_a": "missing.txt"}),
         ("selfplay", {"anneal_generations": -1}),
+        ("agent-exit", {"agent_a": "b.txt", "agent_b": "a.txt"}),
     ], ids=["one-side-never-moves", "no-iterations", "negative-n-info", "missing-snapshot",
-            "negative-anneal"])
+            "negative-anneal", "swapped-snapshots"])
     def test_unusable_config_exit_code(self, kind, overrides):
         assert run_main(kind, dict(SMALL_PARAMS[kind], **overrides)) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("config_seed,cli_seed", [(-3, None), (42, "-1")],
+                             ids=["config", "command-line"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, config_seed, cli_seed):
+        cfg = write_config(tmp_path / "c.ini", "turbo", SMALL_PARAMS["turbo"], seed=config_seed)
+        argv = ["run", str(cfg), "--output-dir", str(tmp_path / "out")]
+        assert main(argv + (["--seed", cli_seed] if cli_seed else [])) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", None],
+                             ids=["empty", "dot", "dotdot", "nested", "absolute"])
+    def test_unsafe_name_exit_code(self, tmp_path, name):
+        name = str(tmp_path / "elsewhere") if name is None else name
+        out = tmp_path / "out"
+        (out / "keep").mkdir(parents=True)
+        (out / "keep" / "marker").write_text("kept\n")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[experiment]\nkind = capacity\nseed = 1\nname = {name}\n"
+                       "[params]\nrows = 2\ncols = 2\nk = 2\n")
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+        assert (out / "keep" / "marker").read_text() == "kept\n"
+        assert sorted(p.name for p in out.iterdir()) == ["keep"]
 
     @settings(max_examples=400, deadline=None)
     @given(case=st.sampled_from(sorted(FUZZ_VALUES)).flatmap(fuzzed_overrides))

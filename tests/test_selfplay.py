@@ -1,5 +1,6 @@
 """Self-play agents, cross-MI measurement, Elo, learning loop, snapshots."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from infoplay.entropy import _seed_sequence
 from infoplay.errors import EstimationError, ValidationError
@@ -33,13 +33,13 @@ from infoplay.selfplay import (
     _play_episode,
     _snapshot_key,
     _stop_rule_fires,
+    _training_episode,
     agent_exit_curve,
     agent_from_text,
     agent_to_text,
     elo_update,
     elo_win_prob,
     generation_csv,
-    internal_rollout,
     learn,
     measure_cross_mi,
 )
@@ -194,39 +194,6 @@ def fixed_line_agents(moves):
             agent_a.opponent_counts[state.key()] = counts
         state = after
     return agent_a, agent_b, state
-
-
-def rollout_moves(agent, table, seed):
-    path, _ = internal_rollout(agent, table, np.random.default_rng(seed))
-    return [move for _, move in path]
-
-
-class TestInternalRollout:
-    def test_uniform_model_matches_uniform_opponent(self):
-        agent = AgentModel(role="A", epsilon=0.0)
-        first = apply_move(initial_state(GAME), 4, GAME)
-        agent.value[first.key()] = 1.0  # pin A's first move to the center
-        counts = np.zeros(9, dtype=int)
-        table = StateTable(GAME)
-        for seed in range(10_000):
-            counts[rollout_moves(agent, table, seed)[1]] += 1
-        legal = [m for m in range(9) if m != 4]
-        result = stats.chisquare(counts[legal])
-        assert result.pvalue > 0.01
-
-    def test_deterministic_opponent_model(self):
-        # a full fixed line: both the policy and the opponent model are
-        # concentrated, so the rollout has no randomness left
-        agent_a, _, final = fixed_line_agents([0, 4, 8, 1, 7, 2, 6])
-        table = StateTable(GAME)
-        _, last = internal_rollout(agent_a, table, np.random.default_rng(1))
-        assert table.states[last] == final
-        moves = rollout_moves(agent_a, table, 1)
-        assert moves == rollout_moves(agent_a, table, 999) == [0, 4, 8, 1, 7, 2, 6]
-
-    def test_reproducible_given_seed(self):
-        agent, table = AgentModel(role="B"), StateTable(GAME)
-        assert rollout_moves(agent, table, 3) == rollout_moves(agent, table, 3)
 
 
 class TestMeasureCrossMi:
@@ -459,6 +426,29 @@ def ref_exit_points(agent, opponent, game, grid, episodes, seed):
     return tuple(points)
 
 
+def ref_training_episode(agent_a, agent_b, table, rng):
+    """A training game that observes and updates right after each move,
+    so every later choice reads the values as they are at that move."""
+    cells, states, keys = table.game.cells, table.states, table.keys
+    last_after = {"A": None, "B": None}
+    sid = table.root
+    while table.moves[sid]:
+        mover = states[sid].to_move
+        agent, other = (agent_a, agent_b) if mover == "A" else (agent_b, agent_a)
+        i = agent._choose(table, sid, rng)
+        after = table.children(sid)[i]
+        other._observe(keys[sid], table.moves[sid][i], cells)
+        if last_after[mover] is not None:
+            agent.td_update(last_after[mover], agent.value.get(keys[after], 0.0))
+        last_after[mover] = keys[after]
+        sid = after
+    outcome = states[sid].status
+    for agent in (agent_a, agent_b):
+        if last_after[agent.role] is not None:
+            agent.td_update(last_after[agent.role], agent.reward(outcome))
+    return outcome
+
+
 @st.composite
 def frozen_agent_pairs(draw):
     """A game and two agents whose value tables hold exact and near ties and
@@ -503,6 +493,27 @@ class TestFrozenPasses:
                                                    100, seed)
 
 
+class TestTrainingEpisode:
+    @settings(max_examples=40, deadline=None)
+    @given(pair=frozen_agent_pairs(), epsilon=st.sampled_from([0.0, 0.1, 1.0]),
+           step_size=st.sampled_from([0.25, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_updating_after_the_game_matches_updating_online(self, pair, epsilon,
+                                                             step_size, seed):
+        game, agent_a, agent_b = pair
+        for agent in (agent_a, agent_b):
+            agent.epsilon, agent.step_size = epsilon, step_size
+        ref_a, ref_b = copy.deepcopy(agent_a), copy.deepcopy(agent_b)
+        table = StateTable(game)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            outcome = _training_episode(agent_a, agent_b, table, rng)
+            assert outcome == ref_training_episode(ref_a, ref_b, table, ref_rng)
+        for agent, ref in ((agent_a, ref_a), (agent_b, ref_b)):
+            assert agent.value == ref.value
+            assert ({k: c.tolist() for k, c in agent.opponent_counts.items()}
+                    == {k: c.tolist() for k, c in ref.opponent_counts.items()})
+
+
 class TestSnapshots:
     def test_round_trip_preserves_behavior_and_bytes(self, tmp_path):
         records, fa, fb = learn(GAME, QUICK_CONFIG, seed=31)
@@ -514,17 +525,6 @@ class TestSnapshots:
             np.testing.assert_array_equal(clone.opponent_counts[k], fa.opponent_counts[k])
         assert agent_to_text(clone, GAME) == text
 
-    def test_resume_from_snapshots(self, tmp_path):
-        from infoplay.selfplay import load_agent, save_agent
-
-        records, fa, fb = learn(GAME, QUICK_CONFIG, seed=51)
-        save_agent(fa, GAME, tmp_path / "a.txt")
-        save_agent(fb, GAME, tmp_path / "b.txt")
-        resumed = (load_agent(tmp_path / "a.txt", GAME), load_agent(tmp_path / "b.txt", GAME))
-        more, ra, rb = learn(GAME, QUICK_CONFIG, seed=52, initial_agents=resumed)
-        assert len(more) >= 1
-        assert len(ra.value) >= len(fa.value)  # resumed tables only grow
-
     def test_header_and_game_checks(self):
         with pytest.raises(ValidationError):
             agent_from_text("not a snapshot\n", GAME)
@@ -533,27 +533,6 @@ class TestSnapshots:
         other = GameSpec(rows=4, cols=4, k=3)
         with pytest.raises(ValidationError):
             agent_from_text(text, other)
-
-    def test_reads_v1_and_drops_policy_rows(self):
-        v1 = "\n".join([
-            "# infoplay-agent-v1",
-            "role A",
-            "game 3x3-k3",
-            "step_size 0.0",
-            "epsilon 0.05",
-            "V ....A....:B 0.75",
-            "O ....A....:B 0:3,8:1",
-            "P .........:A 0:0.1,4:0.9",
-        ]) + "\n"
-        agent = agent_from_text(v1, GAME)
-        assert agent.value == {"....A....:B": 0.75}
-        np.testing.assert_array_equal(agent.opponent_counts["....A....:B"],
-                                      [3, 0, 0, 0, 0, 0, 0, 0, 1])
-        v2 = agent_to_text(agent, GAME)
-        assert v2.splitlines()[0] == "# infoplay-agent-v2"
-        assert not [line for line in v2.splitlines() if line.startswith("P ")]
-        with pytest.raises(ValidationError, match="tag"):
-            agent_from_text(v2 + "P .........:A 0:1.0\n", GAME)  # v2 has no P rows
 
     @pytest.mark.parametrize("old,new", [
         ("role A\n", ""),
@@ -577,6 +556,7 @@ class TestSnapshots:
         ("V ....A....:B 0.75", "V ....A....:B 0.75\nV ....A....:B 0.5"),
         ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nO ....A....:B 1:1"),
         ("epsilon 0.1\n", "epsilon 0.1\nepsilon 0.2\n"),
+        ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nP .........:A 0:1.0"),  # no P tag
     ])
     def test_malformed_snapshot_raises_validation_error(self, old, new):
         text = "\n".join([

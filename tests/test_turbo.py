@@ -331,7 +331,7 @@ def transmit_turbo_blocks(n_info, ebn0_db, n_blocks, seed):
     for _ in range(n_blocks):
         bits = rng.integers(0, 2, n_info)
         cw = turbo_encode(bits, CODE75, interleaver)
-        rx = transmit(cw.concatenated(), channel, seed=rng.integers(2**32))
+        rx = transmit(cw, channel, seed=rng.integers(2**32))
         out.append(rx)
     return interleaver, out
 
@@ -373,7 +373,7 @@ class TestTurboDecode:
         for b, ss in enumerate(ss_noise.spawn(3)):
             bits = bit_rng.integers(0, 2, 64)
             cw = turbo_encode(bits, CODE75, interleaver)
-            rx = transmit(cw.concatenated(), channel, ss)
+            rx = transmit(cw, channel, ss)
             trace, _ = turbo_decode(rx, interleaver, CODE75, max_iters=4)
             for got, ref in zip(traces[b].records, trace.records):
                 assert got == ref
@@ -393,7 +393,7 @@ class TestTurboDecode:
         batch = turbo_encode(bits, CODE75, interleaver)
         for b in range(5):
             one = turbo_encode(bits[b], CODE75, interleaver)
-            np.testing.assert_array_equal(batch.concatenated()[b], one.concatenated())
+            np.testing.assert_array_equal(batch[b], one)
 
     def test_s_random_trace_matches_pinned_digest(self):
         # digest recorded before the encoder and interleaver were vectorized
