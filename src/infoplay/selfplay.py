@@ -40,6 +40,57 @@ _TIE_TOL = 1e-12
 ELO_INITIAL = 1000.0
 
 
+# raw 64-bit words a ``_Draws`` fetches at a time: enough to amortise the
+# call into numpy, small enough to add no measurable memory
+_DRAW_BLOCK = 512
+
+
+class _Draws:
+    """The draws of ``np.random.default_rng(seed)`` that self-play uses,
+    ``random()`` and ``integers(n)`` for 1 <= n <= 2**32, served from raw
+    PCG64 words fetched in blocks.
+
+    Both methods reproduce numpy's Generator bit for bit: ``random()`` keeps
+    the top 53 bits of a word (``next_double``), and ``integers(n)`` is
+    Lemire's bounded method with rejection on 32-bit half-words, taking the
+    low half of a word first and keeping the high half for the next call,
+    as PCG64's ``next_uint32`` does.  The streams therefore depend only on
+    PCG64's raw output.  Words are fetched ahead, so a ``_Draws`` must own
+    its stream.
+    """
+
+    __slots__ = ("_raw", "_words", "_half")
+
+    def __init__(self, seed):
+        self._raw = np.random.PCG64(seed).random_raw
+        self._words: list[int] = []  # reversed, so the next word is last
+        self._half = None  # the buffered high half-word, if any
+
+    def _fill(self) -> list:
+        self._words = self._raw(_DRAW_BLOCK)[::-1].tolist()
+        return self._words
+
+    def random(self) -> float:
+        words = self._words or self._fill()
+        return (words.pop() >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0  # numpy reads no bits for a single value
+        while True:
+            x = self._half
+            if x is None:
+                word = (self._words or self._fill()).pop()
+                x, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                self._half = None
+            m = x * n
+            low = m & 0xFFFFFFFF
+            # 2**32 % n < n, so the threshold is only worked out below n
+            if low >= n or low >= 0x100000000 % n:
+                return m >> 32
+
+
 def _pick(options, rng):
     """A uniform draw from ``options``.  A single option takes no draw:
     numpy's ``integers(1)`` reads no bits, so skipping it moves no later
@@ -146,12 +197,12 @@ def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, r
     fixes the player to move, so one dict serves both."""
     sid = table.root
     path = []
-    states, moves = table.states, table.moves
+    states, moves, children = table.states, table.moves, table.children
     while moves[sid]:
         agent = agent_a if states[sid].to_move == PLAYER_A else agent_b
         i = agent._choose(table, sid, rng, epsilon, memo)
         path.append((sid, moves[sid][i]))
-        sid = table.children(sid)[i]
+        sid = children(sid)[i]
     return path, sid
 
 
@@ -163,19 +214,25 @@ def _training_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTabl
     path, final = _play_episode(agent_a, agent_b, table, rng)
     cells = table.game.cells
     states, keys = table.states, table.keys
-    last_after = {PLAYER_A: None, PLAYER_B: None}
+    last_a = last_b = None  # each agent's latest afterstate key
     afters = [sid for sid, _ in path[1:]] + [final]
     for (sid, move), after in zip(path, afters):
-        mover = states[sid].to_move
-        agent, other = (agent_a, agent_b) if mover == PLAYER_A else (agent_b, agent_a)
-        other._observe(keys[sid], move, cells)
-        if last_after[mover] is not None:
-            agent.td_update(last_after[mover], agent.value.get(keys[after], 0.0))
-        last_after[mover] = keys[after]
+        after_key = keys[after]
+        if states[sid].to_move == PLAYER_A:
+            agent_b._observe(keys[sid], move, cells)
+            if last_a is not None:
+                agent_a.td_update(last_a, agent_a.value.get(after_key, 0.0))
+            last_a = after_key
+        else:
+            agent_a._observe(keys[sid], move, cells)
+            if last_b is not None:
+                agent_b.td_update(last_b, agent_b.value.get(after_key, 0.0))
+            last_b = after_key
     outcome = states[final].status
-    for agent in (agent_a, agent_b):
-        if last_after[agent.role] is not None:
-            agent.td_update(last_after[agent.role], agent.reward(outcome))
+    if last_a is not None:
+        agent_a.td_update(last_a, agent_a.reward(outcome))
+    if last_b is not None:
+        agent_b.td_update(last_b, agent_b.reward(outcome))
     return outcome
 
 
@@ -258,7 +315,7 @@ def measure_cross_mi(agent_a: AgentModel, agent_b: AgentModel, game: GameSpec,
     """
     if episodes < 100:
         raise ValidationError("episodes must be >= 100 for a stable estimate")
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     ev = _evaluate(agent_a, agent_b, StateTable(game), episodes, rng)
     return cross_mi_from_evaluation(ev, game)
 
@@ -387,10 +444,10 @@ def learn(game: GameSpec, config: LearnConfig, seed):
         agent_a.epsilon = agent_b.epsilon = epsilon
         agent_a.step_size = agent_b.step_size = step
         ss_train, ss_eval = root.spawn(2)
-        train_rng = np.random.default_rng(ss_train)
+        train_rng = _Draws(ss_train)
         for _ in range(config.episodes_per_generation):
             _training_episode(agent_a, agent_b, table, train_rng)
-        eval_rng = np.random.default_rng(ss_eval)
+        eval_rng = _Draws(ss_eval)
         ev = _evaluate(agent_a, agent_b, table, config.eval_episodes, eval_rng,
                        epsilon=config.eval_epsilon)
         cross = cross_mi_from_evaluation(ev, game)
@@ -445,7 +502,7 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
     root = _seed_sequence(seed)
     points = []
     for ss, ia in zip(root.spawn(len(grid)), grid):
-        rng = np.random.default_rng(ss)
+        rng = _Draws(ss)
         predicted, actual = [], []
         for _ in range(episodes):
             path, _ = _play_episode(agent_a, agent_b, table, rng, 0.0, choice_ties)
@@ -562,7 +619,11 @@ def agent_from_text(text: str, game: GameSpec) -> AgentModel:
         if tag == "V":
             key, _, num = rest.partition(" ")
             _snapshot_unique(value, key, line)
-            value[_snapshot_key(key, game)] = _snapshot_float(f"value of {key}", num)
+            v = _snapshot_float(f"value of {key}", num)
+            if abs(v) > 1.0:
+                # TD(0) only mixes rewards in [-1, 1] and values already in it
+                raise ValidationError(f"snapshot value of {key} {num!r} lies outside [-1, 1]")
+            value[_snapshot_key(key, game)] = v
         elif tag == "O":
             key, _, packed = rest.partition(" ")
             _snapshot_unique(counts, key, line)

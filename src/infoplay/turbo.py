@@ -352,7 +352,9 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
         metric = hist[k_total - b:k_total - a, 1][::-1].take(tr.next_state, axis=1)
         metric += rows[a:b].take(tr.row_out, axis=1)
         metric += hist[a:b, 0, None]
-        per_input = acc.reduce(metric, axis=2)
+        per_input = acc(metric[:, :, 0], metric[:, :, 1])
+        for s in range(2, n_states):
+            acc(per_input, metric[:, :, s], out=per_input)
         np.subtract(per_input[:, 0], per_input[:, 1], out=app[:, a:b].T)
     return app
 

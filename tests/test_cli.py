@@ -314,6 +314,7 @@ class TestMainEntry:
         ("V ....A....:B 0.75", "V ....A....:B 0.75\nV ....A....:B 0.5"),  # repeated key
         ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nO ....A....:B 1:1"),
         ("# infoplay-agent-v2", "# infoplay-agent-v1"),  # old format, no longer read
+        ("0.75", "1e300"),  # a value TD(0) cannot reach
     ])
     def test_malformed_snapshot_exit_code(self, tmp_path, capsys, old, new):
         agent_from_text(SNAPSHOT.format(role="A"), tic_tac_toe())  # valid unedited

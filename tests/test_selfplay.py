@@ -25,8 +25,10 @@ from infoplay.games import (
     tic_tac_toe,
 )
 from infoplay.selfplay import (
+    _DRAW_BLOCK,
     _TIE_TOL,
     AgentModel,
+    _Draws,
     LearnConfig,
     _evaluate,
     _paired_mi,
@@ -355,6 +357,44 @@ def test_numpy_integers_of_one_reads_no_bits():
         assert buffered == [0, 1, 0, 1]
 
 
+# one bound per branch of numpy's bounded draw: no bits, small bounds, just
+# above 2**31, a bound whose threshold rejects a quarter of the half-words
+# (2**32 % (3 * 2**30) == 2**30) and the full 32-bit range
+_DRAW_BOUNDS = (1, 2, 3, 9, 2**31 + 1, 3 * 2**30, 2**32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       pattern=st.lists(st.sampled_from((None,) + _DRAW_BOUNDS), min_size=1, max_size=30),
+       length=st.integers(1, 3 * _DRAW_BLOCK))
+# the last word of a block leaves its high half buffered across the refill
+@example(seed=5, pattern=[None] * (_DRAW_BLOCK - 1) + [9, None, 9], length=_DRAW_BLOCK + 2)
+@example(seed=7, pattern=[3 * 2**30], length=3 * _DRAW_BLOCK)
+def test_draws_match_numpy_generator(seed, pattern, length):
+    # None stands for random(), a number n for integers(n)
+    draws, rng = _Draws(seed), np.random.default_rng(seed)
+    got, expected = [], []
+    for n in itertools.islice(itertools.cycle(pattern), length):
+        if n is None:
+            got.append(draws.random())
+            expected.append(rng.random())
+        else:
+            got.append(draws.integers(n))
+            expected.append(int(rng.integers(n)))
+    assert got == expected
+
+
+def test_selfplay_builds_no_numpy_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("self-play built a numpy Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    config = LearnConfig(generations=2, episodes_per_generation=20, eval_episodes=100)
+    _, agent_a, agent_b = learn(GAME, config, seed=3)
+    measure_cross_mi(agent_a, agent_b, GAME, episodes=100, seed=4)
+    agent_exit_curve(agent_a, agent_b, GAME, [0.0, 1.0], episodes=100, seed=5)
+
+
 _SMALL_GAME = GameSpec(rows=2, cols=3, k=2)
 _SMALL_KEYS = _reachable_keys(_SMALL_GAME)
 # exact ties, ties within _TIE_TOL and clear gaps
@@ -467,19 +507,24 @@ def frozen_agent_pairs(draw):
     return game, agents[0], agents[1]
 
 
+# the walkers take a numpy Generator or the library's own stream
+STREAMS = [pytest.param(np.random.default_rng, id="generator"),
+           pytest.param(_Draws, id="draws")]
+
+
 class TestFrozenPasses:
     """Frozen passes work out each state's ties once and draw only when
     there is a choice; they must match a reference that does neither."""
 
+    @pytest.mark.parametrize("stream", STREAMS)
     @settings(max_examples=40, deadline=None)
     @given(pair=frozen_agent_pairs(), epsilon=st.sampled_from([0.0, 0.1, 1.0]),
            seed=st.integers(0, 2**32 - 1))
-    def test_evaluate_matches_reference(self, pair, epsilon, seed):
+    def test_evaluate_matches_reference(self, stream, pair, epsilon, seed):
         game, agent_a, agent_b = pair
         table = StateTable(game)
-        ev = _evaluate(agent_a, agent_b, table, 60, np.random.default_rng(seed), epsilon)
-        expected = ref_evaluate(agent_a, agent_b, table, 60, np.random.default_rng(seed),
-                                epsilon)
+        ev = _evaluate(agent_a, agent_b, table, 60, stream(seed), epsilon)
+        expected = ref_evaluate(agent_a, agent_b, table, 60, stream(seed), epsilon)
         assert (ev.outcomes, ev.predicted_b, ev.actual_b, ev.predicted_a,
                 ev.actual_a) == expected
 
@@ -494,17 +539,18 @@ class TestFrozenPasses:
 
 
 class TestTrainingEpisode:
+    @pytest.mark.parametrize("stream", STREAMS)
     @settings(max_examples=40, deadline=None)
     @given(pair=frozen_agent_pairs(), epsilon=st.sampled_from([0.0, 0.1, 1.0]),
            step_size=st.sampled_from([0.25, 1.0]), seed=st.integers(0, 2**32 - 1))
-    def test_updating_after_the_game_matches_updating_online(self, pair, epsilon,
+    def test_updating_after_the_game_matches_updating_online(self, stream, pair, epsilon,
                                                              step_size, seed):
         game, agent_a, agent_b = pair
         for agent in (agent_a, agent_b):
             agent.epsilon, agent.step_size = epsilon, step_size
         ref_a, ref_b = copy.deepcopy(agent_a), copy.deepcopy(agent_b)
         table = StateTable(game)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, ref_rng = stream(seed), stream(seed)
         for _ in range(5):
             outcome = _training_episode(agent_a, agent_b, table, rng)
             assert outcome == ref_training_episode(ref_a, ref_b, table, ref_rng)
@@ -557,6 +603,7 @@ class TestSnapshots:
         ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nO ....A....:B 1:1"),
         ("epsilon 0.1\n", "epsilon 0.1\nepsilon 0.2\n"),
         ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nP .........:A 0:1.0"),  # no P tag
+        ("0.75", "-1.0000000000000002"),  # a value TD(0) cannot reach
     ])
     def test_malformed_snapshot_raises_validation_error(self, old, new):
         text = "\n".join([
@@ -576,8 +623,7 @@ class TestSnapshots:
     @settings(max_examples=100, deadline=None)
     @given(role=st.sampled_from("AB"),
            rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-           value=st.dictionaries(st.sampled_from(_REACHABLE_KEYS),
-                                 st.floats(allow_nan=False, allow_infinity=False)),
+           value=st.dictionaries(st.sampled_from(_REACHABLE_KEYS), st.floats(-1.0, 1.0)),
            counts=st.dictionaries(st.sampled_from(_REACHABLE_KEYS),
                                   st.lists(st.integers(0, 2**40), min_size=9, max_size=9)))
     @example(role="B", rates=(0.25, 0.1), value={}, counts={"....A....:B": [0] * 9})
