@@ -15,6 +15,7 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -209,21 +210,26 @@ def mi_from_llrs(block: LlrBlock) -> MutualInfo:
     return MutualInfo(_llr_information(block.llrs, block.truth), "normalized")
 
 
-_LEGGAUSS_NODES, _LEGGAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@lru_cache(maxsize=1)
+def _leggauss_16():
+    """16-point Gauss-Legendre nodes and weights, made on first use:
+    ``np.polynomial`` is not imported by ``import numpy``."""
+    return np.polynomial.legendre.leggauss(16)
 
 
 def _gaussian_softplus_expectation(mu: float, sigma: float, panels: int) -> float:
     # E[ln(1 + e^-L)] for L ~ N(mu, sigma^2), composite Gauss-Legendre
     # over mu +- 10 sigma (tail mass beyond that is ~1e-22 of the value)
+    leg_nodes, leg_weights = _leggauss_16()
     edges = np.linspace(mu - 10.0 * sigma, mu + 10.0 * sigma, panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     centers = edges[:-1] + half
-    nodes = centers[:, None] + half * _LEGGAUSS_NODES[None, :]
+    nodes = centers[:, None] + half * leg_nodes[None, :]
     pdf = np.exp(-((nodes - mu) ** 2) / (2.0 * sigma * sigma)) / (
         sigma * np.sqrt(2.0 * np.pi)
     )
     vals = pdf * np.logaddexp(0.0, -nodes)
-    return float((vals @ _LEGGAUSS_WEIGHTS).sum() * half)
+    return float((vals @ leg_weights).sum() * half)
 
 
 def j_function(sigma: float) -> float:

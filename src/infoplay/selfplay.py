@@ -92,9 +92,8 @@ class _Draws:
 
 
 def _pick(options, rng):
-    """A uniform draw from ``options``.  A single option takes no draw:
-    numpy's ``integers(1)`` reads no bits, so skipping it moves no later
-    draw of the stream."""
+    """A uniform draw from ``options``; one option takes no draw, as in
+    ``_play_episode``."""
     return options[rng.integers(len(options))] if len(options) > 1 else options[0]
 
 
@@ -104,10 +103,11 @@ class AgentModel:
 
     ``value`` maps afterstate keys to expected outcome in [-1, 1] from
     this agent's perspective.  ``opponent_counts`` maps decision-state
-    keys to observed opponent move counts; the binned prediction used for
-    MI measurement is the count argmax (an unvisited state yields an
-    uninformed guess over the whole board, since a fresh internal channel
-    carries no information, not even cell occupancy).
+    keys to observed opponent move counts, a list of one int per cell; the
+    binned prediction used for MI measurement is the count argmax (an
+    unvisited state yields an uninformed guess over the whole board, since
+    a fresh internal channel carries no information, not even cell
+    occupancy).
     """
 
     role: str
@@ -124,43 +124,11 @@ class AgentModel:
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValidationError("epsilon must lie in [0, 1]")
 
-    # -- policy ------------------------------------------------------
-
-    def _greedy(self, table: StateTable, sid: int) -> list[int]:
-        """Positions in ``table.moves[sid]`` of the best afterstates."""
-        value, keys = self.value, table.keys
-        vals = [value.get(keys[kid], 0.0) for kid in table.children(sid)]
-        best = max(vals)
-        return [i for i, v in enumerate(vals) if v >= best - _TIE_TOL]
-
-    def _choose(self, table: StateTable, sid: int, rng, epsilon: float | None = None,
-                memo: dict | None = None) -> int:
-        """Epsilon-greedy choice at state ``sid``, as a position in
-        ``table.moves[sid]``; greedy ties are broken uniformly.  ``memo``
-        (state id -> greedy ties) serves a pass in which this agent is
-        frozen, so its ties at a state are worked out once."""
-        eps = self.epsilon if epsilon is None else epsilon
-        if eps > 0.0 and rng.random() < eps:
-            return _pick(range(len(table.moves[sid])), rng)
-        if memo is None:
-            ties = self._greedy(table, sid)
-        elif (ties := memo.get(sid)) is None:
-            ties = memo[sid] = self._greedy(table, sid)
-        return _pick(ties, rng)
-
     # -- internal channel (opponent model) ----------------------------
-
-    def _observe(self, key: str, move: int, cells: int):
-        counts = self.opponent_counts.get(key)
-        if counts is None:
-            counts = np.zeros(cells, dtype=np.int64)
-            self.opponent_counts[key] = counts
-        counts[move] += 1
 
     def _prediction_ties(self, key: str, cells: int):
         """The moves with the top count at ``key``, or the whole board."""
-        counts = self.opponent_counts.get(key)
-        counts = [] if counts is None else counts.tolist()
+        counts = self.opponent_counts.get(key, ())
         top = max(counts, default=0)
         if top == 0:
             return range(cells)  # uninformed guess
@@ -192,17 +160,41 @@ def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, r
                   epsilon: float | None = None, memo: dict | None = None) -> tuple[list, int]:
     """One game between two agents on ``table``: the (state id, move) of
     every decision, in order, and the id of the final state.  Every game
-    the agents play with each other is played here.  ``memo`` holds the
-    greedy ties of frozen agents (see ``AgentModel._choose``); the state
-    fixes the player to move, so one dict serves both."""
+    the agents play with each other is played here.
+
+    Each move is epsilon-greedy (``epsilon`` overrides both agents' own
+    rate): with probability epsilon a uniform legal move, otherwise a
+    uniform pick among the afterstates whose value lies within
+    ``_TIE_TOL`` of the best.  A pick among one option takes no draw:
+    numpy's ``integers(1)`` reads no bits, so skipping it moves no later
+    draw of the stream.  ``memo`` (state id -> greedy ties) serves a pass
+    in which both agents are frozen, so each state's ties are worked out
+    once; the state fixes the player to move, so one dict serves both."""
+    random, integers = rng.random, rng.integers
+    states, keys, moves, children = table.states, table.keys, table.moves, table.children
+    value_a, value_b = agent_a.value, agent_b.value
+    eps_a = agent_a.epsilon if epsilon is None else epsilon
+    eps_b = agent_b.epsilon if epsilon is None else epsilon
     sid = table.root
     path = []
-    states, moves, children = table.states, table.moves, table.children
-    while moves[sid]:
-        agent = agent_a if states[sid].to_move == PLAYER_A else agent_b
-        i = agent._choose(table, sid, rng, epsilon, memo)
-        path.append((sid, moves[sid][i]))
-        sid = children(sid)[i]
+    while options := moves[sid]:
+        kids = children(sid)
+        if states[sid].to_move == PLAYER_A:
+            value, eps = value_a, eps_a
+        else:
+            value, eps = value_b, eps_b
+        if eps > 0.0 and random() < eps:
+            i = integers(len(options)) if len(options) > 1 else 0
+        else:
+            if memo is None or (ties := memo.get(sid)) is None:
+                vals = [value.get(keys[kid], 0.0) for kid in kids]
+                floor = max(vals) - _TIE_TOL
+                ties = [i for i, v in enumerate(vals) if v >= floor]
+                if memo is not None:
+                    memo[sid] = ties
+            i = ties[integers(len(ties))] if len(ties) > 1 else ties[0]
+        path.append((sid, options[i]))
+        sid = kids[i]
     return path, sid
 
 
@@ -219,15 +211,19 @@ def _training_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTabl
     for (sid, move), after in zip(path, afters):
         after_key = keys[after]
         if states[sid].to_move == PLAYER_A:
-            agent_b._observe(keys[sid], move, cells)
+            observed = agent_b.opponent_counts
             if last_a is not None:
                 agent_a.td_update(last_a, agent_a.value.get(after_key, 0.0))
             last_a = after_key
         else:
-            agent_a._observe(keys[sid], move, cells)
+            observed = agent_a.opponent_counts
             if last_b is not None:
                 agent_b.td_update(last_b, agent_b.value.get(after_key, 0.0))
             last_b = after_key
+        counts = observed.get(keys[sid])
+        if counts is None:
+            counts = observed[keys[sid]] = [0] * cells
+        counts[move] += 1
     outcome = states[final].status
     if last_a is not None:
         agent_a.td_update(last_a, agent_a.reward(outcome))
@@ -550,7 +546,7 @@ def agent_to_text(agent: AgentModel, game: GameSpec) -> str:
         lines.append(f"V {key} {agent.value[key]!r}")
     for key in sorted(agent.opponent_counts):
         counts = agent.opponent_counts[key]
-        packed = ",".join(f"{m}:{int(c)}" for m, c in enumerate(counts) if c)
+        packed = ",".join(f"{m}:{c}" for m, c in enumerate(counts) if c)
         lines.append(f"O {key} {packed}")
     return "\n".join(lines) + "\n"
 
@@ -571,9 +567,9 @@ def _snapshot_key(key: str, game: GameSpec) -> str:
 _COUNT_MAX = np.iinfo(np.int64).max
 
 
-def _snapshot_counts(packed: str, cells: int) -> np.ndarray:
+def _snapshot_counts(packed: str, cells: int) -> list[int]:
     """Parse ``move:count,...``; an empty list (all counts zero) is allowed."""
-    arr = np.zeros(cells, dtype=np.int64)
+    counts = [0] * cells
     seen = set()
     for item in packed.split(",") if packed else ():
         m, _, c = item.partition(":")
@@ -586,8 +582,8 @@ def _snapshot_counts(packed: str, cells: int) -> np.ndarray:
         if move in seen:
             raise ValidationError(f"opponent count {item!r} repeats move {move}")
         seen.add(move)
-        arr[move] = count
-    return arr
+        counts[move] = count
+    return counts
 
 
 def _snapshot_float(name: str, text: str) -> float:
@@ -613,7 +609,7 @@ def agent_from_text(text: str, game: GameSpec) -> AgentModel:
         raise ValidationError("not an infoplay agent snapshot (bad header)")
     fields: dict[str, str] = {}
     value: dict[str, float] = {}
-    counts: dict[str, np.ndarray] = {}
+    counts: dict[str, list[int]] = {}
     for line in lines[1:]:
         tag, _, rest = line.partition(" ")
         if tag == "V":

@@ -250,6 +250,16 @@ class ChannelModel:
             raise ValidationError("BSC flip probability must lie in [0, 0.5]")
         if not (0.0 < self.rate <= 1.0):
             raise ValidationError("code rate must lie in (0, 1]")
+        if self.kind == AWGN_BPSK:
+            # beyond about +-3000 dB the variance, or the LLR scale 2 / var,
+            # leaves the normal float range
+            try:
+                variance = self.noise_variance()
+            except (OverflowError, ZeroDivisionError):
+                variance = np.inf
+            if not np.finfo(float).tiny <= variance < np.inf:
+                raise ValidationError(
+                    f"Eb/N0 of {self.parameter!r} dB gives no usable noise variance")
 
     def noise_variance(self) -> float:
         if self.kind != AWGN_BPSK:

@@ -335,8 +335,13 @@ class TestMainEntry:
         ("agent-exit", {"agent_a": "missing.txt"}),
         ("selfplay", {"anneal_generations": -1}),
         ("agent-exit", {"agent_a": "b.txt", "agent_b": "a.txt"}),
+        ("turbo", {"ebn0_db": 4000}),  # Eb/N0 overflows a float
+        ("turbo", {"ebn0_db": -4000}),  # Eb/N0 underflows to zero
+        ("exit", {"ebn0_db": 4000}),
+        ("exit", {"ebn0_db": -4000}),
     ], ids=["one-side-never-moves", "no-iterations", "negative-n-info", "missing-snapshot",
-            "negative-anneal", "swapped-snapshots"])
+            "negative-anneal", "swapped-snapshots", "turbo-ebn0-huge", "turbo-ebn0-tiny",
+            "exit-ebn0-huge", "exit-ebn0-tiny"])
     def test_unusable_config_exit_code(self, kind, overrides):
         assert run_main(kind, dict(SMALL_PARAMS[kind], **overrides)) == EXIT_CONFIG
 

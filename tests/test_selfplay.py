@@ -191,7 +191,7 @@ def fixed_line_agents(moves):
             agent_a.value[after.key()] = 1.0
         else:
             agent_b.value[after.key()] = 1.0
-            counts = np.zeros(GAME.cells, dtype=np.int64)
+            counts = [0] * GAME.cells
             counts[mv] = 5
             agent_a.opponent_counts[state.key()] = counts
         state = after
@@ -267,8 +267,7 @@ class TestLearn:
         r2, a2, b2 = learn(GAME, QUICK_CONFIG, seed=99)
         assert r1 == r2
         assert a1.value == a2.value
-        assert all(np.array_equal(a1.opponent_counts[k], a2.opponent_counts[k])
-                   for k in a1.opponent_counts)
+        assert a1.opponent_counts == a2.opponent_counts
 
     def test_stopping_rule_matches_reference_scan(self):
         records, _, _ = learn(GAME, QUICK_CONFIG, seed=424242)
@@ -412,11 +411,11 @@ def ref_choose(agent, table, sid, rng, epsilon):
 
 
 def ref_predict(agent, key, cells, rng):
-    counts = agent.opponent_counts.get(key)
-    if counts is None or counts.max() == 0:
+    counts = agent.opponent_counts.get(key, [0])
+    if max(counts) == 0:
         return int(rng.integers(cells))
-    ties = np.flatnonzero(counts == counts.max())
-    return int(ties[rng.integers(len(ties))])
+    ties = [move for move, count in enumerate(counts) if count == max(counts)]
+    return ties[rng.integers(len(ties))]
 
 
 def ref_play(agent_a, agent_b, table, rng, epsilon):
@@ -475,9 +474,10 @@ def ref_training_episode(agent_a, agent_b, table, rng):
     while table.moves[sid]:
         mover = states[sid].to_move
         agent, other = (agent_a, agent_b) if mover == "A" else (agent_b, agent_a)
-        i = agent._choose(table, sid, rng)
+        i = ref_choose(agent, table, sid, rng, agent.epsilon)
         after = table.children(sid)[i]
-        other._observe(keys[sid], table.moves[sid][i], cells)
+        counts = other.opponent_counts.setdefault(keys[sid], [0] * cells)
+        counts[table.moves[sid][i]] += 1
         if last_after[mover] is not None:
             agent.td_update(last_after[mover], agent.value.get(keys[after], 0.0))
         last_after[mover] = keys[after]
@@ -502,8 +502,7 @@ def frozen_agent_pairs(draw):
         counts = draw(st.dictionaries(
             keys, st.lists(st.integers(0, 2), min_size=game.cells, max_size=game.cells),
             max_size=40))
-        agents.append(AgentModel(role=role, value=value, opponent_counts={
-            k: np.array(c, dtype=np.int64) for k, c in counts.items()}))
+        agents.append(AgentModel(role=role, value=value, opponent_counts=counts))
     return game, agents[0], agents[1]
 
 
@@ -541,12 +540,14 @@ class TestFrozenPasses:
 class TestTrainingEpisode:
     @pytest.mark.parametrize("stream", STREAMS)
     @settings(max_examples=40, deadline=None)
-    @given(pair=frozen_agent_pairs(), epsilon=st.sampled_from([0.0, 0.1, 1.0]),
+    @given(pair=frozen_agent_pairs(),
+           epsilons=st.tuples(*[st.sampled_from([0.0, 0.1, 1.0])] * 2),
            step_size=st.sampled_from([0.25, 1.0]), seed=st.integers(0, 2**32 - 1))
-    def test_updating_after_the_game_matches_updating_online(self, stream, pair, epsilon,
+    def test_updating_after_the_game_matches_updating_online(self, stream, pair, epsilons,
                                                              step_size, seed):
+        # each agent explores at its own rate
         game, agent_a, agent_b = pair
-        for agent in (agent_a, agent_b):
+        for agent, epsilon in zip((agent_a, agent_b), epsilons):
             agent.epsilon, agent.step_size = epsilon, step_size
         ref_a, ref_b = copy.deepcopy(agent_a), copy.deepcopy(agent_b)
         table = StateTable(game)
@@ -556,8 +557,7 @@ class TestTrainingEpisode:
             assert outcome == ref_training_episode(ref_a, ref_b, table, ref_rng)
         for agent, ref in ((agent_a, ref_a), (agent_b, ref_b)):
             assert agent.value == ref.value
-            assert ({k: c.tolist() for k, c in agent.opponent_counts.items()}
-                    == {k: c.tolist() for k, c in ref.opponent_counts.items()})
+            assert agent.opponent_counts == ref.opponent_counts
 
 
 class TestSnapshots:
@@ -566,9 +566,7 @@ class TestSnapshots:
         text = agent_to_text(fa, GAME)
         clone = agent_from_text(text, GAME)
         assert clone.value == fa.value
-        assert set(clone.opponent_counts) == set(fa.opponent_counts)
-        for k in fa.opponent_counts:
-            np.testing.assert_array_equal(clone.opponent_counts[k], fa.opponent_counts[k])
+        assert clone.opponent_counts == fa.opponent_counts
         assert agent_to_text(clone, GAME) == text
 
     def test_header_and_game_checks(self):
@@ -629,14 +627,32 @@ class TestSnapshots:
     @example(role="B", rates=(0.25, 0.1), value={}, counts={"....A....:B": [0] * 9})
     def test_round_trip_property(self, role, rates, value, counts):
         agent = AgentModel(role=role, step_size=rates[0], epsilon=rates[1], value=value,
-                           opponent_counts={k: np.array(c, dtype=np.int64)
-                                            for k, c in counts.items()})
+                           opponent_counts=counts)
         text = agent_to_text(agent, GAME)
         clone = agent_from_text(text, GAME)
         assert agent_to_text(clone, GAME) == text
         assert (clone.role, clone.step_size, clone.epsilon) == (role, *rates)
         assert clone.value == value
-        assert {k: c.tolist() for k, c in clone.opponent_counts.items()} == counts
+        assert clone.opponent_counts == counts
+
+    @settings(max_examples=10, deadline=None)
+    @given(game=st.sampled_from([_SMALL_GAME, GAME]), seed=st.integers(0, 2**32 - 1),
+           episodes=st.integers(1, 60))
+    def test_counts_stay_int_lists_through_learn_and_snapshots(self, game, seed, episodes):
+        config = LearnConfig(generations=2, episodes_per_generation=episodes,
+                             eval_episodes=100)
+        _, agent_a, agent_b = learn(game, config, seed)
+        for agent in (agent_a, agent_b):
+            text = agent_to_text(agent, game)
+            clone = agent_from_text(text, game)
+            assert agent.opponent_counts  # each agent saw the other move
+            for model in (agent, clone):
+                for row in model.opponent_counts.values():
+                    assert type(row) is list and len(row) == game.cells
+                    assert all(type(count) is int for count in row)
+            assert clone.opponent_counts == agent.opponent_counts
+            assert clone.value == agent.value
+            assert agent_to_text(clone, game) == text
 
     def test_snapshot_keys_exhaustive(self):
         # a key is accepted exactly when its board has a reachable stone

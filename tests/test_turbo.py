@@ -179,6 +179,9 @@ class TestTransmit:
             ChannelModel(BSC, 0.6)
         with pytest.raises(ValidationError):
             ChannelModel("laplace", 1.0)
+        for ebn0_db in (4000.0, -4000.0):  # Eb/N0 overflows or underflows a float
+            with pytest.raises(ValidationError, match="noise variance"):
+                ChannelModel(AWGN_BPSK, ebn0_db, rate=1.0 / 3.0)
 
 
 def noisy_component_block(n_info, seed, ebn0_db=1.0):
