@@ -9,8 +9,6 @@ rate collapses; far below it, the exchange stalls and iterations stop
 helping.
 """
 
-import numpy as np
-
 from infoplay import simulate_turbo
 
 N_INFO = 1024
@@ -18,11 +16,10 @@ BLOCKS = 20
 ITERS = 8
 
 for ebn0_db in (2.0, 1.0, -5.0):
-    traces = simulate_turbo(N_INFO, ebn0_db, BLOCKS, max_iters=ITERS, seed=7)
+    trace = simulate_turbo(N_INFO, ebn0_db, BLOCKS, max_iters=ITERS, seed=7)
     print(f"\nEb/N0 = {ebn0_db:+.1f} dB ({BLOCKS} blocks of {N_INFO} bits)")
     print("iter   I_E(dec1)  I_E(dec2)   BER")
-    for it in range(1, ITERS + 1):
-        ie1 = np.mean([t.records[it - 1].i_e_dec1 for t in traces])
-        ie2 = np.mean([t.records[it - 1].i_e_dec2 for t in traces])
-        ber = np.mean([t.records[it - 1].ber for t in traces])
+    # mean over blocks, one row per iteration
+    means = zip(*(values.mean(axis=0) for values in trace))
+    for it, (ie1, ie2, ber) in enumerate(means, start=1):
         print(f"{it:3d}    {ie1:8.3f}   {ie2:8.3f}   {ber:.2e}")

@@ -50,14 +50,13 @@ from .turbo import (
     ChannelModel,
     Interleaver,
     RscCode,
-    TurboIterationTrace,
+    TurboTrace,
     bcjr_decode,
     random_interleaver,
     rsc_encode,
     s_random_interleaver,
     simulate_turbo,
     transmit,
-    turbo_decode,
     turbo_encode,
 )
 

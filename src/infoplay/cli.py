@@ -207,13 +207,13 @@ def _run_capacity(rc: ResolvedConfig, outdir: Path) -> dict:
 def _run_turbo(rc: ResolvedConfig, outdir: Path) -> dict:
     p = rc.params
     code = turbo_mod.RscCode(p["feedback"], p["feedforward"], p["memory"])
-    traces = turbo_mod.simulate_turbo(
+    trace = turbo_mod.simulate_turbo(
         n_info=p["n_info"], ebn0_db=p["ebn0_db"], n_blocks=p["blocks"],
         max_iters=p["iterations"], seed=rc.seed, code=code,
         interleaver_kind=p["interleaver"],
     )
-    (outdir / "turbo_trace.csv").write_text(turbo_mod.trace_csv(traces, seed=rc.seed))
-    final_ber = float(np.mean([t.records[-1].ber for t in traces]))
+    (outdir / "turbo_trace.csv").write_text(turbo_mod.trace_csv(trace, seed=rc.seed))
+    final_ber = float(trace.ber[:, -1].mean())
     return {"blocks": p["blocks"], "final_ber": final_ber}
 
 
@@ -244,8 +244,8 @@ def _run_selfplay(rc: ResolvedConfig, outdir: Path) -> dict:
     config = sp.LearnConfig(**{param.name: p[param.name] for param in _LEARN_PARAMS})
     records, agent_a, agent_b = sp.learn(game, config, seed=rc.seed)
     (outdir / "generations.csv").write_text(sp.generation_csv(records, seed=rc.seed))
-    (outdir / "agent_a.txt").write_text(sp.agent_to_text(agent_a, game))
-    (outdir / "agent_b.txt").write_text(sp.agent_to_text(agent_b, game))
+    sp.save_agent(agent_a, game, outdir / "agent_a.txt")
+    sp.save_agent(agent_b, game, outdir / "agent_b.txt")
     last = records[-1]
     return {
         "generations_run": len(records),
@@ -264,10 +264,8 @@ def _run_agent_exit(rc: ResolvedConfig, outdir: Path) -> dict:
                           f"{agent_b.role}; they must hold A and B")
     root = np.random.SeedSequence(rc.seed)
     seed_a, seed_b = root.spawn(2)
-    curve_a = sp.agent_exit_curve(agent_a, agent_b, game, p["ia_grid"],
-                                  p["episodes"], seed_a, label="agent-A")
-    curve_b = sp.agent_exit_curve(agent_b, agent_a, game, p["ia_grid"],
-                                  p["episodes"], seed_b, label="agent-B")
+    curve_a = sp.agent_exit_curve(agent_a, agent_b, game, p["ia_grid"], p["episodes"], seed_a)
+    curve_b = sp.agent_exit_curve(agent_b, agent_a, game, p["ia_grid"], p["episodes"], seed_b)
     report = exit_mod.tunnel_analysis(curve_a, curve_b)
     (outdir / "agent_exit_curves.csv").write_text(
         exit_mod.exit_curve_csv([curve_a, curve_b], seed=rc.seed)

@@ -278,6 +278,9 @@ class CrossMi:
 
 
 def _paired_mi(predicted, actual, cells: int) -> tuple[float, float]:
+    if cells < 2:
+        raise EstimationError("on a one-cell board a move carries no information "
+                              "to normalise by log2(cells)")
     counts = np.zeros((cells, cells), dtype=np.int64)
     np.add.at(counts, (np.asarray(predicted), np.asarray(actual)), 1)
     bits = mutual_information_plugin(JointCounts(counts)).value
@@ -471,7 +474,7 @@ def learn(game: GameSpec, config: LearnConfig, seed):
 
 
 def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
-                     ia_grid, episodes: int, seed, label: str = "") -> ExitCurve:
+                     ia_grid, episodes: int, seed) -> ExitCurve:
     """EXIT-like transfer curve of one agent's opponent prediction.
 
     A-priori information is injected by revealing the opponent's true next
@@ -510,10 +513,14 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
                 else:
                     predicted.append(agent._predict(table, sid, rng, prediction_ties))
                 actual.append(move)
+        if not actual:
+            raise EstimationError(
+                f"no {opponent.role} move to predict at I_A = {ia:g}: "
+                f"player {opponent.role} never moved in {episodes} games"
+            )
         _, i_e = _paired_mi(predicted, actual, game.cells)
         points.append((float(ia), i_e))
-    label = label or f"agent-{agent.role}"
-    return ExitCurve(points=tuple(points), label=label, mc_samples=episodes)
+    return ExitCurve(points=tuple(points), label=f"agent-{agent.role}", mc_samples=episodes)
 
 
 def generation_csv(records, seed: int | None = None) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -403,34 +404,14 @@ def bcjr_decode(
     return LlrBlock(app, truth), LlrBlock(extrinsic, truth)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    i_e_dec1: float
-    i_e_dec2: float
-    ber: float
+class TurboTrace(NamedTuple):
+    """Per block and iteration, as (blocks, iterations) arrays: the
+    information of each component decoder's extrinsic LLRs about the bits
+    it decodes, and the bit error rate after the iteration."""
 
-
-@dataclass(frozen=True)
-class TurboIterationTrace:
-    block: int
-    records: tuple
-
-    def __post_init__(self):
-        iters = [r.iteration for r in self.records]
-        if iters != sorted(set(iters)):
-            raise ValidationError("iteration indices must be strictly increasing")
-        for r in self.records:
-            # a single block below the pinch-off SNR can measure ber
-            # slightly above the 0.5 coin-flip mean, so only [0, 1] is hard
-            if not (0.0 <= r.ber <= 1.0 and 0.0 <= r.i_e_dec1 <= 1.0 and 0.0 <= r.i_e_dec2 <= 1.0):
-                raise ValidationError("trace fields out of range")
-
-    def ber_at(self, iteration: int) -> float:
-        for r in self.records:
-            if r.iteration == iteration:
-                return r.ber
-        raise KeyError(iteration)
+    i_e_dec1: np.ndarray
+    i_e_dec2: np.ndarray
+    ber: np.ndarray
 
 
 def turbo_encode(bits, code: RscCode, interleaver: Interleaver) -> np.ndarray:
@@ -446,69 +427,27 @@ def turbo_encode(bits, code: RscCode, interleaver: Interleaver) -> np.ndarray:
     return np.concatenate([sys1, par1, par2], axis=-1)
 
 
-def _split_llrs(rx: LlrBlock, n: int, m: int):
-    lens = (n + m, n + m, n)
-    if len(rx) != sum(lens):
-        raise ValidationError(f"expected {sum(lens)} received LLRs, got {len(rx)}")
-    edges = np.cumsum((0,) + lens)
-    return tuple(
-        LlrBlock(rx.llrs[a:b], rx.truth[a:b]) for a, b in zip(edges[:-1], edges[1:])
-    )
-
-
-def _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters):
-    """Shared batched loop: returns (records per iteration per block, decoded bits)."""
+def _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters) -> TurboTrace:
+    """The turbo loop over a batch of blocks: (B, ·) channel LLRs of the
+    three streams and the (B, N) information bits they carry."""
     batch, _ = ls.shape
     n = len(interleaver)
     ls_inner = interleaver.interleave(ls[:, :n])
     truth_inner = interleaver.interleave(truth)
     ext2_outer = np.zeros((batch, n))
-    history = []
-    decoded = None
-    for it in range(1, max_iters + 1):
+    trace = TurboTrace(*np.empty((3, batch, max_iters)))
+    for it in range(max_iters):
         app1 = _bcjr_batch(ls, lp1, ext2_outer, code, terminated=True)
         ext1 = np.clip(app1 - ext2_outer - ls[:, :n], -LLR_CLAMP, LLR_CLAMP)
         la2 = interleaver.interleave(ext1)
         app2 = _bcjr_batch(ls_inner, lp2, la2, code, terminated=False)
         ext2 = np.clip(app2 - la2 - ls_inner, -LLR_CLAMP, LLR_CLAMP)
         ext2_outer = interleaver.deinterleave(ext2)
-        decoded = (interleaver.deinterleave(app2) < 0).astype(np.int8)
-        rows = zip(_llr_information(ext1, truth), _llr_information(ext2, truth_inner),
-                   (decoded != truth).mean(axis=1).tolist())
-        history.append([IterationRecord(iteration=it, i_e_dec1=i1, i_e_dec2=i2, ber=ber)
-                        for i1, i2, ber in rows])
-    return history, decoded
-
-
-def turbo_decode(
-    received: LlrBlock,
-    interleaver: Interleaver,
-    code: RscCode,
-    max_iters: int = 8,
-):
-    """Iteratively decode one received rate-1/3 block.
-
-    ``received`` holds the channel LLRs for [systematic | parity1 |
-    parity2] as produced by transmitting ``turbo_encode``'s codeword.
-    Returns (TurboIterationTrace, decoded info bits); BER in the trace is
-    measured on information bits only, against the truth carried by the
-    block.
-    """
-    if max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
-    n, m = len(interleaver), code.memory
-    rx_sys, rx_par1, rx_par2 = _split_llrs(received, n, m)
-    history, decoded = _turbo_iterations(
-        rx_sys.llrs[None, :],
-        rx_par1.llrs[None, :],
-        rx_par2.llrs[None, :],
-        rx_sys.truth[None, :n],
-        interleaver,
-        code,
-        max_iters,
-    )
-    trace = TurboIterationTrace(block=0, records=tuple(rows[0] for rows in history))
-    return trace, decoded[0]
+        trace.i_e_dec1[:, it] = _llr_information(ext1, truth)
+        trace.i_e_dec2[:, it] = _llr_information(ext2, truth_inner)
+        # decisions on the second decoder's a-posteriori LLRs, in its order
+        trace.ber[:, it] = ((app2 < 0) != truth_inner).mean(axis=1)
+    return trace
 
 
 def simulate_turbo(
@@ -519,12 +458,12 @@ def simulate_turbo(
     seed,
     code: RscCode = RscCode(),
     interleaver_kind: str = "uniform",
-) -> list[TurboIterationTrace]:
+) -> TurboTrace:
     """Encode, transmit, and decode ``n_blocks`` independent blocks over an
     AWGN channel at the given Eb/N0, decoding all blocks in one batch.
 
-    Traces come back in block order; the per-block results are identical
-    to running ``turbo_decode`` on each block alone.
+    Row b of the trace is block b; each row is identical to decoding that
+    block alone, because blocks never mix.
     """
     if min(n_info, n_blocks, max_iters) < 1:
         raise ValidationError("n_info, n_blocks and max_iters must each be >= 1")
@@ -543,28 +482,24 @@ def simulate_turbo(
     for b in range(n_blocks):
         truth[b] = bit_rng.integers(0, 2, n_info)
     words = turbo_encode(truth, code, interleaver)
-    ls = np.empty((n_blocks, n_info + code.memory))
-    lp1 = np.empty_like(ls)
-    lp2 = np.empty((n_blocks, n_info))
+    llrs = np.empty(words.shape)
     for b, ss in enumerate(ss_noise.spawn(n_blocks)):
-        rx = transmit(words[b], channel, ss)
-        rx_sys, rx_par1, rx_par2 = _split_llrs(rx, n_info, code.memory)
-        ls[b], lp1[b], lp2[b] = rx_sys.llrs, rx_par1.llrs, rx_par2.llrs
-    history, _ = _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters)
-    return [
-        TurboIterationTrace(block=b, records=tuple(rows[b] for rows in history))
-        for b in range(n_blocks)
-    ]
+        llrs[b] = transmit(words[b], channel, ss).llrs
+    # [systematic | parity1 | parity2]: the first two carry the tail
+    k = n_info + code.memory
+    ls, lp1, lp2 = np.split(llrs, [k, 2 * k], axis=1)
+    return _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters)
 
 
-def trace_csv(traces, seed: int | None = None) -> str:
+def trace_csv(trace: TurboTrace, seed: int | None = None) -> str:
     lines = []
     if seed is not None:
         lines.append(f"# seed={seed}")
     lines.append("block,iteration,i_e_dec1,i_e_dec2,ber")
-    for trace in traces:
-        for r in trace.records:
+    i_e_dec1, i_e_dec2, ber = (values.tolist() for values in trace)
+    for b, row in enumerate(ber):
+        for it in range(len(row)):
             lines.append(
-                f"{trace.block},{r.iteration},{r.i_e_dec1:.10g},{r.i_e_dec2:.10g},{r.ber:.10g}"
+                f"{b},{it + 1},{i_e_dec1[b][it]:.10g},{i_e_dec2[b][it]:.10g},{row[it]:.10g}"
             )
     return "\n".join(lines) + "\n"

@@ -96,11 +96,8 @@ def test_criterion_5_turbo_waterfall():
         t0 = time.perf_counter()
         ber = {}
         for ebn0 in (2.0, 0.5):
-            traces = simulate_turbo(1024, ebn0, 100, max_iters=8, seed=20240810)
-            ber[ebn0] = {
-                1: float(np.mean([t.ber_at(1) for t in traces])),
-                8: float(np.mean([t.ber_at(8) for t in traces])),
-            }
+            trace = simulate_turbo(1024, ebn0, 100, max_iters=8, seed=20240810)
+            ber[ebn0] = {1: float(trace.ber[:, 0].mean()), 8: float(trace.ber[:, 7].mean())}
         assert ber[2.0][8] <= ber[2.0][1]
         assert ber[2.0][8] < ber[0.5][8]
         assert time.perf_counter() - t0 < 300.0

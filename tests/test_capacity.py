@@ -191,6 +191,16 @@ class TestCapacityBounds:
         game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
         assert capacity_bounds(game).exact_log2_states == pytest.approx(1.0, abs=1e-12)
 
+    def test_huge_board_bounds_in_constant_memory(self):
+        # log2(cells!) for 1e10 cells, which an array of its terms could not hold
+        t0 = time.perf_counter()
+        bound = capacity_bounds(GameSpec(rows=100_000, cols=100_000))
+        assert time.perf_counter() - t0 < 0.5
+        assert bound.exact_states is None and bound.exact_log2_states is None
+        n = 100_000 ** 2
+        low = n * math.log2(n / math.e)
+        assert low <= bound.upper_move_orderings <= low + math.log2(n) + 2
+
     def test_exact_below_labeling_bound(self):
         for game in (tic_tac_toe(), GameSpec(rows=2, cols=3, k=2),
                      GameSpec(rows=3, cols=3, win_condition=BOARD_FULL_SCORING, k=None)):

@@ -328,6 +328,25 @@ class TestMainEntry:
         assert "config error" in err and "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_side_that_never_moves_exit_code(self, tmp_path, capsys):
+        # on 1x1-k1 A's first stone wins, so agent A has no B move to predict
+        for role in "AB":
+            (tmp_path / f"{role}.txt").write_text(
+                f"# infoplay-agent-v2\nrole {role}\ngame 1x1-k1\nstep_size 0.25\nepsilon 0.1\n")
+        cfg = write_config(tmp_path / "ae.ini", "agent-exit",
+                           {"agent_a": "A.txt", "agent_b": "B.txt",
+                            "rows": 1, "cols": 1, "k": 1, "episodes": 100})
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "never moved" in err and "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_huge_board_capacity_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", "capacity", {"rows": 100_000, "cols": 100_000})
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+        row = (tmp_path / "out" / "capacity" / "capacity.csv").read_text().splitlines()[-1]
+        assert row.startswith("100000x100000-k3,,,")
+
     @pytest.mark.parametrize("kind,overrides", [
         ("selfplay", {"rows": 2, "cols": 1, "k": 1}),  # B never moves: no MI estimate
         ("turbo", {"iterations": 0}),

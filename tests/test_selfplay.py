@@ -339,6 +339,17 @@ class TestAgentExitCurve:
         with pytest.raises(ValidationError):
             agent_exit_curve(a1, a2, GAME, [0.0, 1.0], episodes=100, seed=1)
 
+    def test_side_that_never_moves_raises_estimation_error(self):
+        # on 1x1-k1 A's first stone wins: B never moves, so A's curve pools
+        # no move, and B's has one cell to normalise by
+        game = GameSpec(rows=1, cols=1, k=1)
+        a, b = (agent_from_text(f"# infoplay-agent-v2\nrole {role}\ngame 1x1-k1\n"
+                                "step_size 0.25\nepsilon 0.1\n", game) for role in "AB")
+        with pytest.raises(EstimationError, match="no B move"):
+            agent_exit_curve(a, b, game, [0.0, 1.0], episodes=100, seed=1)
+        with pytest.raises(EstimationError, match="one-cell board"):
+            agent_exit_curve(b, a, game, [0.0, 1.0], episodes=100, seed=1)
+
 
 def test_numpy_integers_of_one_reads_no_bits():
     # self-play skips the draw when there is one option; that moves no later

@@ -24,7 +24,6 @@ from infoplay.turbo import (
     simulate_turbo,
     trace_csv,
     transmit,
-    turbo_decode,
     turbo_encode,
 )
 
@@ -339,51 +338,66 @@ def transmit_turbo_blocks(n_info, ebn0_db, n_blocks, seed):
     return interleaver, out
 
 
+def decode_blocks(blocks, interleaver, max_iters):
+    """``_turbo_iterations`` on received rate-1/3 blocks, decoded as one batch."""
+    k = len(interleaver) + CODE75.memory
+    llrs = np.stack([rx.llrs for rx in blocks])
+    truth = np.stack([rx.truth[:len(interleaver)] for rx in blocks])
+    return turbo._turbo_iterations(llrs[:, :k], llrs[:, k:2 * k], llrs[:, 2 * k:], truth,
+                                   interleaver, CODE75, max_iters)
+
+
 class TestTurboDecode:
-    def test_noiseless_zero_ber_first_iteration(self):
+    def test_noiseless_zero_ber_every_iteration(self):
         interleaver, blocks = transmit_turbo_blocks(128, 40.0, 1, seed=21)
-        trace, decoded = turbo_decode(blocks[0], interleaver, CODE75, max_iters=2)
-        assert trace.ber_at(1) == 0.0
-        np.testing.assert_array_equal(decoded, blocks[0].truth[:128])
+        trace = decode_blocks(blocks, interleaver, max_iters=2)
+        assert trace.ber.shape == (1, 2)
+        assert (trace.ber == 0.0).all()
 
     def test_iterations_reduce_ber_at_2db(self):
-        traces = simulate_turbo(1024, 2.0, 20, max_iters=8, seed=22)
-        first = np.mean([t.ber_at(1) for t in traces])
-        last = np.mean([t.ber_at(8) for t in traces])
+        trace = simulate_turbo(1024, 2.0, 20, max_iters=8, seed=22)
+        first = np.mean(trace.ber[:, 0])
+        last = np.mean(trace.ber[:, 7])
         assert last <= first
         assert last <= 1e-3
 
     def test_monotone_extrinsic_growth_in_waterfall(self):
-        traces = simulate_turbo(1024, 2.0, 10, max_iters=8, seed=23)
-        ie1 = np.array([[r.i_e_dec1 for r in t.records] for t in traces]).mean(axis=0)
+        trace = simulate_turbo(1024, 2.0, 10, max_iters=8, seed=23)
+        ie1 = trace.i_e_dec1.mean(axis=0)
         assert all(b >= a - 0.01 for a, b in zip(ie1, ie1[1:]))
 
     def test_pinched_regime_at_minus_5db(self):
-        traces = simulate_turbo(1024, -5.0, 10, max_iters=8, seed=24)
-        ie1 = np.array([[r.i_e_dec1 for r in t.records] for t in traces]).mean(axis=0)
-        ber = np.mean([t.ber_at(8) for t in traces])
+        trace = simulate_turbo(1024, -5.0, 10, max_iters=8, seed=24)
+        ie1 = trace.i_e_dec1.mean(axis=0)
+        ber = np.mean(trace.ber[:, 7])
         assert ie1.max() < 0.5
         assert ber > 0.1
 
     def test_batch_matches_single_block_decode(self):
-        traces = simulate_turbo(64, 1.0, 3, max_iters=4, seed=25)
-        # re-derive the exact same blocks and decode them one at a time
+        trace = simulate_turbo(64, 1.0, 3, max_iters=4, seed=25)
+        assert trace.ber.shape == (3, 4)
+        # re-derive the exact same blocks and decode them together and one
+        # at a time
         root = np.random.SeedSequence(25)
         ss_perm, ss_bits, ss_noise = root.spawn(3)
         interleaver = random_interleaver(64, ss_perm)
         channel = ChannelModel(AWGN_BPSK, 1.0, rate=1.0 / 3.0)
         bit_rng = np.random.default_rng(ss_bits)
-        for b, ss in enumerate(ss_noise.spawn(3)):
+        blocks = []
+        for ss in ss_noise.spawn(3):
             bits = bit_rng.integers(0, 2, 64)
             cw = turbo_encode(bits, CODE75, interleaver)
-            rx = transmit(cw, channel, ss)
-            trace, _ = turbo_decode(rx, interleaver, CODE75, max_iters=4)
-            for got, ref in zip(traces[b].records, trace.records):
-                assert got == ref
+            blocks.append(transmit(cw, channel, ss))
+        for got, ref in zip(trace, decode_blocks(blocks, interleaver, max_iters=4)):
+            assert np.array_equal(got, ref)
+        for b, rx in enumerate(blocks):
+            alone = decode_blocks([rx], interleaver, max_iters=4)
+            for got, ref in zip(trace, alone):
+                assert np.array_equal(got[b], ref[0])
 
     def test_trace_csv_format(self):
-        traces = simulate_turbo(32, 3.0, 2, max_iters=2, seed=26)
-        text = trace_csv(traces, seed=26)
+        trace = simulate_turbo(32, 3.0, 2, max_iters=2, seed=26)
+        text = trace_csv(trace, seed=26)
         lines = text.strip().split("\n")
         assert lines[0] == "# seed=26"
         assert lines[1] == "block,iteration,i_e_dec1,i_e_dec2,ber"
