@@ -11,11 +11,15 @@ per (input bit, parity bit) pair, and advances the forward and backward
 recursions together in one loop over the steps, as one stacked state.
 Both recursions operate on a batch axis so independent blocks decode
 together; results are identical to decoding each block alone because
-blocks never mix.
+blocks never mix.  For the same reason a large batch is decoded as two
+row halves at once, one on a short-lived worker thread, when the process
+may run on two or more CPUs; the result is bit-identical to one pass.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -26,11 +30,16 @@ from .entropy import LLR_CLAMP, LlrBlock, _llr_information, _seed_sequence
 from .errors import NumericalContractError, ValidationError
 
 AWGN_BPSK = "awgn_bpsk"
-BSC = "bsc"
 
 _NEG_INF = -np.inf
 # float64 elements per run of steps in the a-posteriori pass (192 KiB)
 _APP_RUN_ELEMENTS = 24_576
+# numpy releases the GIL inside a ufunc loop only above this many
+# elements, so the two row halves of _bcjr_batch run at once only when
+# each half's per-step logaddexp, (B // 2) * 2 * states elements, exceeds
+# it: from 126 rows for a memory-2 code.  Smaller batches stay on one
+# thread, where a split is slower.
+_GIL_RELEASE_ELEMENTS = 500
 
 
 def _parity(x: int) -> int:
@@ -232,10 +241,9 @@ def s_random_interleaver(n: int, seed, s: int | None = None, max_tries: int = 10
 class ChannelModel:
     """A memoryless binary-input channel.
 
-    ``awgn_bpsk``: parameter is Eb/N0 in dB; the noise variance also
-    depends on the code rate of the transmitted stream, so ``rate`` must
-    be set to the overall code rate (1.0 for uncoded).
-    ``bsc``: parameter is the flip probability in [0, 0.5].
+    The one kind is ``awgn_bpsk``: parameter is Eb/N0 in dB; the noise
+    variance also depends on the code rate of the transmitted stream, so
+    ``rate`` must be set to the overall code rate (1.0 for uncoded).
     """
 
     kind: str
@@ -243,28 +251,23 @@ class ChannelModel:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (AWGN_BPSK, BSC):
+        if self.kind != AWGN_BPSK:
             raise ValidationError(f"unknown channel kind {self.kind!r}")
         if not np.isfinite(self.parameter):
             raise ValidationError("channel parameter must be finite")
-        if self.kind == BSC and not (0.0 <= self.parameter <= 0.5):
-            raise ValidationError("BSC flip probability must lie in [0, 0.5]")
         if not (0.0 < self.rate <= 1.0):
             raise ValidationError("code rate must lie in (0, 1]")
-        if self.kind == AWGN_BPSK:
-            # beyond about +-3000 dB the variance, or the LLR scale 2 / var,
-            # leaves the normal float range
-            try:
-                variance = self.noise_variance()
-            except (OverflowError, ZeroDivisionError):
-                variance = np.inf
-            if not np.finfo(float).tiny <= variance < np.inf:
-                raise ValidationError(
-                    f"Eb/N0 of {self.parameter!r} dB gives no usable noise variance")
+        # beyond about +-3000 dB the variance, or the LLR scale 2 / var,
+        # leaves the normal float range
+        try:
+            variance = self.noise_variance()
+        except (OverflowError, ZeroDivisionError):
+            variance = np.inf
+        if not np.finfo(float).tiny <= variance < np.inf:
+            raise ValidationError(
+                f"Eb/N0 of {self.parameter!r} dB gives no usable noise variance")
 
     def noise_variance(self) -> float:
-        if self.kind != AWGN_BPSK:
-            raise ValidationError("noise variance is defined for AWGN only")
         ebn0 = 10.0 ** (self.parameter / 10.0)
         return 1.0 / (2.0 * self.rate * ebn0)
 
@@ -279,16 +282,9 @@ def transmit(symbols, channel: ChannelModel, seed) -> LlrBlock:
         raise ValidationError("symbols must be 0/1")
     rng = np.random.default_rng(seed)
     x = 1.0 - 2.0 * bits
-    if channel.kind == AWGN_BPSK:
-        var = channel.noise_variance()
-        y = x + rng.normal(0.0, np.sqrt(var), size=bits.size)
-        llrs = 2.0 * y / var
-    else:
-        p = channel.parameter
-        received = np.where(rng.random(bits.size) < p, 1 - bits, bits)
-        magnitude = LLR_CLAMP if p == 0.0 else np.log((1.0 - p) / p)
-        llrs = (1.0 - 2.0 * received) * magnitude
-    return LlrBlock(llrs, bits)
+    var = channel.noise_variance()
+    y = x + rng.normal(0.0, np.sqrt(var), size=bits.size)
+    return LlrBlock(2.0 * y / var, bits)
 
 
 def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True):
@@ -298,6 +294,59 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
     counting tail steps when terminated; la: (B, N) a-priori LLRs on the
     information bits.  Returns (B, N) a-posteriori LLRs.  ``exact=False``
     switches max* to a plain max (max-log approximation).
+
+    A batch whose row halves each give every step more than
+    ``_GIL_RELEASE_ELEMENTS`` elements is decoded as two halves at once
+    when the process may run on two or more CPUs: the lower half on a
+    short-lived worker thread, the upper half on the calling thread.  The
+    result is bit-identical to one pass over all rows, because rows never
+    mix: every operation of ``_bcjr_rows`` is elementwise along the batch
+    axis or reduces over states within one row.  The caller allocates
+    ``app`` and the whole metric/recursion slab, and each half gets a
+    contiguous slice of both; a buffer allocated on the worker would come
+    from a second malloc arena and raise peak RSS.  An error in either
+    half is raised here, after the worker has ended.
+    """
+    batch, k_total = ls.shape
+    n_info = la.shape[1]
+    n_states = code.n_states
+    # the result is allocated first and written in place: peak RSS depends
+    # on the order of the large allocations
+    app = np.empty((batch, n_info))
+    # per row: the 4 metric rows of each step, then (alpha, beta) per step
+    per_row = 4 * k_total + (k_total + 1) * 2 * n_states
+    buf = np.empty(per_row * batch)
+    half = batch // 2
+    if (half * 2 * n_states <= _GIL_RELEASE_ELEMENTS
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
+        _bcjr_rows(ls, lp, la, code, terminated, exact, app, buf)
+        return app
+
+    errors = []
+
+    def lower_half():
+        try:
+            _bcjr_rows(ls[:half], lp[:half], la[:half], code, terminated, exact,
+                       app[:half], buf[:per_row * half])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=lower_half)
+    worker.start()
+    try:
+        _bcjr_rows(ls[half:], lp[half:], la[half:], code, terminated, exact,
+                   app[half:], buf[per_row * half:])
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return app
+
+
+def _bcjr_rows(ls, lp, la, code: RscCode, terminated: bool, exact: bool, app, buf):
+    """The BCJR pass of ``_bcjr_batch`` on one set of rows, written into
+    ``app`` (B, N); ``buf`` holds (4K + 2S(K + 1)) B float64 elements of
+    scratch.
 
     An edge's branch metric depends only on its input bit u and parity
     bit p, so step k has four: row 4k + 2u + p of one (4K, B) table holds
@@ -320,12 +369,8 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
     n_info = la.shape[1]
     acc = np.logaddexp if exact else np.maximum
 
-    # the result is allocated first and written in place: peak RSS depends
-    # on the order of the large allocations
-    app = np.empty((batch, n_info))
     # one buffer: the metric table, then hist[k] = (alpha(k), beta(K - k))
     n_rows = 4 * k_total
-    buf = np.empty((n_rows + (k_total + 1) * 2 * n_states) * batch)
     gam = buf[:n_rows * batch].reshape(n_rows, batch)
     hist = buf[n_rows * batch:].reshape(k_total + 1, 2, n_states, batch)
     rows = gam.reshape(k_total, 4, batch)
@@ -367,7 +412,6 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
         for s in range(2, n_states):
             acc(per_input, metric[:, :, s], out=per_input)
         np.subtract(per_input[:, 0], per_input[:, 1], out=app[:, a:b].T)
-    return app
 
 
 def bcjr_decode(

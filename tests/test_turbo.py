@@ -1,6 +1,7 @@
 """RSC encoding, channels, BCJR vs brute-force MAP, and the turbo loop."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from infoplay import turbo
 from infoplay.errors import NumericalContractError, ValidationError
 from infoplay.turbo import (
     AWGN_BPSK,
-    BSC,
     ChannelModel,
     Interleaver,
     RscCode,
@@ -153,20 +153,6 @@ class TestTransmit:
         block = transmit(bits, ChannelModel(AWGN_BPSK, 40.0), seed=4)
         np.testing.assert_array_equal(np.sign(block.llrs), 1.0 - 2.0 * bits)
 
-    def test_useless_bsc(self):
-        bits = np.zeros(100, dtype=int)
-        block = transmit(bits, ChannelModel(BSC, 0.5), seed=5)
-        assert np.all(block.llrs == 0.0)
-
-    def test_bsc_llr_magnitude(self):
-        bits = np.random.default_rng(6).integers(0, 2, 1000)
-        block = transmit(bits, ChannelModel(BSC, 0.1), seed=7)
-        np.testing.assert_allclose(np.abs(block.llrs), np.log(9.0), atol=1e-12)
-
-    def test_noiseless_bsc_clamped(self):
-        block = transmit(np.array([0, 1]), ChannelModel(BSC, 0.0), seed=8)
-        np.testing.assert_array_equal(block.llrs, [50.0, -50.0])
-
     def test_deterministic(self):
         bits = np.ones(64, dtype=int)
         a = transmit(bits, ChannelModel(AWGN_BPSK, 1.0, rate=0.5), seed=9)
@@ -174,10 +160,9 @@ class TestTransmit:
         np.testing.assert_array_equal(a.llrs, b.llrs)
 
     def test_invalid_channels(self):
-        with pytest.raises(ValidationError):
-            ChannelModel(BSC, 0.6)
-        with pytest.raises(ValidationError):
-            ChannelModel("laplace", 1.0)
+        for kind in ("laplace", "bsc"):
+            with pytest.raises(ValidationError, match="unknown channel kind"):
+                ChannelModel(kind, 0.1)
         for ebn0_db in (4000.0, -4000.0):  # Eb/N0 overflows or underflows a float
             with pytest.raises(ValidationError, match="noise variance"):
                 ChannelModel(AWGN_BPSK, ebn0_db, rate=1.0 / 3.0)
@@ -304,15 +289,18 @@ class TestBcjrKernel:
             one = turbo._bcjr_batch(ls[b:b + 1], lp[b:b + 1], la[b:b + 1], code, terminated, exact)
             assert np.array_equal(got[b:b + 1], one)
 
-    # batch 1 spans two a-posteriori runs of steps; batch 200 spans many,
-    # the last one partial
+    # batch 1 spans two a-posteriori runs of steps; batches 126 (just
+    # above the memory-2 split threshold) and 200 decode as two row halves,
+    # each spanning many runs, the last one partial
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("terminated", [True, False])
     @pytest.mark.parametrize("code", [CODE75, RscCode(0o13, 0o15, memory=3)],
                              ids=["memory2", "memory3"])
-    @pytest.mark.parametrize("batch, n_info", [(1, 4096), (200, 1000)])
-    def test_long_blocks_match_frozen_reference(self, batch, n_info, code, terminated, exact):
-        run = turbo._APP_RUN_ELEMENTS // (2 * code.n_states * batch)
+    @pytest.mark.parametrize("batch, n_info", [(1, 4096), (126, 1000), (200, 1000)])
+    def test_long_blocks_match_frozen_reference(self, batch, n_info, code, terminated, exact,
+                                                monkeypatch):
+        monkeypatch.setattr(turbo.os, "sched_getaffinity", lambda pid: {0, 1})
+        run = turbo._APP_RUN_ELEMENTS // (2 * code.n_states * max(batch // 2, 1))
         assert n_info > run and n_info % run
         rng = np.random.default_rng(batch + code.memory)
         k_total = n_info + (code.memory if terminated else 0)
@@ -321,6 +309,82 @@ class TestBcjrKernel:
         la = np.clip(rng.normal(0.0, 8.0, (batch, n_info)), -LLR_CLAMP, LLR_CLAMP)
         got = turbo._bcjr_batch(ls, lp, la, code, terminated, exact)
         assert np.array_equal(got, ref_bcjr_batch(ls, lp, la, code, terminated, exact))
+
+
+# the smallest batch decoded as two row halves, by code memory: each half's
+# per-step logaddexp must exceed numpy's 500-element GIL release
+_SPLIT_FROM = {2: 126, 3: 64}
+
+
+@st.composite
+def _batches_around_split(draw):
+    code = draw(_component_codes().filter(lambda c: c.memory >= 2))
+    terminated = draw(st.booleans())
+    split_from = _SPLIT_FROM[code.memory]
+    batch = draw(st.sampled_from([split_from - 1, split_from]) | st.integers(1, 2 * split_from))
+    n_info = draw(st.integers(1, 6))
+    k_total = n_info + (code.memory if terminated else 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    streams = []
+    for width in (k_total, k_total, n_info):
+        llrs = np.clip(rng.normal(0.0, 8.0, (batch, width)), -LLR_CLAMP, LLR_CLAMP)
+        saturated = rng.random(llrs.shape) < 0.1
+        llrs[saturated] = np.copysign(LLR_CLAMP, llrs[saturated])
+        streams.append(llrs)
+    return (*streams, code, terminated)
+
+
+def _single_thread_rows(ls, lp, la, code, terminated, exact):
+    batch, k_total = ls.shape
+    app = np.empty(la.shape)
+    buf = np.empty((4 * k_total + 2 * code.n_states * (k_total + 1)) * batch)
+    turbo._bcjr_rows(ls, lp, la, code, terminated, exact, app, buf)
+    return app
+
+
+class TestBcjrSplit:
+    @settings(max_examples=120, deadline=None)
+    @given(inputs=_batches_around_split(), exact=st.booleans(), cpus=st.sampled_from([1, 2]))
+    def test_split_equals_one_thread(self, inputs, exact, cpus):
+        ls, lp, la, code, terminated = inputs
+        expected = _single_thread_rows(ls, lp, la, code, terminated, exact)
+        threads = []
+        real_rows = turbo._bcjr_rows
+
+        def recording_rows(*args):
+            threads.append(threading.current_thread())
+            real_rows(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(turbo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            mp.setattr(turbo, "_bcjr_rows", recording_rows)
+            got = turbo._bcjr_batch(ls, lp, la, code, terminated, exact)
+        assert np.array_equal(got, expected)
+        split = cpus == 2 and ls.shape[0] >= _SPLIT_FROM[code.memory]
+        if split:
+            assert len(threads) == 2 and threads[0] is not threads[1]
+            assert threading.current_thread() in threads
+        else:
+            assert threads == [threading.current_thread()]
+
+    @pytest.mark.parametrize("failing_half", ["worker", "caller"])
+    def test_error_in_either_half_is_raised(self, failing_half, monkeypatch):
+        caller = threading.current_thread()
+        real_rows = turbo._bcjr_rows
+
+        def failing_rows(*args):
+            on_worker = threading.current_thread() is not caller
+            if on_worker == (failing_half == "worker"):
+                raise RuntimeError(f"{failing_half} half failed")
+            real_rows(*args)
+
+        monkeypatch.setattr(turbo.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(turbo, "_bcjr_rows", failing_rows)
+        ls = np.zeros((200, 12))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing_half} half failed"):
+            turbo._bcjr_batch(ls, ls, np.zeros((200, 10)), CODE75, terminated=True)
+        assert threading.active_count() == before
 
 
 def transmit_turbo_blocks(n_info, ebn0_db, n_blocks, seed):
