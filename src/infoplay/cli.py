@@ -372,6 +372,9 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError as exc:  # e.g. turbo blocks or EXIT samples too many to hold
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except NumericalContractError as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -169,32 +169,37 @@ def measure_exit_curve(
     if samples_per_point < 1000:
         raise ValidationError("samples_per_point must be >= 1000")
     n_blocks = (samples_per_point + EXIT_BLOCK_LEN - 1) // EXIT_BLOCK_LEN
+    k = EXIT_BLOCK_LEN + code.memory
+    # one decoder pass over the blocks of every grid point, each point
+    # filling its rows; blocks never mix
+    ls = np.empty((len(grid) * n_blocks, k))
+    lp = np.empty((len(grid) * n_blocks, k))
+    la = np.empty((len(grid) * n_blocks, EXIT_BLOCK_LEN))
+    bits = np.empty((len(grid), n_blocks * EXIT_BLOCK_LEN), dtype=np.int8)
     root = _seed_sequence(seed)
-    bits, ls, lp, la = [], [], [], []
-    for ss, ia in zip(root.spawn(len(grid)), grid):
+    for point, (ss, ia) in enumerate(zip(root.spawn(len(grid)), grid)):
         ss_bits, ss_chan, ss_apriori = ss.spawn(3)
         point_bits = np.random.default_rng(ss_bits).integers(0, 2, (n_blocks, EXIT_BLOCK_LEN))
         sys_bits, par_bits = rsc_encode(point_bits, code)
         rx = transmit(
             np.concatenate([sys_bits.ravel(), par_bits.ravel()]), channel, ss_chan
         )
-        k = sys_bits.shape[1]
         apriori = sample_consistent_gaussian_apriori(point_bits.ravel(), float(ia), ss_apriori)
-        bits.append(point_bits)
-        ls.append(rx.llrs[: n_blocks * k].reshape(n_blocks, k))
-        lp.append(rx.llrs[n_blocks * k:].reshape(n_blocks, k))
-        la.append(apriori.llrs.reshape(n_blocks, EXIT_BLOCK_LEN))
-    # one decoder pass over the blocks of every grid point; blocks never mix
-    ls, la = np.concatenate(ls), np.concatenate(la)
-    app = _bcjr_batch(ls, np.concatenate(lp), la, code, terminated=True)
-    ext = (app - la - ls[:, :EXIT_BLOCK_LEN]).reshape(len(grid), n_blocks * EXIT_BLOCK_LEN)
-    points = []
-    for ia, point_ext, point_bits in zip(grid, ext, bits):
-        i_e = _llr_information(
-            np.clip(point_ext, -LLR_CLAMP, LLR_CLAMP)[:samples_per_point],
-            point_bits.ravel()[:samples_per_point],
-        )
-        points.append((float(ia), i_e))
+        rows = slice(point * n_blocks, (point + 1) * n_blocks)
+        ls[rows] = rx.llrs[: n_blocks * k].reshape(n_blocks, k)
+        lp[rows] = rx.llrs[n_blocks * k:].reshape(n_blocks, k)
+        la[rows] = apriori.llrs.reshape(n_blocks, EXIT_BLOCK_LEN)
+        bits[point] = point_bits.ravel()
+    ext = _bcjr_batch(ls, lp, la, code, terminated=True)
+    ext -= la
+    ext -= ls[:, :EXIT_BLOCK_LEN]
+    np.clip(ext, -LLR_CLAMP, LLR_CLAMP, out=ext)
+    ext = ext.reshape(len(grid), n_blocks * EXIT_BLOCK_LEN)
+    points = [
+        (float(ia), _llr_information(point_ext[:samples_per_point],
+                                     point_bits[:samples_per_point]))
+        for ia, point_ext, point_bits in zip(grid, ext, bits)
+    ]
     return ExitCurve(points=tuple(points), label=label, mc_samples=samples_per_point)
 
 

@@ -6,9 +6,11 @@ Polynomials use the standard octal convention: bit ``memory - d`` of the
 integer is the coefficient of D^d, so (7, 5) with memory 2 is the
 canonical feedback 1+D+D^2 / feedforward 1+D^2 component code.
 
-The component decoder keeps four branch metrics per trellis step, one
-per (input bit, parity bit) pair, and advances the forward and backward
-recursions together in one loop over the steps, as one stacked state.
+The component decoder keeps two signed branch-metric rows per trellis
+step and advances the forward and backward recursions together in one
+loop over the steps, as one stacked state.  It keeps only the first half
+of that history: the a-posteriori LLR at step t reads row t and row
+K - 1 - t, so each later row is paired with its partner as it is made.
 Both recursions operate on a batch axis so independent blocks decode
 together; results are identical to decoding each block alone because
 blocks never mix.  For the same reason a large batch is decoded as two
@@ -18,6 +20,7 @@ may run on two or more CPUs; the result is bit-identical to one pass.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -32,8 +35,8 @@ from .errors import NumericalContractError, ValidationError
 AWGN_BPSK = "awgn_bpsk"
 
 _NEG_INF = -np.inf
-# float64 elements per run of steps in the a-posteriori pass (192 KiB)
-_APP_RUN_ELEMENTS = 24_576
+# float64 elements of run buffers per set of rows in _bcjr_rows (512 KiB)
+_RUN_ELEMENTS = 65_536
 # numpy releases the GIL inside a ufunc loop only above this many
 # elements, so the two row halves of _bcjr_batch run at once only when
 # each half's per-step logaddexp, (B // 2) * 2 * states elements, exceeds
@@ -107,14 +110,19 @@ class _Trellis:
                 fill[t] += 1
         if not (fill == 2).all():
             raise ValidationError("degenerate trellis: states must have two incoming edges")
-        # branch-metric row 2u + p of each edge: incoming edge j into t, and
-        # the edge leaving s on input u
-        self.row_in = 2 * self.in_u + self.parity_bit[self.in_u, self.in_s]
-        self.row_out = 2 * np.arange(2)[:, None] + self.parity_bit
-        # sources of both recursions in a stacked (alpha | beta) state of 2S
-        # rows: [e, 0] is incoming edge e's origin, [e, 1] the end of the
-        # edge leaving each state on input e
-        self.stacked_src = np.stack([self.in_s, n + self.next_state], axis=1)
+        # an edge with input u and parity p has metric (-1)^p gam[k, u != p]
+        # (see _bcjr_rows): the row and sign of the edges e into each state,
+        # and of the edges leaving each state on input e
+        parity_in = self.parity_bit[self.in_u, self.in_s]
+        self.metric_in = (self.in_u != parity_in).astype(np.intp)
+        self.sign_in = (1.0 - 2.0 * parity_in)[:, :, None]
+        self.metric_out = (np.arange(2)[:, None] != self.parity_bit).astype(np.intp)
+        self.sign_out = (1.0 - 2.0 * self.parity_bit)[:, :, None]
+        # sources of both recursions in a stacked (alpha | beta) row of 2S
+        # values: [e, 0] is the origin of each state's incoming edge e,
+        # [e, 1] the end of the edge leaving each state on input e
+        self.beta_next = n + self.next_state
+        self.stacked_src = np.stack([self.in_s, self.beta_next], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -287,6 +295,29 @@ def transmit(symbols, channel: ChannelModel, seed) -> LlrBlock:
     return LlrBlock(2.0 * y / var, bits)
 
 
+def _run_steps(batch: int, n_states: int) -> int:
+    """Trellis steps per run of ``_bcjr_rows`` on ``batch`` rows."""
+    return max(1, _RUN_ELEMENTS // (10 * n_states * batch))
+
+
+def _scratch_elements(batch: int, k_total: int, n_states: int) -> int:
+    """float64 elements of scratch ``_bcjr_rows`` takes for ``batch`` rows
+    of ``k_total`` steps: 2K metric rows and K // 2 + 1 rows of the
+    recursions, then the run buffers, whose size does not depend on K."""
+    run = _run_steps(batch, n_states)
+    return batch * (2 * k_total + 2 * n_states * (k_total // 2 + 1)
+                    + 2 * n_states * (5 * run + 3) + 2)
+
+
+def _carve(buf, *shapes):
+    """Consecutive views of the flat array ``buf`` with the given shapes."""
+    start = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        yield buf[start:start + size].reshape(shape)
+        start += size
+
+
 def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True):
     """Log-MAP forward/backward over a batch of blocks.
 
@@ -301,11 +332,12 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
     short-lived worker thread, the upper half on the calling thread.  The
     result is bit-identical to one pass over all rows, because rows never
     mix: every operation of ``_bcjr_rows`` is elementwise along the batch
-    axis or reduces over states within one row.  The caller allocates
-    ``app`` and the whole metric/recursion slab, and each half gets a
-    contiguous slice of both; a buffer allocated on the worker would come
-    from a second malloc arena and raise peak RSS.  An error in either
-    half is raised here, after the worker has ended.
+    axis or reduces over states within one row.  Every buffer comes from
+    the caller: ``app`` and one scratch array of ``_scratch_elements``
+    per half (metrics, recursion history and run buffers), each half
+    working in a contiguous slice of both.  A buffer allocated on the
+    worker would come from a second malloc arena and raise peak RSS.  An
+    error in either half is raised here, after the worker has ended.
     """
     batch, k_total = ls.shape
     n_info = la.shape[1]
@@ -313,21 +345,21 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
     # the result is allocated first and written in place: peak RSS depends
     # on the order of the large allocations
     app = np.empty((batch, n_info))
-    # per row: the 4 metric rows of each step, then (alpha, beta) per step
-    per_row = 4 * k_total + (k_total + 1) * 2 * n_states
-    buf = np.empty(per_row * batch)
     half = batch // 2
     if (half * 2 * n_states <= _GIL_RELEASE_ELEMENTS
             or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
+        buf = np.empty(_scratch_elements(batch, k_total, n_states))
         _bcjr_rows(ls, lp, la, code, terminated, exact, app, buf)
         return app
 
+    lower = _scratch_elements(half, k_total, n_states)
+    buf = np.empty(lower + _scratch_elements(batch - half, k_total, n_states))
     errors = []
 
     def lower_half():
         try:
             _bcjr_rows(ls[:half], lp[:half], la[:half], code, terminated, exact,
-                       app[:half], buf[:per_row * half])
+                       app[:half], buf[:lower])
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
 
@@ -335,7 +367,7 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
     worker.start()
     try:
         _bcjr_rows(ls[half:], lp[half:], la[half:], code, terminated, exact,
-                   app[half:], buf[per_row * half:])
+                   app[half:], buf[lower:])
     finally:
         worker.join()
     if errors:
@@ -345,22 +377,36 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
 
 def _bcjr_rows(ls, lp, la, code: RscCode, terminated: bool, exact: bool, app, buf):
     """The BCJR pass of ``_bcjr_batch`` on one set of rows, written into
-    ``app`` (B, N); ``buf`` holds (4K + 2S(K + 1)) B float64 elements of
-    scratch.
+    ``app`` (B, N).  Every array used here is carved from ``buf``, which
+    holds ``_scratch_elements(B, K, S)`` float64 elements.
 
-    An edge's branch metric depends only on its input bit u and parity
-    bit p, so step k has four: row 4k + 2u + p of one (4K, B) table holds
-    0.5 ls (1 - 2u) + 0.5 lp (1 - 2p), a-priori included.  One loop
-    advances alpha(k) and beta(K - k) together: ``hist[k]`` stacks them as
-    (2, S, B), one ``take`` gathers the forward edges into each state and
-    the backward edges out of each state, and ``midx[k]`` names the metric
-    rows of both.  The a-posteriori LLRs are then formed from the stored
-    alpha and beta over runs of steps.  The batch is the last axis, so
-    every step works on contiguous rows of B values.
+    Metrics: with A = 0.5 (ls + la) (a-priori on the information steps
+    only) and P = 0.5 lp, the edge with input bit u and parity bit p has
+    branch metric (-1)^p (A + P if u == p else P - A), so step k stores
+    the two rows ``gam[k] = (A + P, P - A)``.  Negation is exact, so each
+    metric has the bits of A (1 - 2u) + P (1 - 2p).  Each run of steps
+    gathers its edge metrics at once, one ``take`` per direction and one
+    sign multiply each, the backward ones reversed into loop order.
+
+    Recursions: one loop advances alpha(k) and beta(K - k) together as
+    row k, a stacked (2, S, B) state; one ``take`` per step gathers the
+    forward edges into each state and the backward edges out of each
+    state.  Only rows 0 .. K // 2 are kept (``hist``); later rows pass
+    through ``ring``, one run long.
+
+    A-posteriori LLRs: the LLR at step t needs alpha(t), in row t, and
+    beta(t + 1), in row K - 1 - t, so rows j and i = K - 1 - j serve each
+    other.  After each run of rows j >= K // 2, the LLRs at steps j and i
+    are formed from the ring and the partner rows in ``hist`` (the middle
+    row of an odd K pairs with itself).  Every LLR comes from the same
+    elementwise operations in the same order as from a full history,
+    (beta(t + 1) at the edge's end + gamma) + alpha(t), then max* over
+    the states in order, so the result is bit-identical.  The batch is
+    the last axis, so every step works on contiguous rows of B values.
 
     A terminated tail needs no edge mask: the register then holds exactly
     the bits fed in during the tail, so a path over any other tail edge
-    ends off state 0, where beta(K) is -inf; alpha is read on the
+    ends off state 0, where beta(K) is -inf; LLRs are written for the
     information steps only.
     """
     tr = _trellis(code)
@@ -368,50 +414,91 @@ def _bcjr_rows(ls, lp, la, code: RscCode, terminated: bool, exact: bool, app, bu
     batch, k_total = ls.shape
     n_info = la.shape[1]
     acc = np.logaddexp if exact else np.maximum
+    max_reduce = np.maximum.reduce
+    run = _run_steps(batch, n_states)
+    mid = k_total // 2
+    gam, hist, ring, edges, metric, step, peak = _carve(
+        buf, (k_total, 2, batch), (mid + 1, 2, n_states, batch),
+        (run + 1, 2, n_states, batch), (run, 2, 2, n_states, batch),
+        (2, run, 2, n_states, batch), (2, 2, n_states, batch), (2, 1, batch))
 
-    # one buffer: the metric table, then hist[k] = (alpha(k), beta(K - k))
-    n_rows = 4 * k_total
-    gam = buf[:n_rows * batch].reshape(n_rows, batch)
-    hist = buf[n_rows * batch:].reshape(k_total + 1, 2, n_states, batch)
-    rows = gam.reshape(k_total, 4, batch)
-    g00, g01, g10, g11 = rows.transpose(1, 0, 2)  # gamma by (u, p)
-    g00[:] = ls.T
-    g00[:n_info] += la.T
-    g00 *= 0.5  # half the systematic LLR
-    np.multiply(lp.T, 0.5, out=g01)  # half the parity LLR
-    # the +-1 factors only flip signs, so these are exact
-    np.subtract(g01, g00, out=g10)
-    np.add(g00, g01, out=g11)
-    np.negative(g10, out=g01)
-    g00[:] = g11
-    np.negative(g11, out=g11)
+    # gam[k] = (A + P, P - A), a chunk of steps at a time, A in the
+    # metric buffer
+    chunk = metric.size // batch
+    for a in range(0, k_total, chunk):
+        b = min(a + chunk, k_total)
+        n = min(max(n_info, a), b)  # the information steps end here
+        half_sys = metric.reshape(-1)[:(b - a) * batch].reshape(b - a, batch)
+        np.add(ls[:, a:n].T, la[:, a:n].T, out=half_sys[:n - a])
+        half_sys[n - a:] = ls[:, n:b].T
+        half_sys *= 0.5
+        half_par = gam[a:b, 1]
+        np.multiply(lp[:, a:b].T, 0.5, out=half_par)
+        np.add(half_sys, half_par, out=gam[a:b, 0])
+        half_par -= half_sys
 
-    # midx[k, e, 0]: rows of the edges e into each state at step k;
-    # midx[k, e, 1]: rows of the edges leaving each state on input e at step K-1-k
-    first_row = 4 * np.arange(k_total)[:, None, None]
-    midx = np.stack([first_row + tr.row_in, first_row[::-1] + tr.row_out], axis=2)
+    def advance(rows, k0, steps):
+        """Rows k0 + 1 .. k0 + steps into rows[1:], from row k0 in rows[0]."""
+        # edges[q] = (e, direction, S, B): the forward edges at step k0 + q
+        # and the backward edges at step K - 1 - k0 - q
+        fwd, bwd = metric[:, :steps]
+        gam[k0:k0 + steps].take(tr.metric_in, axis=1, out=fwd, mode="clip")
+        gam[k_total - k0 - steps:k_total - k0].take(tr.metric_out, axis=1, out=bwd,
+                                                    mode="clip")
+        np.multiply(fwd, tr.sign_in, out=edges[:steps, :, 0])
+        np.multiply(bwd[::-1], tr.sign_out, out=edges[:steps, :, 1])
+        flat = rows.reshape(steps + 1, 2 * n_states, batch)
+        src, x = tr.stacked_src, step  # x += rebinds x to itself
+        x_e0, x_e1 = x
+        for q in range(steps):
+            flat[q].take(src, 0, x, "clip")
+            x += edges[q]
+            y = acc(x_e0, x_e1, out=rows[q + 1])
+            max_reduce(y, axis=1, keepdims=True, out=peak)
+            y -= peak
 
     hist[0] = _NEG_INF
     hist[0, 0, 0] = 0.0
     hist[0, 1, 0 if terminated else slice(None)] = 0.0
-    flat = hist.reshape(k_total + 1, 2 * n_states, batch)
-    for k in range(k_total):
-        x = flat[k].take(tr.stacked_src, axis=0)
-        x += gam.take(midx[k], axis=0)
-        y = acc(x[0], x[1], out=hist[k + 1])
-        y -= y.max(axis=1, keepdims=True)
+    for k0 in range(0, mid, run):
+        steps = min(run, mid - k0)
+        advance(hist[k0:k0 + steps + 1], k0, steps)
 
-    # edge (u, s) at step k: (beta(k + 1) at its end + gamma) + alpha(k) at s
-    run = max(1, _APP_RUN_ELEMENTS // (2 * n_states * batch))
-    for a in range(0, n_info, run):
-        b = min(a + run, n_info)
-        metric = hist[k_total - b:k_total - a, 1][::-1].take(tr.next_state, axis=1)
-        metric += rows[a:b].take(tr.row_out, axis=1)
-        metric += hist[a:b, 0, None]
-        per_input = acc(metric[:, :, 0], metric[:, :, 1])
-        for s in range(2, n_states):
-            acc(per_input, metric[:, :, s], out=per_input)
-        np.subtract(per_input[:, 0], per_input[:, 1], out=app[:, a:b].T)
+    # ring[q] holds row k0 + q; after a run, rows k0 .. k0 + steps - 1
+    # pair with partners[p] = row K - k0 - steps + p, the partner of
+    # ring[steps - 1 - p].  The last run also makes row K, which nothing
+    # reads.
+    ring[0] = hist[mid]
+    for k0 in range(mid, k_total, run):
+        steps = min(run, k_total - k0)
+        advance(ring[:steps + 1], k0, steps)
+        rows = ring[:steps]
+        partners = hist[k_total - k0 - steps:k_total - k0]
+        # edge (u, s) at step t: (beta(t + 1) at its end + gamma) + alpha(t)
+        # at s; at_i in ring order for steps i, at_j in partner order for
+        # steps j.  The backward metrics of advance are those at steps i.
+        at_i, at_j = metric[:, :steps]
+        gamma = edges[:steps].transpose(2, 0, 1, 3, 4)  # (steps j | steps i)
+        gam[k0:k0 + steps].take(tr.metric_out, axis=1, out=at_j, mode="clip")
+        np.multiply(at_j[::-1], tr.sign_out, out=gamma[0])
+        rows.reshape(steps, 2 * n_states, batch).take(tr.beta_next, axis=1, out=at_i,
+                                                      mode="clip")
+        partners.reshape(steps, 2 * n_states, batch).take(tr.beta_next, axis=1, out=at_j,
+                                                          mode="clip")
+        metric[:, :steps] += gamma[::-1]
+        at_i += partners[::-1, 0, None]
+        at_j += rows[::-1, 0, None]
+        per_input = metric[:, :steps, :, 0]
+        for s in range(1, n_states):
+            acc(per_input, metric[:, :steps, :, s], out=per_input)
+        # no LLR at steps i >= N (short terminated blocks) or j >= N (the tail)
+        skip = min(steps, max(0, k_total - k0 - n_info))
+        np.subtract(at_i[skip:, 0, 0], at_i[skip:, 1, 0],
+                    out=app[:, k_total - k0 - steps:k_total - k0 - skip][:, ::-1].T)
+        skip = min(steps, max(0, k0 + steps - n_info))
+        np.subtract(at_j[skip:, 0, 0], at_j[skip:, 1, 0],
+                    out=app[:, k0:k0 + steps - skip][:, ::-1].T)
+        ring[0] = ring[steps]
 
 
 def bcjr_decode(
@@ -473,24 +560,36 @@ def turbo_encode(bits, code: RscCode, interleaver: Interleaver) -> np.ndarray:
 
 def _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters) -> TurboTrace:
     """The turbo loop over a batch of blocks: (B, ·) channel LLRs of the
-    three streams and the (B, N) information bits they carry."""
+    three streams and the (B, N) information bits they carry.
+
+    Each extrinsic is formed in place in its decoder's result, and every
+    (B, N) array is dropped once its last reader has run, so a decoder
+    call holds no dead arrays of an earlier step."""
     batch, _ = ls.shape
     n = len(interleaver)
     ls_inner = interleaver.interleave(ls[:, :n])
     truth_inner = interleaver.interleave(truth)
-    ext2_outer = np.zeros((batch, n))
+    la1 = np.zeros((batch, n))
     trace = TurboTrace(*np.empty((3, batch, max_iters)))
     for it in range(max_iters):
-        app1 = _bcjr_batch(ls, lp1, ext2_outer, code, terminated=True)
-        ext1 = np.clip(app1 - ext2_outer - ls[:, :n], -LLR_CLAMP, LLR_CLAMP)
-        la2 = interleaver.interleave(ext1)
-        app2 = _bcjr_batch(ls_inner, lp2, la2, code, terminated=False)
-        ext2 = np.clip(app2 - la2 - ls_inner, -LLR_CLAMP, LLR_CLAMP)
-        ext2_outer = interleaver.deinterleave(ext2)
+        ext1 = _bcjr_batch(ls, lp1, la1, code, terminated=True)
+        ext1 -= la1
+        del la1
+        ext1 -= ls[:, :n]
+        np.clip(ext1, -LLR_CLAMP, LLR_CLAMP, out=ext1)
         trace.i_e_dec1[:, it] = _llr_information(ext1, truth)
-        trace.i_e_dec2[:, it] = _llr_information(ext2, truth_inner)
+        la2 = interleaver.interleave(ext1)
+        del ext1
+        ext2 = _bcjr_batch(ls_inner, lp2, la2, code, terminated=False)
         # decisions on the second decoder's a-posteriori LLRs, in its order
-        trace.ber[:, it] = ((app2 < 0) != truth_inner).mean(axis=1)
+        trace.ber[:, it] = ((ext2 < 0) != truth_inner).mean(axis=1)
+        ext2 -= la2
+        del la2
+        ext2 -= ls_inner
+        np.clip(ext2, -LLR_CLAMP, LLR_CLAMP, out=ext2)
+        trace.i_e_dec2[:, it] = _llr_information(ext2, truth_inner)
+        la1 = interleaver.deinterleave(ext2)
+        del ext2
     return trace
 
 
@@ -529,6 +628,7 @@ def simulate_turbo(
     llrs = np.empty(words.shape)
     for b, ss in enumerate(ss_noise.spawn(n_blocks)):
         llrs[b] = transmit(words[b], channel, ss).llrs
+    del words  # not needed by the decoder
     # [systematic | parity1 | parity2]: the first two carry the tail
     k = n_info + code.memory
     ls, lp1, lp2 = np.split(llrs, [k, 2 * k], axis=1)

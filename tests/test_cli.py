@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from infoplay.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RESOURCE,
     SCHEMAS,
     list_experiments,
     load_config,
@@ -346,6 +347,18 @@ class TestMainEntry:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
         row = (tmp_path / "out" / "capacity" / "capacity.csv").read_text().splitlines()[-1]
         assert row.startswith("100000x100000-k3,,,")
+
+    def test_out_of_memory_exit_code(self, tmp_path, capsys):
+        # the first large array, the (blocks, n_info) bits, needs 8.9 PiB:
+        # beyond a 128 TiB address space, so it fails at once under any
+        # overcommit mode and touches no memory
+        cfg = write_config(tmp_path / "t.ini", "turbo",
+                           dict(TURBO_PARAMS, n_info=1000, blocks=10_000_000_000_000))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("kind,overrides", [
         ("selfplay", {"rows": 2, "cols": 1, "k": 1}),  # B never moves: no MI estimate

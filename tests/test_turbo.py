@@ -2,6 +2,7 @@
 
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,26 +290,46 @@ class TestBcjrKernel:
             one = turbo._bcjr_batch(ls[b:b + 1], lp[b:b + 1], la[b:b + 1], code, terminated, exact)
             assert np.array_equal(got[b:b + 1], one)
 
-    # batch 1 spans two a-posteriori runs of steps; batches 126 (just
-    # above the memory-2 split threshold) and 200 decode as two row halves,
-    # each spanning many runs, the last one partial
+    # every case spans several runs of steps after the middle row, the last
+    # one partial: batch 1 in one set of rows, batches 126 (just above the
+    # memory-2 split threshold) and 200 as two row halves; n_info 4095
+    # gives an odd K when open, so the middle row pairs with itself
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("terminated", [True, False])
     @pytest.mark.parametrize("code", [CODE75, RscCode(0o13, 0o15, memory=3)],
                              ids=["memory2", "memory3"])
-    @pytest.mark.parametrize("batch, n_info", [(1, 4096), (126, 1000), (200, 1000)])
+    @pytest.mark.parametrize("batch, n_info", [(1, 4096), (1, 4095), (126, 1000), (200, 1000)])
     def test_long_blocks_match_frozen_reference(self, batch, n_info, code, terminated, exact,
                                                 monkeypatch):
         monkeypatch.setattr(turbo.os, "sched_getaffinity", lambda pid: {0, 1})
-        run = turbo._APP_RUN_ELEMENTS // (2 * code.n_states * max(batch // 2, 1))
-        assert n_info > run and n_info % run
-        rng = np.random.default_rng(batch + code.memory)
         k_total = n_info + (code.memory if terminated else 0)
+        rows = batch // 2 if batch >= _SPLIT_FROM[code.memory] else batch
+        run = turbo._run_steps(rows, code.n_states)
+        after_middle = k_total - k_total // 2
+        assert after_middle > run and after_middle % run
+        rng = np.random.default_rng(batch + code.memory)
         ls = rng.normal(2.0, 4.0, (batch, k_total))
         lp = rng.normal(2.0, 4.0, (batch, k_total))
         la = np.clip(rng.normal(0.0, 8.0, (batch, n_info)), -LLR_CLAMP, LLR_CLAMP)
         got = turbo._bcjr_batch(ls, lp, la, code, terminated, exact)
         assert np.array_equal(got, ref_bcjr_batch(ls, lp, la, code, terminated, exact))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_traced_peak_of_a_large_batch(self, cpus, monkeypatch):
+        # 200 x 1000 (1002 steps): the result (1.5 MiB), two metric rows per
+        # step (3.1 MiB), half the recursion history (6.1 MiB) and the run
+        # buffers; a full history and four metric rows per step took 21.2 MiB
+        monkeypatch.setattr(turbo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        rng = np.random.default_rng(3)
+        ls, lp = rng.normal(2.0, 4.0, (2, 200, 1002))
+        la = rng.normal(0.0, 8.0, (200, 1000))
+        tracemalloc.start()
+        try:
+            turbo._bcjr_batch(ls, lp, la, CODE75, terminated=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * 2**20
 
 
 # the smallest batch decoded as two row halves, by code memory: each half's
@@ -337,7 +358,7 @@ def _batches_around_split(draw):
 def _single_thread_rows(ls, lp, la, code, terminated, exact):
     batch, k_total = ls.shape
     app = np.empty(la.shape)
-    buf = np.empty((4 * k_total + 2 * code.n_states * (k_total + 1)) * batch)
+    buf = np.empty(turbo._scratch_elements(batch, k_total, code.n_states))
     turbo._bcjr_rows(ls, lp, la, code, terminated, exact, app, buf)
     return app
 
