@@ -161,8 +161,9 @@ class StateTable:
     state at ``root``.  Per id the table keeps the state, its text key and
     its legal moves, which are empty exactly when the state is terminal; the
     child ids of a state are filled through ``apply_move`` the first time
-    they are asked for, so the rules have one implementation and a large
-    board only costs the states actually visited.
+    ``children`` is asked for them (``child_ids`` holds None until then),
+    so the rules have one implementation and a large board only costs the
+    states actually visited.
     """
 
     def __init__(self, game: GameSpec):
@@ -170,7 +171,7 @@ class StateTable:
         self.states: list[GameState] = []
         self.keys: list[str] = []
         self.moves: list[tuple] = []
-        self._children: list[tuple | None] = []
+        self.child_ids: list[tuple | None] = []
         self._ids: dict[GameState, int] = {}
         self.root = self.intern(initial_state(game))
 
@@ -183,14 +184,14 @@ class StateTable:
             self.keys.append(state.key())
             ongoing = state.status == ONGOING
             self.moves.append(tuple(legal_moves(state, self.game)) if ongoing else ())
-            self._children.append(None)
+            self.child_ids.append(None)
         return sid
 
     def children(self, sid: int) -> tuple:
         """Child ids of state ``sid``, one per legal move, in move order."""
-        kids = self._children[sid]
+        kids = self.child_ids[sid]
         if kids is None:
             state = self.states[sid]
             kids = tuple(self.intern(apply_move(state, m, self.game)) for m in self.moves[sid])
-            self._children[sid] = kids
+            self.child_ids[sid] = kids
         return kids

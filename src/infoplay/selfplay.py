@@ -91,12 +91,6 @@ class _Draws:
                 return m >> 32
 
 
-def _pick(options, rng):
-    """A uniform draw from ``options``; one option takes no draw, as in
-    ``_play_episode``."""
-    return options[rng.integers(len(options))] if len(options) > 1 else options[0]
-
-
 @dataclass
 class AgentModel:
     """One tabular self-play agent.
@@ -107,7 +101,8 @@ class AgentModel:
     binned prediction used for MI measurement is the count argmax (an
     unvisited state yields an uninformed guess over the whole board, since
     a fresh internal channel carries no information, not even cell
-    occupancy).
+    occupancy).  These text-keyed dicts are the agent's durable form: a
+    self-play pass reads them into lists by state id and works on those.
     """
 
     role: str
@@ -124,43 +119,79 @@ class AgentModel:
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValidationError("epsilon must lie in [0, 1]")
 
-    # -- internal channel (opponent model) ----------------------------
 
-    def _prediction_ties(self, key: str, cells: int):
-        """The moves with the top count at ``key``, or the whole board."""
-        counts = self.opponent_counts.get(key, ())
-        top = max(counts, default=0)
-        if top == 0:
-            return range(cells)  # uninformed guess
-        return [move for move, count in enumerate(counts) if count == top]
+class _Seat:
+    """One agent's tables on a pass's ``StateTable``, as lists by state id:
+    afterstate values (0.0 when unset), whether the pass has updated each
+    value (an updated value may be 0.0, and snapshots still write it) and
+    opponent-count rows (None for a state never observed).  ``grow`` reads
+    the agent's dicts for the states the table has interned since its last
+    call; ``write_back`` stores the updated values and the count rows into
+    the dicts."""
 
-    def _predict(self, table: StateTable, sid: int, rng, memo: dict) -> int:
-        """Binned prediction of the opponent's move at state ``sid``: the
-        argmax of the counts, ties broken uniformly.  Predictions are made
-        only in frozen passes, so ``memo`` (state id -> tied moves) keeps
-        each state's ties for the pass."""
-        if (ties := memo.get(sid)) is None:
-            ties = memo[sid] = self._prediction_ties(table.keys[sid], table.game.cells)
-        return _pick(ties, rng)
+    __slots__ = ("agent", "value", "updated", "counts")
 
-    # -- learning ------------------------------------------------------
+    def __init__(self, agent: AgentModel):
+        self.agent = agent
+        self.value: list[float] = []
+        self.updated: list[bool] = []
+        self.counts: list[list[int] | None] = []
 
-    def td_update(self, afterstate_key: str, target: float):
-        old = self.value.get(afterstate_key, 0.0)
-        self.value[afterstate_key] = old + self.step_size * (target - old)
+    def grow(self, keys: list):
+        new = keys[len(self.value):]
+        value, counts = self.agent.value, self.agent.opponent_counts
+        self.value.extend([value.get(key, 0.0) for key in new])
+        self.updated.extend([False] * len(new))
+        self.counts.extend([counts.get(key) for key in new])
 
-    def reward(self, outcome: str) -> float:
-        if outcome == DRAW:
-            return 0.0
-        won = (outcome == A_WINS) == (self.role == PLAYER_A)
-        return 1.0 if won else -1.0
+    def write_back(self, keys: list):
+        value, counts = self.agent.value, self.agent.opponent_counts
+        for key, v, updated, row in zip(keys, self.value, self.updated, self.counts):
+            if updated:
+                value[key] = v
+            if row is not None:
+                counts[key] = row
 
 
-def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, rng,
-                  epsilon: float | None = None, memo: dict | None = None) -> tuple[list, int]:
-    """One game between two agents on ``table``: the (state id, move) of
-    every decision, in order, and the id of the final state.  Every game
-    the agents play with each other is played here.
+class _Match:
+    """Agents A and B seated on the ``StateTable`` of one self-play pass.
+
+    The match owns its table, and a state is interned only through
+    ``children``, which grows both seats' lists with the table; the walker
+    reads ``table.child_ids`` first and calls ``children`` only for a
+    state it has not expanded yet.  A moves first and the players
+    alternate, so the decision at ply ``n`` of a game is A's exactly when
+    ``n`` is even.
+    """
+
+    __slots__ = ("table", "a", "b")
+
+    def __init__(self, agent_a: AgentModel, agent_b: AgentModel, game: GameSpec):
+        self.table = StateTable(game)
+        self.a, self.b = _Seat(agent_a), _Seat(agent_b)
+        self._grow()
+
+    def children(self, sid: int) -> tuple:
+        kids = self.table.children(sid)
+        self._grow()
+        return kids
+
+    def _grow(self):
+        self.a.grow(self.table.keys)
+        self.b.grow(self.table.keys)
+
+    def write_back(self):
+        """Store both seats' tables into their agents' dicts."""
+        self.a.write_back(self.table.keys)
+        self.b.write_back(self.table.keys)
+
+
+def _play_episode(match: _Match, rng, epsilon: float | None = None,
+                  memo: dict | None = None) -> tuple[list, list]:
+    """One game between the seated agents: the ids of the states it passes
+    through, from the root to the final state, and the move made at each
+    decision (one fewer).  Every game the agents play with each other is
+    played here.
 
     Each move is epsilon-greedy (``epsilon`` overrides both agents' own
     rate): with probability epsilon a uniform legal move, otherwise a
@@ -171,65 +202,80 @@ def _play_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, r
     in which both agents are frozen, so each state's ties are worked out
     once; the state fixes the player to move, so one dict serves both."""
     random, integers = rng.random, rng.integers
-    states, keys, moves, children = table.states, table.keys, table.moves, table.children
-    value_a, value_b = agent_a.value, agent_b.value
-    eps_a = agent_a.epsilon if epsilon is None else epsilon
-    eps_b = agent_b.epsilon if epsilon is None else epsilon
+    table = match.table
+    legal, known = table.moves, table.child_ids
+    value, eps = match.a.value, match.a.agent.epsilon if epsilon is None else epsilon
+    other_value, other_eps = match.b.value, match.b.agent.epsilon if epsilon is None else epsilon
     sid = table.root
-    path = []
-    while options := moves[sid]:
-        kids = children(sid)
-        if states[sid].to_move == PLAYER_A:
-            value, eps = value_a, eps_a
-        else:
-            value, eps = value_b, eps_b
+    sids, moves = [sid], []
+    while options := legal[sid]:
+        kids = known[sid] or match.children(sid)
         if eps > 0.0 and random() < eps:
             i = integers(len(options)) if len(options) > 1 else 0
         else:
             if memo is None or (ties := memo.get(sid)) is None:
-                vals = [value.get(keys[kid], 0.0) for kid in kids]
+                vals = [value[kid] for kid in kids]
                 floor = max(vals) - _TIE_TOL
                 ties = [i for i, v in enumerate(vals) if v >= floor]
                 if memo is not None:
                     memo[sid] = ties
             i = ties[integers(len(ties))] if len(ties) > 1 else ties[0]
-        path.append((sid, options[i]))
+        moves.append(options[i])
         sid = kids[i]
-    return path, sid
+        sids.append(sid)
+        value, eps, other_value, other_eps = other_value, other_eps, value, eps
+    return sids, moves
 
 
-def _training_episode(agent_a: AgentModel, agent_b: AgentModel, table: StateTable, rng):
+# each outcome's reward to (A, B)
+_REWARDS = {A_WINS: (1.0, -1.0), B_WINS: (-1.0, 1.0), DRAW: (0.0, 0.0)}
+
+
+def _training_episode(match: _Match, rng) -> str:
     """One self-play game, then TD(0) afterstate updates and opponent-model
-    observation for both agents along its path.  Playing first reads the
-    same values as updating online: an update only touches an afterstate
-    with fewer stones than any value the rest of the game reads."""
-    path, final = _play_episode(agent_a, agent_b, table, rng)
-    cells = table.game.cells
-    states, keys = table.states, table.keys
-    last_a = last_b = None  # each agent's latest afterstate key
-    afters = [sid for sid, _ in path[1:]] + [final]
-    for (sid, move), after in zip(path, afters):
-        after_key = keys[after]
-        if states[sid].to_move == PLAYER_A:
-            observed = agent_b.opponent_counts
-            if last_a is not None:
-                agent_a.td_update(last_a, agent_a.value.get(after_key, 0.0))
-            last_a = after_key
-        else:
-            observed = agent_a.opponent_counts
-            if last_b is not None:
-                agent_b.td_update(last_b, agent_b.value.get(after_key, 0.0))
-            last_b = after_key
-        counts = observed.get(keys[sid])
-        if counts is None:
-            counts = observed[keys[sid]] = [0] * cells
-        counts[move] += 1
-    outcome = states[final].status
-    if last_a is not None:
-        agent_a.td_update(last_a, agent_a.reward(outcome))
-    if last_b is not None:
-        agent_b.td_update(last_b, agent_b.reward(outcome))
+    observation for both agents along its path, in place on the seats'
+    lists.  Playing first reads the same values as updating online: an
+    update only touches an afterstate with fewer stones than any value the
+    rest of the game reads."""
+    sids, moves = _play_episode(match, rng)
+    cells = match.table.game.cells
+    outcome = match.table.states[sids[-1]].status
+    reward_a, reward_b = _REWARDS[outcome]
+    # A decides at even plies and B at odd ones; each agent observes the
+    # other's moves
+    for ply, seat, observer, reward in ((0, match.a, match.b, reward_a),
+                                        (1, match.b, match.a, reward_b)):
+        afters = sids[ply + 1::2]
+        if not afters:
+            continue
+        value, updated, step = seat.value, seat.updated, seat.agent.step_size
+        targets = [value[after] for after in afters[1:]]
+        targets.append(reward)
+        for after, target in zip(afters, targets):
+            old = value[after]
+            value[after] = old + step * (target - old)
+            updated[after] = True
+        observed = observer.counts
+        for sid, move in zip(sids[ply::2], moves[ply::2]):
+            row = observed[sid]
+            if row is None:
+                row = observed[sid] = [0] * cells
+            row[move] += 1
     return outcome
+
+
+def _predict(counts: list, sid: int, cells: int, rng, memo: dict) -> int:
+    """Binned prediction of the opponent's move at state ``sid`` from one
+    agent's count rows: the argmax of the counts, ties broken uniformly,
+    or a uniform guess over the whole board when no count is positive.
+    Predictions are made only in frozen passes, so ``memo`` (state id ->
+    tied moves) keeps each state's ties for the pass."""
+    if (ties := memo.get(sid)) is None:
+        row = counts[sid] or ()
+        top = max(row, default=0)
+        ties = memo[sid] = (range(cells) if top == 0 else
+                            [move for move, count in enumerate(row) if count == top])
+    return ties[rng.integers(len(ties))] if len(ties) > 1 else ties[0]
 
 
 @dataclass(frozen=True)
@@ -241,24 +287,25 @@ class EvaluationResult:
     actual_a: tuple
 
 
-def _evaluate(agent_a: AgentModel, agent_b: AgentModel, table: StateTable,
-              episodes: int, rng, epsilon: float = 0.0) -> EvaluationResult:
-    """Frozen evaluation games on ``table``; each game is played out before
-    its decision points are predicted.  Both agents stay frozen for the
-    pass, so each state's greedy and prediction ties are worked out once."""
-    states = table.states
+def _evaluate(match: _Match, episodes: int, rng, epsilon: float = 0.0) -> EvaluationResult:
+    """Frozen evaluation games between the seated agents; each game is
+    played out before its decision points are predicted.  Both agents stay
+    frozen for the pass, so each state's greedy and prediction ties are
+    worked out once."""
+    states, cells = match.table.states, match.table.game.cells
+    counts_a, counts_b = match.a.counts, match.b.counts
     choice_ties, prediction_ties = {}, {}
     outcomes = []
     pred_b, act_b, pred_a, act_a = [], [], [], []
     for _ in range(episodes):
-        path, final = _play_episode(agent_a, agent_b, table, rng, epsilon, choice_ties)
-        outcomes.append(states[final].status)
-        for sid, move in path:
-            if states[sid].to_move == PLAYER_B:
-                pred_b.append(agent_a._predict(table, sid, rng, prediction_ties))
+        sids, moves = _play_episode(match, rng, epsilon, choice_ties)
+        outcomes.append(states[sids[-1]].status)
+        for ply, (sid, move) in enumerate(zip(sids, moves)):
+            if ply & 1:
+                pred_b.append(_predict(counts_a, sid, cells, rng, prediction_ties))
                 act_b.append(move)
             else:
-                pred_a.append(agent_b._predict(table, sid, rng, prediction_ties))
+                pred_a.append(_predict(counts_b, sid, cells, rng, prediction_ties))
                 act_a.append(move)
     return EvaluationResult(
         outcomes=tuple(outcomes),
@@ -315,7 +362,7 @@ def measure_cross_mi(agent_a: AgentModel, agent_b: AgentModel, game: GameSpec,
     if episodes < 100:
         raise ValidationError("episodes must be >= 100 for a stable estimate")
     rng = _Draws(seed)
-    ev = _evaluate(agent_a, agent_b, StateTable(game), episodes, rng)
+    ev = _evaluate(_Match(agent_a, agent_b, game), episodes, rng)
     return cross_mi_from_evaluation(ev, game)
 
 
@@ -420,7 +467,8 @@ def learn(game: GameSpec, config: LearnConfig, seed):
     frozen evaluation pass recording cross MI, Elo, and outcome rates.
     Stops early when the windowed stopping rule fires; the recorded MI
     need not reach 1.0, since learning may stop at a local optimum.
-    Deterministic given (game, config, seed).  Both agents start fresh.
+    Deterministic given (game, config, seed).  Both agents start fresh;
+    their tables are written back from the match once, at the end.
     Returns (records, agent_a, agent_b).
     """
     if not isinstance(config, LearnConfig):
@@ -429,7 +477,7 @@ def learn(game: GameSpec, config: LearnConfig, seed):
                          epsilon=config.epsilon_start)
     agent_b = AgentModel(role=PLAYER_B, step_size=config.step_size,
                          epsilon=config.epsilon_start)
-    table = StateTable(game)
+    match = _Match(agent_a, agent_b, game)
     root = _seed_sequence(seed)
     anneal = config.anneal_generations or config.generations
     elo_a = elo_b = ELO_INITIAL
@@ -445,10 +493,9 @@ def learn(game: GameSpec, config: LearnConfig, seed):
         ss_train, ss_eval = root.spawn(2)
         train_rng = _Draws(ss_train)
         for _ in range(config.episodes_per_generation):
-            _training_episode(agent_a, agent_b, table, train_rng)
+            _training_episode(match, train_rng)
         eval_rng = _Draws(ss_eval)
-        ev = _evaluate(agent_a, agent_b, table, config.eval_episodes, eval_rng,
-                       epsilon=config.eval_epsilon)
+        ev = _evaluate(match, config.eval_episodes, eval_rng, epsilon=config.eval_epsilon)
         cross = cross_mi_from_evaluation(ev, game)
         for outcome in ev.outcomes:
             elo_a, elo_b = elo_update(elo_a, elo_b, outcome)
@@ -470,6 +517,7 @@ def learn(game: GameSpec, config: LearnConfig, seed):
         series_ab.append(cross.i_ab.value)
         if _stop_rule_fires(series_ba, series_ab, config.stop_window, config.stop_delta):
             break
+    match.write_back()
     return records, agent_a, agent_b
 
 
@@ -492,10 +540,12 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
         raise ValidationError("episodes must be >= 100")
     if agent.role == opponent.role:
         raise ValidationError("agent and opponent must play different roles")
-    agent_a = agent if agent.role == PLAYER_A else opponent
-    agent_b = opponent if agent.role == PLAYER_A else agent
-    table = StateTable(game)
-    states = table.states
+    if agent.role == PLAYER_A:
+        match = _Match(agent, opponent, game)
+        counts, opponent_plies = match.a.counts, 1
+    else:
+        match = _Match(opponent, agent, game)
+        counts, opponent_plies = match.b.counts, 0
     # both agents are frozen for the whole curve
     choice_ties, prediction_ties = {}, {}
     root = _seed_sequence(seed)
@@ -504,14 +554,12 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
         rng = _Draws(ss)
         predicted, actual = [], []
         for _ in range(episodes):
-            path, _ = _play_episode(agent_a, agent_b, table, rng, 0.0, choice_ties)
-            for sid, move in path:
-                if states[sid].to_move == agent.role:
-                    continue
+            sids, moves = _play_episode(match, rng, 0.0, choice_ties)
+            for sid, move in zip(sids[opponent_plies::2], moves[opponent_plies::2]):
                 if rng.random() < ia:
                     predicted.append(move)  # revealed
                 else:
-                    predicted.append(agent._predict(table, sid, rng, prediction_ties))
+                    predicted.append(_predict(counts, sid, game.cells, rng, prediction_ties))
                 actual.append(move)
         if not actual:
             raise EstimationError(
@@ -574,8 +622,11 @@ def _snapshot_key(key: str, game: GameSpec) -> str:
 _COUNT_MAX = np.iinfo(np.int64).max
 
 
-def _snapshot_counts(packed: str, cells: int) -> list[int]:
-    """Parse ``move:count,...``; an empty list (all counts zero) is allowed."""
+def _snapshot_counts(packed: str, board: str) -> list[int]:
+    """Parse ``move:count,...`` for a state whose cells are ``board``; an
+    empty list (all counts zero) is allowed, a move on an occupied cell is
+    not."""
+    cells = len(board)
     counts = [0] * cells
     seen = set()
     for item in packed.split(",") if packed else ():
@@ -586,6 +637,8 @@ def _snapshot_counts(packed: str, cells: int) -> list[int]:
             raise ValidationError(f"opponent count {item!r} is not move:count") from None
         if not 0 <= move < cells or not 0 <= count <= _COUNT_MAX:
             raise ValidationError(f"opponent count {item!r} is out of range")
+        if board[move] != _CELL_CHARS[0]:
+            raise ValidationError(f"opponent count {item!r} is on an occupied cell of {board}")
         if move in seen:
             raise ValidationError(f"opponent count {item!r} repeats move {move}")
         seen.add(move)
@@ -626,11 +679,15 @@ def agent_from_text(text: str, game: GameSpec) -> AgentModel:
             if abs(v) > 1.0:
                 # TD(0) only mixes rewards in [-1, 1] and values already in it
                 raise ValidationError(f"snapshot value of {key} {num!r} lies outside [-1, 1]")
-            value[_snapshot_key(key, game)] = v
+            if key not in counts:  # else checked on its O line
+                _snapshot_key(key, game)
+            value[key] = v
         elif tag == "O":
             key, _, packed = rest.partition(" ")
             _snapshot_unique(counts, key, line)
-            counts[_snapshot_key(key, game)] = _snapshot_counts(packed, game.cells)
+            if key not in value:  # else checked on its V line
+                _snapshot_key(key, game)
+            counts[key] = _snapshot_counts(packed, key.partition(":")[0])
         elif tag in ("role", "game", "step_size", "epsilon"):
             _snapshot_unique(fields, tag, line)
             fields[tag] = rest

@@ -18,8 +18,8 @@ from infoplay.capacity import capacity_bounds, enumerate_reachable_states, log2_
 from infoplay.cli import run as cli_run
 from infoplay.entropy import JointCounts, LlrBlock, binary_entropy, mutual_information_plugin
 from infoplay.exit_chart import ExitCurve, OPEN, decoding_trajectory, tunnel_analysis
-from infoplay.games import DRAW, StateTable, initial_state, tic_tac_toe
-from infoplay.selfplay import LearnConfig, _evaluate, _play_episode, elo_win_prob, learn
+from infoplay.games import DRAW, initial_state, tic_tac_toe
+from infoplay.selfplay import LearnConfig, _evaluate, _Match, _play_episode, elo_win_prob, learn
 from infoplay.turbo import AWGN_BPSK, ChannelModel, RscCode, bcjr_decode, rsc_encode, simulate_turbo, transmit
 
 
@@ -158,8 +158,8 @@ def test_criterion_8_selfplay_convergence_and_stopping():
 
         # draw rate over the final 100 evaluation games
         rng = np.random.default_rng(123)
-        table = StateTable(game)
-        final_eval = _evaluate(agent_a, agent_b, table, 100, rng)
+        match = _Match(agent_a, agent_b, game)
+        final_eval = _evaluate(match, 100, rng)
         assert final_eval.outcomes.count(DRAW) / 100 >= 0.9
 
         # recorded MI series is non-decreasing over its final window within 0.05
@@ -174,10 +174,9 @@ def test_criterion_8_selfplay_convergence_and_stopping():
         minimax_value(initial_state(game), game, cache)
         replay_rng = np.random.default_rng(5)
         for _ in range(100):
-            path, final = _play_episode(agent_a, agent_b, table, replay_rng, epsilon=0.0)
-            # every state after a move: the later decision states and the final one
-            for sid in [sid for sid, _ in path[1:]] + [final]:
-                assert minimax_value(table.states[sid], game, cache) == 0
+            sids, _ = _play_episode(match, replay_rng, epsilon=0.0)
+            for sid in sids[1:]:  # every state after a move
+                assert minimax_value(match.table.states[sid], game, cache) == 0
         assert time.perf_counter() - t0 < 300.0
 
 

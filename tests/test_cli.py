@@ -192,6 +192,25 @@ class TestRun:
             for name, digest in expected.items():
                 assert hashlib.sha256((committed / name).read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("demo,outputs", [
+        ("selfplay_learning.py", ("generations.csv", "agent_exit.svg")),
+        ("exit_tunnel.py", ("exit_+0.8dB.svg", "exit_-4.0dB.svg")),
+    ])
+    def test_demo_scripts_regenerate_committed_output(self, tmp_path, demo, outputs):
+        # a demo writes into output/ next to itself, so a copy of it in
+        # tmp_path writes nothing into the repository
+        root = Path(__file__).resolve().parent.parent
+        script = tmp_path / demo
+        script.write_bytes((root / "demos" / demo).read_bytes())
+        src = str(root / "src")
+        path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                       capture_output=True, check=True, timeout=600)
+        for name in outputs:
+            committed = root / "demos" / "output" / name
+            assert (tmp_path / "output" / name).read_bytes() == committed.read_bytes(), name
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "turbo", TURBO_PARAMS, seed=10)
         out1 = run(cfg, output_dir=tmp_path / "o1")
@@ -312,6 +331,7 @@ class TestMainEntry:
         ("....A....:B 0.75", "....A....:A 0.75"),  # wrong player to move
         ("....A....:B 0.75", ".........:B 0.75"),  # B cannot move first
         ("0:3,8:1", "4:99999999999999999999999"),  # count beyond int64
+        ("0:3,8:1", "4:100000"),  # a move on an occupied cell
         ("V ....A....:B 0.75", "V ....A....:B 0.75\nV ....A....:B 0.5"),  # repeated key
         ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nO ....A....:B 1:1"),
         ("# infoplay-agent-v2", "# infoplay-agent-v1"),  # old format, no longer read

@@ -29,7 +29,10 @@ from infoplay.selfplay import (
     _TIE_TOL,
     AgentModel,
     _Draws,
+    EvaluationResult,
+    GenerationRecord,
     LearnConfig,
+    _Match,
     _evaluate,
     _paired_mi,
     _play_episode,
@@ -39,6 +42,7 @@ from infoplay.selfplay import (
     agent_exit_curve,
     agent_from_text,
     agent_to_text,
+    cross_mi_from_evaluation,
     elo_update,
     elo_win_prob,
     generation_csv,
@@ -138,44 +142,44 @@ class TestEloUpdate:
             elo_update(1500, 1500, DRAW, k_factor=0)
 
 
-def play(agent_a, agent_b, table, seed):
-    """One ``_play_episode`` game on ``table`` from a fresh seeded stream:
+def play(match, seed):
+    """One ``_play_episode`` game of ``match`` from a fresh seeded stream:
     the moves played and the final state."""
-    path, final = _play_episode(agent_a, agent_b, table, np.random.default_rng(seed))
-    return [move for _, move in path], table.states[final]
+    sids, moves = _play_episode(match, np.random.default_rng(seed))
+    return moves, match.table.states[sids[-1]]
 
 
 class TestSelfPlayEpisode:
     def test_reproducible_given_seed(self):
         a, b = AgentModel(role="A"), AgentModel(role="B")
-        moves1, final1 = play(a, b, StateTable(GAME), seed=5)
-        moves2, final2 = play(a, b, StateTable(GAME), seed=5)
+        moves1, final1 = play(_Match(a, b, GAME), seed=5)
+        moves2, final2 = play(_Match(a, b, GAME), seed=5)
         assert moves1 == moves2 and final1 == final2
         assert final1.status in (A_WINS, B_WINS, DRAW)
 
     def test_stone_balance_on_every_transcript_state(self):
-        a, b = AgentModel(role="A"), AgentModel(role="B")
-        table = StateTable(GAME)
+        match = _Match(AgentModel(role="A"), AgentModel(role="B"), GAME)
         for seed in range(50):
-            path, _ = _play_episode(a, b, table, np.random.default_rng(seed))
-            for sid, _ in path:
-                n_a = table.states[sid].cells.count(1)
-                n_b = table.states[sid].cells.count(2)
-                assert n_a - n_b in (0, 1)
+            sids, moves = _play_episode(match, np.random.default_rng(seed))
+            assert len(sids) == len(moves) + 1
+            for ply, sid in enumerate(sids):
+                n_a = match.table.states[sid].cells.count(1)
+                n_b = match.table.states[sid].cells.count(2)
+                # the players alternate, A first
+                assert n_a - n_b == ply % 2
 
     def test_minimax_agent_never_loses_to_random(self):
         cache = {}
         minimax_value(initial_state(GAME), GAME, cache)
         oracle = AgentModel(role="A", value={k: v for k, v in cache.items()}, epsilon=0.0)
         rando = AgentModel(role="B", epsilon=1.0)
-        table = StateTable(GAME)
-        losses = sum(play(oracle, rando, table, seed=s)[1].status == B_WINS
-                     for s in range(1000))
+        match = _Match(oracle, rando, GAME)
+        losses = sum(play(match, seed=s)[1].status == B_WINS for s in range(1000))
         assert losses == 0
 
     def test_one_cell_game_single_move(self):
         game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
-        moves, final = play(AgentModel(role="A"), AgentModel(role="B"), StateTable(game), 1)
+        moves, final = play(_Match(AgentModel(role="A"), AgentModel(role="B"), game), 1)
         assert len(moves) == 1 and final.status == A_WINS
 
 
@@ -476,6 +480,11 @@ def ref_exit_points(agent, opponent, game, grid, episodes, seed):
     return tuple(points)
 
 
+def ref_td_update(agent, key, target):
+    old = agent.value.get(key, 0.0)
+    agent.value[key] = old + agent.step_size * (target - old)
+
+
 def ref_training_episode(agent_a, agent_b, table, rng):
     """A training game that observes and updates right after each move,
     so every later choice reads the values as they are at that move."""
@@ -490,13 +499,15 @@ def ref_training_episode(agent_a, agent_b, table, rng):
         counts = other.opponent_counts.setdefault(keys[sid], [0] * cells)
         counts[table.moves[sid][i]] += 1
         if last_after[mover] is not None:
-            agent.td_update(last_after[mover], agent.value.get(keys[after], 0.0))
+            ref_td_update(agent, last_after[mover], agent.value.get(keys[after], 0.0))
         last_after[mover] = keys[after]
         sid = after
     outcome = states[sid].status
     for agent in (agent_a, agent_b):
         if last_after[agent.role] is not None:
-            agent.td_update(last_after[agent.role], agent.reward(outcome))
+            won = outcome == (A_WINS if agent.role == "A" else B_WINS)
+            reward = 0.0 if outcome == DRAW else (1.0 if won else -1.0)
+            ref_td_update(agent, last_after[agent.role], reward)
     return outcome
 
 
@@ -532,9 +543,8 @@ class TestFrozenPasses:
            seed=st.integers(0, 2**32 - 1))
     def test_evaluate_matches_reference(self, stream, pair, epsilon, seed):
         game, agent_a, agent_b = pair
-        table = StateTable(game)
-        ev = _evaluate(agent_a, agent_b, table, 60, stream(seed), epsilon)
-        expected = ref_evaluate(agent_a, agent_b, table, 60, stream(seed), epsilon)
+        ev = _evaluate(_Match(agent_a, agent_b, game), 60, stream(seed), epsilon)
+        expected = ref_evaluate(agent_a, agent_b, StateTable(game), 60, stream(seed), epsilon)
         assert (ev.outcomes, ev.predicted_b, ev.actual_b, ev.predicted_a,
                 ev.actual_a) == expected
 
@@ -561,14 +571,78 @@ class TestTrainingEpisode:
         for agent, epsilon in zip((agent_a, agent_b), epsilons):
             agent.epsilon, agent.step_size = epsilon, step_size
         ref_a, ref_b = copy.deepcopy(agent_a), copy.deepcopy(agent_b)
-        table = StateTable(game)
+        match, ref_table = _Match(agent_a, agent_b, game), StateTable(game)
         rng, ref_rng = stream(seed), stream(seed)
         for _ in range(5):
-            outcome = _training_episode(agent_a, agent_b, table, rng)
-            assert outcome == ref_training_episode(ref_a, ref_b, table, ref_rng)
+            outcome = _training_episode(match, rng)
+            assert outcome == ref_training_episode(ref_a, ref_b, ref_table, ref_rng)
+        match.write_back()
         for agent, ref in ((agent_a, ref_a), (agent_b, ref_b)):
             assert agent.value == ref.value
             assert agent.opponent_counts == ref.opponent_counts
+
+
+def ref_learn(game, config, seed):
+    """``learn``'s generation loop on the text-keyed oracles above."""
+    agent_a = AgentModel(role="A", step_size=config.step_size, epsilon=config.epsilon_start)
+    agent_b = AgentModel(role="B", step_size=config.step_size, epsilon=config.epsilon_start)
+    table = StateTable(game)
+    root = _seed_sequence(seed)
+    anneal = config.anneal_generations or config.generations
+    elo_a = elo_b = 1000.0
+    records, series_ba, series_ab = [], [], []
+    for gen in range(1, config.generations + 1):
+        frac = 0.0 if anneal <= 1 else min(1.0, (gen - 1) / (anneal - 1))
+        agent_a.epsilon = agent_b.epsilon = (
+            config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start))
+        agent_a.step_size = agent_b.step_size = (
+            config.step_size + frac * (config.step_size_end - config.step_size))
+        ss_train, ss_eval = root.spawn(2)
+        rng = np.random.default_rng(ss_train)
+        for _ in range(config.episodes_per_generation):
+            ref_training_episode(agent_a, agent_b, table, rng)
+        ev = EvaluationResult(*ref_evaluate(agent_a, agent_b, table, config.eval_episodes,
+                                            np.random.default_rng(ss_eval),
+                                            config.eval_epsilon))
+        cross = cross_mi_from_evaluation(ev, game)
+        for outcome in ev.outcomes:
+            elo_a, elo_b = elo_update(elo_a, elo_b, outcome)
+        n = len(ev.outcomes)
+        records.append(GenerationRecord(
+            generation=gen, i_ba=cross.i_ba, i_ab=cross.i_ab, elo_a=elo_a, elo_b=elo_b,
+            draw_rate=ev.outcomes.count(DRAW) / n, a_win_rate=ev.outcomes.count(A_WINS) / n,
+            b_win_rate=ev.outcomes.count(B_WINS) / n,
+            bits_ba_per_game=cross.bits_ba_per_game, bits_ab_per_game=cross.bits_ab_per_game))
+        series_ba.append(cross.i_ba.value)
+        series_ab.append(cross.i_ab.value)
+        if _stop_rule_fires(series_ba, series_ab, config.stop_window, config.stop_delta):
+            break
+    return records, agent_a, agent_b
+
+
+class TestLearnMatchesReference:
+    """A whole run keeps its tables as lists by state id across generations
+    and writes them back at the end; it must match the text-keyed loop."""
+
+    @pytest.mark.parametrize("game", [GameSpec(rows=1, cols=4, k=2),
+                                      GameSpec(rows=2, cols=2, k=2), _SMALL_GAME],
+                             ids=lambda game: game.game_id)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), generations=st.integers(2, 4),
+           episodes=st.integers(1, 40), anneal=st.sampled_from([None, 2]),
+           eval_epsilon=st.sampled_from([0.0, 0.1]),
+           stop_delta=st.sampled_from([0.02, math.inf]))
+    def test_learn_matches_text_keyed_loop(self, game, seed, generations, episodes, anneal,
+                                           eval_epsilon, stop_delta):
+        config = LearnConfig(generations=generations, episodes_per_generation=episodes,
+                             eval_episodes=100, anneal_generations=anneal,
+                             eval_epsilon=eval_epsilon, stop_window=2, stop_delta=stop_delta)
+        records, agent_a, agent_b = learn(game, config, seed)
+        ref_records, ref_a, ref_b = ref_learn(game, config, seed)
+        assert records == ref_records
+        for agent, ref in ((agent_a, ref_a), (agent_b, ref_b)):
+            assert agent == ref  # role, rates and both tables
+        assert tables_text(agent_a, agent_b) == tables_text(ref_a, ref_b)
 
 
 class TestSnapshots:
@@ -607,6 +681,8 @@ class TestSnapshots:
         ("O ....A....:B", "O ....B....:A"),
         ("0:3,8:1", "4:99999999999999999999999"),  # count beyond int64
         ("0:3,8:1", "0:3,0:1"),  # one move counted twice
+        ("0:3,8:1", "0:3,4:1"),  # a move on the cell A already holds
+        ("0:3,8:1", "4:0"),
         # a repeated line, which would silently win over the first
         ("V ....A....:B 0.75", "V ....A....:B 0.75\nV ....A....:B 0.5"),
         ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nO ....A....:B 1:1"),
@@ -633,8 +709,12 @@ class TestSnapshots:
     @given(role=st.sampled_from("AB"),
            rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
            value=st.dictionaries(st.sampled_from(_REACHABLE_KEYS), st.floats(-1.0, 1.0)),
-           counts=st.dictionaries(st.sampled_from(_REACHABLE_KEYS),
-                                  st.lists(st.integers(0, 2**40), min_size=9, max_size=9)))
+           counts=st.dictionaries(
+               st.sampled_from(_REACHABLE_KEYS),
+               st.lists(st.integers(0, 2**40), min_size=9, max_size=9),
+           ).map(lambda rows: {  # counts only on empty cells
+               key: [c if key[m] == "." else 0 for m, c in enumerate(row)]
+               for key, row in rows.items()}))
     @example(role="B", rates=(0.25, 0.1), value={}, counts={"....A....:B": [0] * 9})
     def test_round_trip_property(self, role, rates, value, counts):
         agent = AgentModel(role=role, step_size=rates[0], epsilon=rates[1], value=value,
