@@ -31,7 +31,7 @@ code = RscCode(0o7, 0o5, 2)
 grid = np.arange(0.0, 0.91, 0.1)
 
 for ebn0_db in (0.8, -4.0):
-    channel = ChannelModel("awgn_bpsk", ebn0_db, rate=1 / 3)
+    channel = ChannelModel(ebn0_db, rate=1 / 3)
     curve = measure_exit_curve(code, channel, grid, samples_per_point=20_000,
                                seed=1, label=f"{ebn0_db}dB")
     # a symmetric turbo code uses the same component twice, so the partner

@@ -114,21 +114,25 @@ def enumerate_reachable_states(
     additionally quotients by the board symmetry group, keying each child
     on the least key among its images, and is off by default.
 
-    ``max_states`` bounds memory as well as the count.  A child has at most
-    one parent per stone of the mover (times the group order under
-    symmetry reduction), which bounds a layer's distinct children from
-    below; a layer certain to push the count past the cap is refused
-    before it is built.  Either way the error is raised exactly when the
-    full count exceeds the cap.
+    ``max_states`` bounds memory as well as the count.  Before ply 0 the
+    closed-form ``_reachable_lower_bound`` refuses a board certain to
+    exceed the cap (under symmetry reduction an orbit holds at most one
+    position per group element).  A child has at most one parent per stone
+    of the mover (times the group order under symmetry reduction), which
+    bounds a layer's distinct children from below; a layer certain to push
+    the count past the cap is refused before it is built.  Either way the
+    error is raised exactly when the full count exceeds the cap.
     """
     n = game.cells
+    group = (8 if game.rows == game.cols else 4) if symmetry_reduction else 1
+    exceeded = f"reachable-state enumeration exceeded the cap of {max_states} states"
+    if _reachable_lower_bound(game, max_states * group) > max_states * group:
+        raise ResourceCapError(exceeded)
     dtype = np.uint64 if 2 * n <= 64 else object
     bits = [1 << m for m in range(n)]
     lines = {sum(1 << i for i in range(*line.indices(n)))
              for through in win_lines(game) for line in through}
     tables = _symmetry_tables(game, dtype) if symmetry_reduction else []
-    group = len(tables) or 1
-    exceeded = f"reachable-state enumeration exceeded the cap of {max_states} states"
     frontier = np.zeros(1, dtype=dtype)
     count = 1
     for ply in range(n):
@@ -169,7 +173,8 @@ def enumerate_reachable_states(
 
 def _reachable_lower_bound(game: GameSpec, cap: int) -> int:
     """A cheap provable lower bound on the reachable-state count, used to
-    skip enumeration that is certain to blow the cap.
+    refuse enumeration that is certain to blow the cap; the sum stops as
+    soon as it exceeds ``cap``.
 
     No game can terminate before ply 2k-1 (k_in_a_row) or before the board
     fills (board_full_scoring), so every balanced placement of p stones is
@@ -194,14 +199,13 @@ def capacity_bounds(game: GameSpec, max_states: int = DEFAULT_STATE_CAP) -> Capa
     labelings = game.cells * math.log2(game.labels)
     exact_bits = None
     exact_states = None
-    if _reachable_lower_bound(game, max_states) <= max_states:
-        try:
-            res = enumerate_reachable_states(game, max_states=max_states)
-        except ResourceCapError:
-            pass
-        else:
-            exact_bits = res.log2_count
-            exact_states = res.count
+    try:
+        res = enumerate_reachable_states(game, max_states=max_states)
+    except ResourceCapError:
+        pass
+    else:
+        exact_bits = res.log2_count
+        exact_states = res.count
     return CapacityBound(
         game_id=game.game_id,
         upper_move_orderings=orderings,

@@ -220,7 +220,7 @@ def _run_turbo(rc: ResolvedConfig, outdir: Path) -> dict:
 def _run_exit(rc: ResolvedConfig, outdir: Path) -> dict:
     p = rc.params
     code = turbo_mod.RscCode(p["feedback"], p["feedforward"], p["memory"])
-    channel = turbo_mod.ChannelModel(turbo_mod.AWGN_BPSK, p["ebn0_db"], rate=p["rate"])
+    channel = turbo_mod.ChannelModel(p["ebn0_db"], rate=p["rate"])
     curve = exit_mod.measure_exit_curve(
         code, channel, p["ia_grid"], p["samples_per_point"], seed=rc.seed,
         label=f"bcjr@{p['ebn0_db']}dB",

@@ -106,22 +106,23 @@ class ExitCurve:
         return np.interp(np.asarray(x, dtype=float), self.ia, self.monotone_ie())
 
     def inverse(self, y) -> np.ndarray:
-        """Generalized inverse: the smallest I_A with I_E >= y.
+        """Generalized inverse: the largest I_A with I_E <= y, so a flat
+        stretch of the curve maps to its right end.
 
-        Values above the curve's maximum output are unreachable and map to
-        +inf.
+        Values below the curve's minimum output map to -inf; values above
+        its maximum output are unreachable and map to +inf.
         """
         ia = self.ia
         ie = self.monotone_ie()
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        idx = np.searchsorted(ie, y, side="left")
+        idx = np.searchsorted(ie, y, side="right")
         safe = np.clip(idx, 1, len(ie) - 1)
         lo, hi = ie[safe - 1], ie[safe]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             frac = (y - lo) / (hi - lo)
         x = ia[safe - 1] + frac * (ia[safe] - ia[safe - 1])
-        x = np.where(idx == 0, ia[0], x)
-        return np.where(y > ie[-1], np.inf, x)
+        x = np.where(idx == len(ie), ia[-1], x)
+        return np.where(y > ie[-1], np.inf, np.where(idx == 0, -np.inf, x))
 
 
 @dataclass(frozen=True)
@@ -206,13 +207,17 @@ def measure_exit_curve(
 def tunnel_analysis(curve_a: ExitCurve, curve_b: ExitCurve) -> TunnelReport:
     """Gap between decoder A's curve and decoder B's transposed curve.
 
-    The gap g(x) = curve_a(x) - curve_b^{-1}(x) is piecewise linear, so it
-    is evaluated exactly: on every interior breakpoint of either curve
-    (the endpoints (0,0) and (1,1) are where the curves are allowed to
-    meet) plus the interior zero crossings of any segment whose ends
-    straddle zero.  The tunnel is pinched when the minimum interior gap
-    falls to ``TUNNEL_EPSILON`` or below; the pinch point is the first x where
-    that happens, which is where the staircase trajectory stalls.
+    The gap g(x) = curve_a(x) - curve_b^{-1}(x) is piecewise linear, and
+    with the largest-input inverse it takes its lowest values on the
+    breakpoints, so it is evaluated exactly: at the origin, on every
+    interior breakpoint of either curve and at the zero crossings of any
+    segment whose ends straddle zero.  The tunnel is pinched when the gap
+    falls to ``TUNNEL_EPSILON`` or below before x = 1, or below zero at
+    x = 1 (the curves may meet in the corner (1, 1), not below it); the
+    pinch point is the first x where that happens, which is where the
+    staircase trajectory stalls.  Swapping two curves measured on all of
+    [0, 1] transposes the chart, so their exact verdict
+    (``TUNNEL_EPSILON`` = 0) does not depend on which decoder is called A.
 
     Verdicts hold on the jointly measured domain: when a Monte Carlo
     curve stops short of I_A = 1, nothing is asserted beyond its own top
@@ -234,8 +239,9 @@ def tunnel_analysis(curve_a: ExitCurve, curve_b: ExitCurve) -> TunnelReport:
 
     def gap_at(x):
         # outputs decoder B can never produce get inverse 1.0, the largest
-        # possible input, so the gap stays a finite deficit
-        return curve_a.evaluate(x) - np.minimum(curve_b.inverse(x), 1.0)
+        # possible input, so the gap stays a finite deficit; outputs below
+        # its least get -1.0, which every output of decoder A clears
+        return curve_a.evaluate(x) - np.clip(curve_b.inverse(x), -1.0, 1.0)
 
     gap = gap_at(xs)
     # refine: a sign change strictly inside a segment is a crossing the
@@ -250,14 +256,15 @@ def tunnel_analysis(curve_a: ExitCurve, curve_b: ExitCurve) -> TunnelReport:
     if extra:
         xs = np.sort(np.concatenate([xs, extra]))
         gap = gap_at(xs)
-    inner = (xs > 0.0) & (xs < 1.0)
-    if not inner.any():
+    if x_hi <= 0.0:
         # partner curve never produces a usable output: shut at the origin
         return TunnelReport(
             status=PINCHED,
-            min_gap=float(gap_at(np.array([0.0]))[0]),
+            min_gap=float(gap[0]),
             pinch_point=(0.0, float(curve_a.evaluate(0.0))),
         )
+    # the curves may meet in the corner (1, 1), but not below it
+    inner = (xs < 1.0) | (gap < 0.0)
     min_gap = float(np.min(gap[inner]))
     hits = np.nonzero(inner & (gap <= TUNNEL_EPSILON))[0]
     if hits.size:

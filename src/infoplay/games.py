@@ -153,45 +153,3 @@ def apply_move(state: GameState, move: int, game: GameSpec) -> GameState:
         status = ONGOING
     return GameState(cells=cells, status=status)
 
-
-class StateTable:
-    """The states of one game met so far, interned to integer ids.
-
-    Ids are handed out in order of first sight, starting with the initial
-    state at ``root``.  Per id the table keeps the state, its text key and
-    its legal moves, which are empty exactly when the state is terminal; the
-    child ids of a state are filled through ``apply_move`` the first time
-    ``children`` is asked for them (``child_ids`` holds None until then),
-    so the rules have one implementation and a large board only costs the
-    states actually visited.
-    """
-
-    def __init__(self, game: GameSpec):
-        self.game = game
-        self.states: list[GameState] = []
-        self.keys: list[str] = []
-        self.moves: list[tuple] = []
-        self.child_ids: list[tuple | None] = []
-        self._ids: dict[GameState, int] = {}
-        self.root = self.intern(initial_state(game))
-
-    def intern(self, state: GameState) -> int:
-        sid = self._ids.get(state)
-        if sid is None:
-            sid = len(self.states)
-            self._ids[state] = sid
-            self.states.append(state)
-            self.keys.append(state.key())
-            ongoing = state.status == ONGOING
-            self.moves.append(tuple(legal_moves(state, self.game)) if ongoing else ())
-            self.child_ids.append(None)
-        return sid
-
-    def children(self, sid: int) -> tuple:
-        """Child ids of state ``sid``, one per legal move, in move order."""
-        kids = self.child_ids[sid]
-        if kids is None:
-            state = self.states[sid]
-            kids = tuple(self.intern(apply_move(state, m, self.game)) for m in self.moves[sid])
-            self.child_ids[sid] = kids
-        return kids

@@ -26,10 +26,13 @@ from .games import (
     DRAW,
     GameSpec,
     GameState,
+    ONGOING,
     PLAYER_A,
     PLAYER_B,
-    StateTable,
     _CELL_CHARS,
+    apply_move,
+    initial_state,
+    legal_moves,
 )
 
 SNAPSHOT_HEADER = "# infoplay-agent-v2"
@@ -121,13 +124,10 @@ class AgentModel:
 
 
 class _Seat:
-    """One agent's tables on a pass's ``StateTable``, as lists by state id:
+    """One agent's tables on a pass's ``_Match``, as lists by state id:
     afterstate values (0.0 when unset), whether the pass has updated each
     value (an updated value may be 0.0, and snapshots still write it) and
-    opponent-count rows (None for a state never observed).  ``grow`` reads
-    the agent's dicts for the states the table has interned since its last
-    call; ``write_back`` stores the updated values and the count rows into
-    the dicts."""
+    opponent-count rows (None for a state never observed)."""
 
     __slots__ = ("agent", "value", "updated", "counts")
 
@@ -137,53 +137,69 @@ class _Seat:
         self.updated: list[bool] = []
         self.counts: list[list[int] | None] = []
 
-    def grow(self, keys: list):
-        new = keys[len(self.value):]
-        value, counts = self.agent.value, self.agent.opponent_counts
-        self.value.extend([value.get(key, 0.0) for key in new])
-        self.updated.extend([False] * len(new))
-        self.counts.extend([counts.get(key) for key in new])
-
-    def write_back(self, keys: list):
-        value, counts = self.agent.value, self.agent.opponent_counts
-        for key, v, updated, row in zip(keys, self.value, self.updated, self.counts):
-            if updated:
-                value[key] = v
-            if row is not None:
-                counts[key] = row
-
 
 class _Match:
-    """Agents A and B seated on the ``StateTable`` of one self-play pass.
+    """Agents A and B seated on the states of one self-play pass.
 
-    The match owns its table, and a state is interned only through
-    ``children``, which grows both seats' lists with the table; the walker
-    reads ``table.child_ids`` first and calls ``children`` only for a
-    state it has not expanded yet.  A moves first and the players
-    alternate, so the decision at ply ``n`` of a game is A's exactly when
-    ``n`` is even.
+    The match interns the states it meets to integer ids, in order of first
+    sight with the initial state at id 0.  Per id it keeps the state, its
+    text key and its legal moves, which are empty exactly when the state is
+    terminal; the child ids of a state are filled through ``apply_move``
+    the first time ``children`` is asked for them (``child_ids`` holds None
+    until then), so the rules have one implementation and a large board
+    only costs the states actually visited.  Interning a state appends its
+    entry to both seats, read from the agents' dicts.  A moves first and the
+    players alternate, so the decision at ply ``n`` of a game is A's exactly
+    when ``n`` is even.
     """
 
-    __slots__ = ("table", "a", "b")
+    __slots__ = ("game", "states", "keys", "moves", "child_ids", "_ids", "a", "b")
 
     def __init__(self, agent_a: AgentModel, agent_b: AgentModel, game: GameSpec):
-        self.table = StateTable(game)
+        self.game = game
+        self.states: list[GameState] = []
+        self.keys: list[str] = []
+        self.moves: list[tuple] = []
+        self.child_ids: list[tuple | None] = []
+        self._ids: dict[GameState, int] = {}
         self.a, self.b = _Seat(agent_a), _Seat(agent_b)
-        self._grow()
+        self.intern(initial_state(game))
+
+    def intern(self, state: GameState) -> int:
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = self._ids[state] = len(self.states)
+            key = state.key()
+            self.states.append(state)
+            self.keys.append(key)
+            ongoing = state.status == ONGOING
+            self.moves.append(tuple(legal_moves(state, self.game)) if ongoing else ())
+            self.child_ids.append(None)
+            for seat in (self.a, self.b):
+                seat.value.append(seat.agent.value.get(key, 0.0))
+                seat.updated.append(False)
+                seat.counts.append(seat.agent.opponent_counts.get(key))
+        return sid
 
     def children(self, sid: int) -> tuple:
-        kids = self.table.children(sid)
-        self._grow()
+        """Child ids of state ``sid``, one per legal move, in move order."""
+        kids = self.child_ids[sid]
+        if kids is None:
+            state, game = self.states[sid], self.game
+            kids = tuple(self.intern(apply_move(state, m, game)) for m in self.moves[sid])
+            self.child_ids[sid] = kids
         return kids
 
-    def _grow(self):
-        self.a.grow(self.table.keys)
-        self.b.grow(self.table.keys)
-
     def write_back(self):
-        """Store both seats' tables into their agents' dicts."""
-        self.a.write_back(self.table.keys)
-        self.b.write_back(self.table.keys)
+        """Store both seats' updated values and count rows into their
+        agents' dicts."""
+        for seat in (self.a, self.b):
+            value, counts = seat.agent.value, seat.agent.opponent_counts
+            for key, v, updated, row in zip(self.keys, seat.value, seat.updated, seat.counts):
+                if updated:
+                    value[key] = v
+                if row is not None:
+                    counts[key] = row
 
 
 def _play_episode(match: _Match, rng, epsilon: float | None = None,
@@ -202,11 +218,10 @@ def _play_episode(match: _Match, rng, epsilon: float | None = None,
     in which both agents are frozen, so each state's ties are worked out
     once; the state fixes the player to move, so one dict serves both."""
     random, integers = rng.random, rng.integers
-    table = match.table
-    legal, known = table.moves, table.child_ids
+    legal, known = match.moves, match.child_ids
     value, eps = match.a.value, match.a.agent.epsilon if epsilon is None else epsilon
     other_value, other_eps = match.b.value, match.b.agent.epsilon if epsilon is None else epsilon
-    sid = table.root
+    sid = 0  # the root
     sids, moves = [sid], []
     while options := legal[sid]:
         kids = known[sid] or match.children(sid)
@@ -238,8 +253,8 @@ def _training_episode(match: _Match, rng) -> str:
     update only touches an afterstate with fewer stones than any value the
     rest of the game reads."""
     sids, moves = _play_episode(match, rng)
-    cells = match.table.game.cells
-    outcome = match.table.states[sids[-1]].status
+    cells = match.game.cells
+    outcome = match.states[sids[-1]].status
     reward_a, reward_b = _REWARDS[outcome]
     # A decides at even plies and B at odd ones; each agent observes the
     # other's moves
@@ -292,7 +307,7 @@ def _evaluate(match: _Match, episodes: int, rng, epsilon: float = 0.0) -> Evalua
     played out before its decision points are predicted.  Both agents stay
     frozen for the pass, so each state's greedy and prediction ties are
     worked out once."""
-    states, cells = match.table.states, match.table.game.cells
+    states, cells = match.states, match.game.cells
     counts_a, counts_b = match.a.counts, match.b.counts
     choice_ties, prediction_ties = {}, {}
     outcomes = []
@@ -408,7 +423,7 @@ class LearnConfig:
     """Committed defaults for the tic-tac-toe scale harness.
 
     Exploration and the TD step size both anneal linearly over
-    ``anneal_generations`` (``None`` or 0: over all ``generations``); the
+    ``anneal_generations`` (0: over all ``generations``); the
     step size anneals to zero, which freezes the value tables (and with
     them the greedy play lines) so the exchanged-information series can
     actually plateau and trip the stopping rule.
@@ -423,7 +438,7 @@ class LearnConfig:
     step_size_end: float = 0.0
     epsilon_start: float = 0.35
     epsilon_end: float = 0.05
-    anneal_generations: int | None = 45
+    anneal_generations: int = 45
     eval_epsilon: float = 0.0
 
     def __post_init__(self):
@@ -431,8 +446,8 @@ class LearnConfig:
             raise ValidationError("generation and episode counts must be >= 1")
         if self.eval_episodes < 100:
             raise ValidationError("eval_episodes must be >= 100")
-        if self.anneal_generations is not None and self.anneal_generations < 0:
-            raise ValidationError("anneal_generations must be >= 0 (0 or None: all generations)")
+        if self.anneal_generations < 0:
+            raise ValidationError("anneal_generations must be >= 0 (0: all generations)")
         if self.stop_window < 1:
             raise ValidationError("stop_window must be >= 1")
         if not self.stop_delta > 0:

@@ -32,8 +32,6 @@ import numpy as np
 from .entropy import LLR_CLAMP, LlrBlock, _llr_information, _seed_sequence
 from .errors import NumericalContractError, ValidationError
 
-AWGN_BPSK = "awgn_bpsk"
-
 _NEG_INF = -np.inf
 # float64 elements of run buffers per set of rows in _bcjr_rows (512 KiB)
 _RUN_ELEMENTS = 65_536
@@ -247,22 +245,17 @@ def s_random_interleaver(n: int, seed, s: int | None = None, max_tries: int = 10
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """A memoryless binary-input channel.
-
-    The one kind is ``awgn_bpsk``: parameter is Eb/N0 in dB; the noise
-    variance also depends on the code rate of the transmitted stream, so
-    ``rate`` must be set to the overall code rate (1.0 for uncoded).
+    """A BPSK-modulated AWGN channel at ``ebn0_db`` (Eb/N0 in dB).  The
+    noise variance also depends on the code rate of the transmitted stream,
+    so ``rate`` must be set to the overall code rate (1.0 for uncoded).
     """
 
-    kind: str
-    parameter: float
+    ebn0_db: float
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.kind != AWGN_BPSK:
-            raise ValidationError(f"unknown channel kind {self.kind!r}")
-        if not np.isfinite(self.parameter):
-            raise ValidationError("channel parameter must be finite")
+        if not np.isfinite(self.ebn0_db):
+            raise ValidationError("Eb/N0 must be finite")
         if not (0.0 < self.rate <= 1.0):
             raise ValidationError("code rate must lie in (0, 1]")
         # beyond about +-3000 dB the variance, or the LLR scale 2 / var,
@@ -273,10 +266,10 @@ class ChannelModel:
             variance = np.inf
         if not np.finfo(float).tiny <= variance < np.inf:
             raise ValidationError(
-                f"Eb/N0 of {self.parameter!r} dB gives no usable noise variance")
+                f"Eb/N0 of {self.ebn0_db!r} dB gives no usable noise variance")
 
     def noise_variance(self) -> float:
-        ebn0 = 10.0 ** (self.parameter / 10.0)
+        ebn0 = 10.0 ** (self.ebn0_db / 10.0)
         return 1.0 / (2.0 * self.rate * ebn0)
 
 
@@ -618,7 +611,7 @@ def simulate_turbo(
         interleaver = s_random_interleaver(n_info, ss_perm)
     else:
         raise ValidationError(f"unknown interleaver kind {interleaver_kind!r}")
-    channel = ChannelModel(kind=AWGN_BPSK, parameter=ebn0_db, rate=1.0 / 3.0)
+    channel = ChannelModel(ebn0_db, rate=1.0 / 3.0)
 
     bit_rng = np.random.default_rng(ss_bits)
     truth = np.empty((n_blocks, n_info), dtype=np.int8)

@@ -20,7 +20,7 @@ from infoplay.entropy import JointCounts, LlrBlock, binary_entropy, mutual_infor
 from infoplay.exit_chart import ExitCurve, OPEN, decoding_trajectory, tunnel_analysis
 from infoplay.games import DRAW, initial_state, tic_tac_toe
 from infoplay.selfplay import LearnConfig, _evaluate, _Match, _play_episode, elo_win_prob, learn
-from infoplay.turbo import AWGN_BPSK, ChannelModel, RscCode, bcjr_decode, rsc_encode, simulate_turbo, transmit
+from infoplay.turbo import ChannelModel, RscCode, bcjr_decode, rsc_encode, simulate_turbo, transmit
 
 
 @contextmanager
@@ -77,7 +77,7 @@ def test_criterion_4_bcjr_brute_force_equivalence():
     with criterion(4, "BCJR equals exhaustive MAP within 1e-6/bit on 200 noisy blocks"):
         t0 = time.perf_counter()
         code = RscCode(0o7, 0o5, 2)
-        channel = ChannelModel(AWGN_BPSK, 0.0, rate=0.5)
+        channel = ChannelModel(0.0, rate=0.5)
         rng = np.random.default_rng(4)
         for _ in range(200):
             bits = rng.integers(0, 2, 8)
@@ -176,7 +176,7 @@ def test_criterion_8_selfplay_convergence_and_stopping():
         for _ in range(100):
             sids, _ = _play_episode(match, replay_rng, epsilon=0.0)
             for sid in sids[1:]:  # every state after a move
-                assert minimax_value(match.table.states[sid], game, cache) == 0
+                assert minimax_value(match.states[sid], game, cache) == 0
         assert time.perf_counter() - t0 < 300.0
 
 

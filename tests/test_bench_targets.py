@@ -12,10 +12,8 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
-# enumeration and self-play no longer step through these game functions
+# enumeration no longer steps through these game functions
 KNOWN_MISSING = {
-    "infoplay.selfplay.apply_move",
-    "infoplay.selfplay.legal_moves",
     "infoplay.capacity.apply_move",
     "infoplay.capacity.legal_moves",
 }

@@ -153,11 +153,16 @@ class TestEnumeration:
 
     def test_cap_bounds_memory_as_well_as_the_count(self):
         # 5x5-k5 holds 614,726 positions up to ply 5 and 4,156,726 up to
-        # ply 6; building the 10,626,000 children of ply 6 takes 85 MB
+        # ply 6; building the 10,626,000 children of ply 6 takes 85 MB.
+        # Under symmetry reduction the 20,981,226 positions of plies 0 to 7
+        # are more than a million orbits of at most 8 positions can hold
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceCapError, match="cap of 1000000 states"):
-                enumerate_reachable_states(GameSpec(rows=5, cols=5, k=5), max_states=1_000_000)
+            for symmetry in (False, True):
+                with pytest.raises(ResourceCapError, match="cap of 1000000 states"):
+                    enumerate_reachable_states(GameSpec(rows=5, cols=5, k=5),
+                                               max_states=1_000_000,
+                                               symmetry_reduction=symmetry)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,10 +1,14 @@
 """EXIT curves, tunnel analysis, and the staircase decoding trajectory."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from infoplay import exit_chart
 from infoplay.errors import NumericalContractError, ValidationError
 from infoplay.exit_chart import (
     OPEN,
@@ -16,7 +20,7 @@ from infoplay.exit_chart import (
     render_exit_chart,
     tunnel_analysis,
 )
-from infoplay.turbo import AWGN_BPSK, ChannelModel, RscCode
+from infoplay.turbo import ChannelModel, RscCode
 
 CODE75 = RscCode()
 
@@ -70,6 +74,11 @@ class TestExitCurveType:
         assert ident.inverse(0.37) == pytest.approx(0.37, abs=1e-9)
         capped = curve_from(lambda x: min(0.8, x), np.linspace(0, 1, 5))
         assert np.isinf(capped.inverse(0.9))
+        # a flat stretch maps to its right end; below the least output
+        # no input qualifies
+        assert capped.inverse(0.8) == 1.0
+        raised = curve_from(lambda x: 0.2 + 0.8 * x, np.linspace(0, 1, 5))
+        assert raised.inverse(0.1) == -np.inf
 
 
 class TestTunnelAnalysis:
@@ -99,6 +108,37 @@ class TestTunnelAnalysis:
         report = tunnel_analysis(a, b)
         assert report.status == PINCHED
         assert report.pinch_point[0] == pytest.approx(0.625, abs=1e-9)
+
+
+@st.composite
+def full_domain_curves(draw):
+    """Monotone curves sampled on a grid that holds 0 and 1."""
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=8, unique=True))
+    grid = [0.0, *sorted(inner), 1.0]
+    ie = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(grid), max_size=len(grid))))
+    return ExitCurve(points=tuple(zip(grid, ie)))
+
+
+def pair(a_points, b_points):
+    return {"a": ExitCurve(points=a_points), "b": ExitCurve(points=b_points)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=full_domain_curves(), b=full_domain_curves())
+# a ends below the corner (1, 1) where b is flat at 1
+@example(**pair(((0.0, 0.0), (1.0, 0.5)), ((0.0, 1.0), (1.0, 1.0))))
+# b is flat at 0 up to 0.25: the staircase cannot leave the origin
+@example(**pair(((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), (0.25, 0.0), (0.5, 1.0), (1.0, 1.0))))
+@example(**pair(((0.0, 0.25), (1.0, 1.0)), ((0.0, 0.0), (0.25, 0.0), (0.5, 0.5), (1.0, 1.0))))
+# b starts above 0, so small outputs of a need no input of b
+@example(**pair(((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.25), (1.0, 1.0))))
+def test_tunnel_verdict_does_not_depend_on_which_curve_is_a(a, b):
+    # swapping the curves transposes the chart.  The tolerance is a
+    # vertical distance in either orientation, so the property is stated
+    # for the exact verdict
+    with mock.patch.object(exit_chart, "TUNNEL_EPSILON", 0.0):
+        assert tunnel_analysis(a, b).status == tunnel_analysis(b, a).status
 
 
 class TestDecodingTrajectory:
@@ -137,7 +177,7 @@ class TestMeasuredCurves:
     def test_noiseless_limit(self):
         curve = measure_exit_curve(
             CODE75,
-            ChannelModel(AWGN_BPSK, 30.0, rate=0.5),
+            ChannelModel(30.0, rate=0.5),
             ia_grid=[0.0, 0.5, 0.9],
             samples_per_point=2000,
             seed=1,
@@ -147,7 +187,7 @@ class TestMeasuredCurves:
     def test_deterministic_given_seed(self):
         kwargs = dict(
             code=CODE75,
-            channel=ChannelModel(AWGN_BPSK, 0.8, rate=0.5),
+            channel=ChannelModel(0.8, rate=0.5),
             ia_grid=[0.0, 0.3, 0.6],
             samples_per_point=1000,
             seed=77,
@@ -159,7 +199,7 @@ class TestMeasuredCurves:
     def test_waterfall_curve_monotone_within_tolerance(self):
         curve = measure_exit_curve(
             CODE75,
-            ChannelModel(AWGN_BPSK, 0.8, rate=1.0 / 3.0),
+            ChannelModel(0.8, rate=1.0 / 3.0),
             ia_grid=np.arange(0.0, 0.91, 0.1),
             samples_per_point=20000,
             seed=5,
@@ -175,7 +215,7 @@ class TestMeasuredCurves:
         # batch
         curve = measure_exit_curve(
             CODE75,
-            ChannelModel(AWGN_BPSK, 0.8, rate=1.0 / 3.0),
+            ChannelModel(0.8, rate=1.0 / 3.0),
             ia_grid=[0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
             samples_per_point=20000,
             seed=42,
@@ -189,7 +229,7 @@ class TestMeasuredCurves:
     def test_curve_lives_in_unit_square(self):
         curve = measure_exit_curve(
             CODE75,
-            ChannelModel(AWGN_BPSK, -3.0, rate=0.5),
+            ChannelModel(-3.0, rate=0.5),
             ia_grid=[0.0, 0.4, 0.8],
             samples_per_point=1000,
             seed=9,
@@ -200,11 +240,11 @@ class TestMeasuredCurves:
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             measure_exit_curve(
-                CODE75, ChannelModel(AWGN_BPSK, 1.0), [0.5, 0.2], 1000, seed=1
+                CODE75, ChannelModel(1.0), [0.5, 0.2], 1000, seed=1
             )
         with pytest.raises(ValidationError):
             measure_exit_curve(
-                CODE75, ChannelModel(AWGN_BPSK, 1.0), [0.0, 0.5], 10, seed=1
+                CODE75, ChannelModel(1.0), [0.0, 0.5], 10, seed=1
             )
 
 

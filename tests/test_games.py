@@ -1,8 +1,6 @@
 """Board mechanics: legal moves, termination, stone balance."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from infoplay.errors import ValidationError
 from infoplay.games import (
@@ -13,7 +11,6 @@ from infoplay.games import (
     GameSpec,
     GameState,
     ONGOING,
-    StateTable,
     apply_move,
     initial_state,
     legal_moves,
@@ -122,41 +119,3 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             GameSpec(rows=0, cols=3)
 
-
-TABLE_GAMES = (
-    tic_tac_toe(),
-    GameSpec(rows=3, cols=4, k=4),
-    GameSpec(rows=1, cols=3, win_condition=BOARD_FULL_SCORING, k=None),
-)
-
-
-class TestStateTable:
-    @settings(max_examples=200, deadline=None)
-    @given(game=st.sampled_from(TABLE_GAMES),
-           picks=st.lists(st.integers(min_value=0, max_value=11), max_size=12))
-    def test_table_agrees_with_the_rules(self, game, picks):
-        # walk a random legal line through both the table and the rules
-        table = StateTable(game)
-        state, sid = initial_state(game), table.root
-        for pick in [*picks, None]:
-            assert table.states[sid] == state
-            assert table.keys[sid] == state.key()
-            assert (not table.moves[sid]) == (state.status != ONGOING)
-            assert table.intern(state) == sid
-            if state.status != ONGOING:
-                assert table.moves[sid] == ()
-                break
-            moves = legal_moves(state, game)
-            assert list(table.moves[sid]) == moves
-            for move, kid in zip(moves, table.children(sid)):
-                assert table.states[kid] == apply_move(state, move, game)
-            if pick is None:
-                break
-            i = pick % len(moves)
-            state, sid = apply_move(state, moves[i], game), table.children(sid)[i]
-
-    def test_ids_follow_first_sight(self):
-        table = StateTable(tic_tac_toe())
-        assert table.root == 0 and len(table.states) == 1
-        assert table.children(table.root) == tuple(range(1, 10))
-        assert len(table.states) == 10

@@ -19,9 +19,10 @@ from infoplay.games import (
     BOARD_FULL_SCORING,
     DRAW,
     GameSpec,
-    StateTable,
+    ONGOING,
     apply_move,
     initial_state,
+    legal_moves,
     tic_tac_toe,
 )
 from infoplay.selfplay import (
@@ -55,13 +56,19 @@ from oracles import minimax_value
 GAME = tic_tac_toe()
 
 
+def interner(game):
+    """A ``_Match`` seated with two fresh agents, used only to intern the
+    states of ``game`` by id."""
+    return _Match(AgentModel(role="A"), AgentModel(role="B"), game)
+
+
 def _reachable_keys(game):
-    table = StateTable(game)
+    match = interner(game)
     sid = 0
-    while sid < len(table.states):  # children() interns as the walk goes
-        table.children(sid)
+    while sid < len(match.states):  # children() interns as the walk goes
+        match.children(sid)
         sid += 1
-    return table.keys
+    return match.keys
 
 
 _REACHABLE_KEYS = _reachable_keys(GAME)
@@ -142,11 +149,67 @@ class TestEloUpdate:
             elo_update(1500, 1500, DRAW, k_factor=0)
 
 
+TABLE_GAMES = (
+    tic_tac_toe(),
+    GameSpec(rows=3, cols=4, k=4),
+    GameSpec(rows=1, cols=3, win_condition=BOARD_FULL_SCORING, k=None),
+)
+
+
+class TestMatchInterning:
+    @settings(max_examples=200, deadline=None)
+    @given(game=st.sampled_from(TABLE_GAMES),
+           picks=st.lists(st.integers(min_value=0, max_value=11), max_size=12))
+    def test_table_agrees_with_the_rules(self, game, picks):
+        # walk a random legal line through both the match and the rules
+        match = interner(game)
+        state, sid = initial_state(game), 0
+        for pick in [*picks, None]:
+            assert match.states[sid] == state
+            assert match.keys[sid] == state.key()
+            assert (not match.moves[sid]) == (state.status != ONGOING)
+            assert match.intern(state) == sid
+            if state.status != ONGOING:
+                assert match.moves[sid] == ()
+                break
+            moves = legal_moves(state, game)
+            assert list(match.moves[sid]) == moves
+            for move, kid in zip(moves, match.children(sid)):
+                assert match.states[kid] == apply_move(state, move, game)
+            if pick is None:
+                break
+            i = pick % len(moves)
+            state, sid = apply_move(state, moves[i], game), match.children(sid)[i]
+
+    def test_ids_follow_first_sight(self):
+        match = interner(tic_tac_toe())
+        assert len(match.states) == 1 and match.child_ids == [None]
+        assert match.children(0) == tuple(range(1, 10))
+        assert len(match.states) == 10
+
+    def test_every_interned_state_is_seated_from_its_agents_dicts(self):
+        agent_a, agent_b, _ = fixed_line_agents([0, 4, 8, 1, 7, 2, 6])
+        agent_b.opponent_counts["AB.......:A"] = [0, 0, 3] + [0] * 6
+        match = _Match(agent_a, agent_b, GAME)
+        for sid in range(200):  # children() interns as the walk goes
+            match.children(sid)
+        for seat in (match.a, match.b):
+            agent = seat.agent
+            assert len(seat.value) == len(seat.updated) == len(seat.counts)
+            assert len(seat.value) == len(match.states)
+            assert seat.value == [agent.value.get(key, 0.0) for key in match.keys]
+            assert seat.counts == [agent.opponent_counts.get(key) for key in match.keys]
+            assert not any(seat.updated)
+        assert any(match.a.value) and any(match.b.value)
+        assert any(row is not None for row in match.a.counts)
+        assert any(row is not None for row in match.b.counts)
+
+
 def play(match, seed):
     """One ``_play_episode`` game of ``match`` from a fresh seeded stream:
     the moves played and the final state."""
     sids, moves = _play_episode(match, np.random.default_rng(seed))
-    return moves, match.table.states[sids[-1]]
+    return moves, match.states[sids[-1]]
 
 
 class TestSelfPlayEpisode:
@@ -163,8 +226,8 @@ class TestSelfPlayEpisode:
             sids, moves = _play_episode(match, np.random.default_rng(seed))
             assert len(sids) == len(moves) + 1
             for ply, sid in enumerate(sids):
-                n_a = match.table.states[sid].cells.count(1)
-                n_b = match.table.states[sid].cells.count(2)
+                n_a = match.states[sid].cells.count(1)
+                n_b = match.states[sid].cells.count(2)
                 # the players alternate, A first
                 assert n_a - n_b == ply % 2
 
@@ -308,7 +371,7 @@ class TestLearn:
         with pytest.raises(ValidationError, match="anneal_generations"):
             LearnConfig(anneal_generations=-1)
 
-    @pytest.mark.parametrize("anneal", [None, 0])
+    @pytest.mark.parametrize("anneal", [0])
     def test_anneal_defaults_to_all_generations(self, anneal):
         cfg = LearnConfig(generations=3, episodes_per_generation=5, eval_episodes=100,
                           anneal_generations=anneal)
@@ -434,7 +497,7 @@ def ref_predict(agent, key, cells, rng):
 
 
 def ref_play(agent_a, agent_b, table, rng, epsilon):
-    sid, path = table.root, []
+    sid, path = 0, []
     while table.moves[sid]:
         agent = agent_a if table.states[sid].to_move == "A" else agent_b
         i = ref_choose(agent, table, sid, rng, epsilon)
@@ -461,7 +524,7 @@ def ref_evaluate(agent_a, agent_b, table, episodes, rng, epsilon):
 
 def ref_exit_points(agent, opponent, game, grid, episodes, seed):
     agent_a, agent_b = (agent, opponent) if agent.role == "A" else (opponent, agent)
-    table = StateTable(game)
+    table = interner(game)
     points = []
     for ss, ia in zip(_seed_sequence(seed).spawn(len(grid)), grid):
         rng = np.random.default_rng(ss)
@@ -490,7 +553,7 @@ def ref_training_episode(agent_a, agent_b, table, rng):
     so every later choice reads the values as they are at that move."""
     cells, states, keys = table.game.cells, table.states, table.keys
     last_after = {"A": None, "B": None}
-    sid = table.root
+    sid = 0
     while table.moves[sid]:
         mover = states[sid].to_move
         agent, other = (agent_a, agent_b) if mover == "A" else (agent_b, agent_a)
@@ -544,7 +607,7 @@ class TestFrozenPasses:
     def test_evaluate_matches_reference(self, stream, pair, epsilon, seed):
         game, agent_a, agent_b = pair
         ev = _evaluate(_Match(agent_a, agent_b, game), 60, stream(seed), epsilon)
-        expected = ref_evaluate(agent_a, agent_b, StateTable(game), 60, stream(seed), epsilon)
+        expected = ref_evaluate(agent_a, agent_b, interner(game), 60, stream(seed), epsilon)
         assert (ev.outcomes, ev.predicted_b, ev.actual_b, ev.predicted_a,
                 ev.actual_a) == expected
 
@@ -571,7 +634,7 @@ class TestTrainingEpisode:
         for agent, epsilon in zip((agent_a, agent_b), epsilons):
             agent.epsilon, agent.step_size = epsilon, step_size
         ref_a, ref_b = copy.deepcopy(agent_a), copy.deepcopy(agent_b)
-        match, ref_table = _Match(agent_a, agent_b, game), StateTable(game)
+        match, ref_table = _Match(agent_a, agent_b, game), interner(game)
         rng, ref_rng = stream(seed), stream(seed)
         for _ in range(5):
             outcome = _training_episode(match, rng)
@@ -586,7 +649,7 @@ def ref_learn(game, config, seed):
     """``learn``'s generation loop on the text-keyed oracles above."""
     agent_a = AgentModel(role="A", step_size=config.step_size, epsilon=config.epsilon_start)
     agent_b = AgentModel(role="B", step_size=config.step_size, epsilon=config.epsilon_start)
-    table = StateTable(game)
+    table = interner(game)
     root = _seed_sequence(seed)
     anneal = config.anneal_generations or config.generations
     elo_a = elo_b = 1000.0
@@ -629,7 +692,7 @@ class TestLearnMatchesReference:
                              ids=lambda game: game.game_id)
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), generations=st.integers(2, 4),
-           episodes=st.integers(1, 40), anneal=st.sampled_from([None, 2]),
+           episodes=st.integers(1, 40), anneal=st.sampled_from([0, 2]),
            eval_epsilon=st.sampled_from([0.0, 0.1]),
            stop_delta=st.sampled_from([0.02, math.inf]))
     def test_learn_matches_text_keyed_loop(self, game, seed, generations, episodes, anneal,
