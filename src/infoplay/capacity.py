@@ -15,7 +15,7 @@ import numpy as np
 
 from .entropy import MutualInfo
 from .errors import ResourceCapError, ValidationError
-from .games import GameSpec, K_IN_A_ROW, win_lines
+from .games import GameSpec, K_IN_A_ROW, line_masks
 
 DEFAULT_STATE_CAP = 100_000_000
 
@@ -109,10 +109,11 @@ def enumerate_reachable_states(
     children OR the mover's bit into every empty cell of every frontier
     key, and a sort with a neighbour comparison deduplicates them.  Only
     the new stone can complete a line, so a position is won when the
-    mover's mask covers a line mask from ``win_lines``; the other positions
-    with an empty cell are the next frontier.  Symmetry reduction
-    additionally quotients by the board symmetry group, keying each child
-    on the least key among its images, and is off by default.
+    mover's mask covers one of the line masks of ``games.line_masks`` (the
+    table the rules and self-play use); the other positions with an empty
+    cell are the next frontier.  Symmetry reduction additionally quotients
+    by the board symmetry group, keying each child on the least key among
+    its images, and is off by default.
 
     ``max_states`` bounds memory as well as the count.  Before ply 0 the
     closed-form ``_reachable_lower_bound`` refuses a board certain to
@@ -130,8 +131,6 @@ def enumerate_reachable_states(
         raise ResourceCapError(exceeded)
     dtype = np.uint64 if 2 * n <= 64 else object
     bits = [1 << m for m in range(n)]
-    lines = {sum(1 << i for i in range(*line.indices(n)))
-             for through in win_lines(game) for line in through}
     tables = _symmetry_tables(game, dtype) if symmetry_reduction else []
     frontier = np.zeros(1, dtype=dtype)
     count = 1
@@ -164,7 +163,7 @@ def enumerate_reachable_states(
         if count > max_states:
             raise ResourceCapError(exceeded)
         won = np.zeros(layer.size, dtype=bool)
-        for line in lines:
+        for line in {line for through in line_masks(game) for line in through}:
             mask = line << shift
             won |= (layer & mask) == mask
         frontier = layer[~won]

@@ -2,7 +2,10 @@
 
 Cells are numbered row-major; 0 = empty, 1 = player A's stone, 2 = player
 B's stone.  A always moves first, so the stone counts of any reachable
-state satisfy #A - #B in {0, 1}.
+state satisfy #A - #B in {0, 1}.  ``GameState`` and ``apply_move`` are the
+validated rules; capacity and self-play key a position as one integer, A's
+cell mask | (B's mask << cells).  All three read the win rule from one
+table, ``line_masks``.
 """
 
 from __future__ import annotations
@@ -109,13 +112,10 @@ def legal_moves(state: GameState, game: GameSpec) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def win_lines(game: GameSpec) -> tuple:
-    """The win rule as a table: for each cell, the k-in-a-row lines through
-    it, each a slice of a cells tuple taking the line's k cells.
-
-    A move at ``m`` wins iff ``cells[line] == (stone,) * k`` for one of the
-    lines at ``m``.  Every cell's entry is empty for ``board_full_scoring``.
-    """
+def line_masks(game: GameSpec) -> tuple:
+    """For each cell, the masks (bit i for cell i) of the k-in-a-row lines
+    through it: a move at ``m`` wins iff the mover's cell mask covers one of
+    the masks at ``m``.  Every entry is empty for ``board_full_scoring``."""
     if game.win_condition != K_IN_A_ROW:
         return ((),) * game.cells
     k, rows, cols = game.k, game.rows, game.cols
@@ -127,28 +127,27 @@ def win_lines(game: GameSpec) -> tuple:
             for dr, dc in directions:
                 r_end, c_end = r + (k - 1) * dr, c + (k - 1) * dc
                 if r_end < rows and 0 <= c_end < cols:
-                    line = slice(r * cols + c, r_end * cols + c_end + 1, dr * cols + dc)
-                    for i in range(line.start, line.stop, line.step):
-                        lines[i].append(line)
-    return tuple(tuple(through) for through in lines)
+                    through = range(r * cols + c, r_end * cols + c_end + 1, dr * cols + dc)
+                    mask = sum(1 << i for i in through)
+                    for i in through:
+                        lines[i].append(mask)
+    return tuple(tuple(masks) for masks in lines)
 
 
 def apply_move(state: GameState, move: int, game: GameSpec) -> GameState:
     if state.status != ONGOING:
         raise ValidationError("cannot move in a terminal state")
-    if not isinstance(move, int) or not 0 <= move < game.cells or state.cells[move] != 0:
+    if type(move) is not int or not 0 <= move < game.cells or state.cells[move] != 0:
         raise ValidationError(f"illegal move {move!r}")
     stone = 1 if state.to_move == PLAYER_A else 2
     cells = state.cells[:move] + (stone,) + state.cells[move + 1:]
-    run = (stone,) * (game.k or 0)
-    if any(cells[line] == run for line in win_lines(game)[move]):
+    mine = sum(1 << i for i, c in enumerate(cells) if c == stone)
+    if any(mine & line == line for line in line_masks(game)[move]):
         status = A_WINS if stone == 1 else B_WINS
     elif 0 not in cells:
-        if game.win_condition == BOARD_FULL_SCORING:
-            n_a, n_b = cells.count(1), cells.count(2)
-            status = A_WINS if n_a > n_b else (B_WINS if n_b > n_a else DRAW)
-        else:
-            status = DRAW
+        # a full board is drawn unless scored: A's stones are one more on an odd board
+        scored = game.win_condition == BOARD_FULL_SCORING and cells.count(1) > cells.count(2)
+        status = A_WINS if scored else DRAW
     else:
         status = ONGOING
     return GameState(cells=cells, status=status)

@@ -26,13 +26,12 @@ from .games import (
     DRAW,
     GameSpec,
     GameState,
+    K_IN_A_ROW,
     ONGOING,
     PLAYER_A,
     PLAYER_B,
     _CELL_CHARS,
-    apply_move,
-    initial_state,
-    legal_moves,
+    line_masks,
 )
 
 SNAPSHOT_HEADER = "# infoplay-agent-v2"
@@ -141,53 +140,63 @@ class _Seat:
 class _Match:
     """Agents A and B seated on the states of one self-play pass.
 
-    The match interns the states it meets to integer ids, in order of first
-    sight with the initial state at id 0.  Per id it keeps the state, its
-    text key and its legal moves, which are empty exactly when the state is
-    terminal; the child ids of a state are filled through ``apply_move``
-    the first time ``children`` is asked for them (``child_ids`` holds None
-    until then), so the rules have one implementation and a large board
-    only costs the states actually visited.  Interning a state appends its
-    entry to both seats, read from the agents' dicts.  A moves first and the
-    players alternate, so the decision at ply ``n`` of a game is A's exactly
-    when ``n`` is even.
+    A state is capacity's integer key, A's cell mask | (B's mask << cells),
+    interned to ids in order of first sight (the empty board is id 0).  Per
+    id the match keeps the key, status, legal moves (empty cells in row-major
+    order; none iff terminal), child ids (None until ``children`` expands
+    the state) and text key.  A child is won when the mover's mask covers a
+    mask of ``line_masks`` through the move.  The text key, one slice of the
+    parent's, reads the agents' dicts as the state's entry is appended to
+    both seats, and names it at ``write_back``.  A moves first, so ply ``n``
+    is A's iff ``n`` is even.
     """
 
-    __slots__ = ("game", "states", "keys", "moves", "child_ids", "_ids", "a", "b")
+    __slots__ = ("game", "positions", "status", "moves", "child_ids", "keys", "_ids", "_full",
+                 "a", "b")
 
     def __init__(self, agent_a: AgentModel, agent_b: AgentModel, game: GameSpec):
         self.game = game
-        self.states: list[GameState] = []
-        self.keys: list[str] = []
-        self.moves: list[tuple] = []
-        self.child_ids: list[tuple | None] = []
-        self._ids: dict[GameState, int] = {}
+        self.positions, self.status, self.moves, self.child_ids, self.keys = [], [], [], [], []
+        self._ids: dict[int, int] = {}
+        # a full board is drawn unless scored: A's stones are one more on an odd board
+        self._full = DRAW if game.win_condition == K_IN_A_ROW or game.cells % 2 == 0 else A_WINS
         self.a, self.b = _Seat(agent_a), _Seat(agent_b)
-        self.intern(initial_state(game))
+        self._intern(0, ONGOING, tuple(range(game.cells)), _CELL_CHARS[0] * game.cells + ":A")
 
-    def intern(self, state: GameState) -> int:
-        sid = self._ids.get(state)
-        if sid is None:
-            sid = self._ids[state] = len(self.states)
-            key = state.key()
-            self.states.append(state)
-            self.keys.append(key)
-            ongoing = state.status == ONGOING
-            self.moves.append(tuple(legal_moves(state, self.game)) if ongoing else ())
-            self.child_ids.append(None)
-            for seat in (self.a, self.b):
-                seat.value.append(seat.agent.value.get(key, 0.0))
-                seat.updated.append(False)
-                seat.counts.append(seat.agent.opponent_counts.get(key))
+    def _intern(self, position: int, status: str, moves: tuple, key: str) -> int:
+        sid = self._ids[position] = len(self.keys)
+        self.positions.append(position)
+        self.status.append(status)
+        self.moves.append(moves)
+        self.child_ids.append(None)
+        self.keys.append(key)
+        for seat in (self.a, self.b):
+            seat.value.append(seat.agent.value.get(key, 0.0))
+            seat.updated.append(False)
+            seat.counts.append(seat.agent.opponent_counts.get(key))
         return sid
 
     def children(self, sid: int) -> tuple:
         """Child ids of state ``sid``, one per legal move, in move order."""
         kids = self.child_ids[sid]
         if kids is None:
-            state, game = self.states[sid], self.game
-            kids = tuple(self.intern(apply_move(state, m, game)) for m in self.moves[sid])
-            self.child_ids[sid] = kids
+            position, moves, key = self.positions[sid], self.moves[sid], self.keys[sid]
+            if (self.game.cells - len(moves)) % 2:  # B moves at the odd plies
+                shift, mover, other, won = self.game.cells, PLAYER_B, PLAYER_A, B_WINS
+            else:
+                shift, mover, other, won = 0, PLAYER_A, PLAYER_B, A_WINS
+            mine = position >> shift  # the mover's stones; B's, above A's, meet no line
+            lines, kids = line_masks(self.game), []
+            for i, m in enumerate(moves):
+                child = position | 1 << m << shift
+                if (kid := self._ids.get(child)) is None:
+                    wins = any((mine | 1 << m) & line == line for line in lines[m])
+                    rest = () if wins else moves[:i] + moves[i + 1:]
+                    status = won if wins else ONGOING if rest else self._full
+                    text = key[:m] + mover + key[m + 1:-1] + other
+                    kid = self._intern(child, status, rest, text)
+                kids.append(kid)
+            kids = self.child_ids[sid] = tuple(kids)
         return kids
 
     def write_back(self):
@@ -254,7 +263,7 @@ def _training_episode(match: _Match, rng) -> str:
     rest of the game reads."""
     sids, moves = _play_episode(match, rng)
     cells = match.game.cells
-    outcome = match.states[sids[-1]].status
+    outcome = match.status[sids[-1]]
     reward_a, reward_b = _REWARDS[outcome]
     # A decides at even plies and B at odd ones; each agent observes the
     # other's moves
@@ -307,14 +316,14 @@ def _evaluate(match: _Match, episodes: int, rng, epsilon: float = 0.0) -> Evalua
     played out before its decision points are predicted.  Both agents stay
     frozen for the pass, so each state's greedy and prediction ties are
     worked out once."""
-    states, cells = match.states, match.game.cells
+    status, cells = match.status, match.game.cells
     counts_a, counts_b = match.a.counts, match.b.counts
     choice_ties, prediction_ties = {}, {}
     outcomes = []
     pred_b, act_b, pred_a, act_a = [], [], [], []
     for _ in range(episodes):
         sids, moves = _play_episode(match, rng, epsilon, choice_ties)
-        outcomes.append(states[sids[-1]].status)
+        outcomes.append(status[sids[-1]])
         for ply, (sid, move) in enumerate(zip(sids, moves)):
             if ply & 1:
                 pred_b.append(_predict(counts_a, sid, cells, rng, prediction_ties))
@@ -322,13 +331,8 @@ def _evaluate(match: _Match, episodes: int, rng, epsilon: float = 0.0) -> Evalua
             else:
                 pred_a.append(_predict(counts_b, sid, cells, rng, prediction_ties))
                 act_a.append(move)
-    return EvaluationResult(
-        outcomes=tuple(outcomes),
-        predicted_b=tuple(pred_b),
-        actual_b=tuple(act_b),
-        predicted_a=tuple(pred_a),
-        actual_a=tuple(act_a),
-    )
+    return EvaluationResult(tuple(outcomes), tuple(pred_b), tuple(act_b), tuple(pred_a),
+                            tuple(act_a))
 
 
 @dataclass(frozen=True)
@@ -496,9 +500,7 @@ def learn(game: GameSpec, config: LearnConfig, seed):
     root = _seed_sequence(seed)
     anneal = config.anneal_generations or config.generations
     elo_a = elo_b = ELO_INITIAL
-    records: list[GenerationRecord] = []
-    series_ba: list[float] = []
-    series_ab: list[float] = []
+    records, series_ba, series_ab = [], [], []  # generation records, I_B->A and I_A->B
     for gen in range(1, config.generations + 1):
         frac = 0.0 if anneal <= 1 else min(1.0, (gen - 1) / (anneal - 1))
         epsilon = config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start)

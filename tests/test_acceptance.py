@@ -18,7 +18,7 @@ from infoplay.capacity import capacity_bounds, enumerate_reachable_states, log2_
 from infoplay.cli import run as cli_run
 from infoplay.entropy import JointCounts, LlrBlock, binary_entropy, mutual_information_plugin
 from infoplay.exit_chart import ExitCurve, OPEN, decoding_trajectory, tunnel_analysis
-from infoplay.games import DRAW, initial_state, tic_tac_toe
+from infoplay.games import DRAW, GameState, initial_state, tic_tac_toe
 from infoplay.selfplay import LearnConfig, _evaluate, _Match, _play_episode, elo_win_prob, learn
 from infoplay.turbo import ChannelModel, RscCode, bcjr_decode, rsc_encode, simulate_turbo, transmit
 
@@ -176,7 +176,9 @@ def test_criterion_8_selfplay_convergence_and_stopping():
         for _ in range(100):
             sids, _ = _play_episode(match, replay_rng, epsilon=0.0)
             for sid in sids[1:]:  # every state after a move
-                assert minimax_value(match.states[sid], game, cache) == 0
+                cells = tuple(".AB".index(c) for c in match.keys[sid].partition(":")[0])
+                state = GameState(cells=cells, status=match.status[sid])
+                assert minimax_value(state, game, cache) == 0
         assert time.perf_counter() - t0 < 300.0
 
 

@@ -12,10 +12,12 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
-# enumeration no longer steps through these game functions
+# enumeration and self-play no longer step through these game functions
 KNOWN_MISSING = {
     "infoplay.capacity.apply_move",
     "infoplay.capacity.legal_moves",
+    "infoplay.selfplay.apply_move",
+    "infoplay.selfplay.legal_moves",
 }
 
 

@@ -89,7 +89,8 @@ class TestInvariants:
         with pytest.raises(ValidationError):
             GameState(cells=cells, status=status)
 
-    @pytest.mark.parametrize("move", [1.5, "4", None, -1, 9])
+    # a bool is an int subclass, but like a bool cell it is no move
+    @pytest.mark.parametrize("move", [1.5, "4", None, -1, 9, True, False])
     def test_malformed_move_rejected(self, move):
         game = tic_tac_toe()
         with pytest.raises(ValidationError):

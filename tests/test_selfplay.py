@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from infoplay.capacity import enumerate_reachable_states
 from infoplay.entropy import _seed_sequence
 from infoplay.errors import EstimationError, ValidationError
 from infoplay.exit_chart import tunnel_analysis
@@ -56,19 +57,52 @@ from oracles import minimax_value
 GAME = tic_tac_toe()
 
 
+class RefTable:
+    """The states of ``game`` by id in order of first sight, built by the
+    validated rules alone (``initial_state``, ``legal_moves``,
+    ``apply_move``): the reference for the match's integer-keyed interning,
+    and the table the text-keyed reference loops below walk."""
+
+    def __init__(self, game):
+        self.game = game
+        self.states, self.keys, self.moves, self.child_ids, self._ids = [], [], [], [], {}
+        self.intern(initial_state(game))
+
+    def intern(self, state):
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = self._ids[state] = len(self.states)
+            self.states.append(state)
+            self.keys.append(state.key())
+            ongoing = state.status == ONGOING
+            self.moves.append(tuple(legal_moves(state, self.game)) if ongoing else ())
+            self.child_ids.append(None)
+        return sid
+
+    def children(self, sid):
+        if self.child_ids[sid] is None:
+            state, game = self.states[sid], self.game
+            self.child_ids[sid] = tuple(self.intern(apply_move(state, m, game))
+                                        for m in self.moves[sid])
+        return self.child_ids[sid]
+
+
 def interner(game):
-    """A ``_Match`` seated with two fresh agents, used only to intern the
-    states of ``game`` by id."""
-    return _Match(AgentModel(role="A"), AgentModel(role="B"), game)
+    return RefTable(game)
+
+
+def walk(table, limit=math.inf):
+    """Expand the states of ``table`` in id order, which interns their
+    children as the walk goes, until all are expanded or ``limit`` are."""
+    sid = 0
+    while sid < min(len(table.keys), limit):
+        table.children(sid)
+        sid += 1
+    return table
 
 
 def _reachable_keys(game):
-    match = interner(game)
-    sid = 0
-    while sid < len(match.states):  # children() interns as the walk goes
-        match.children(sid)
-        sid += 1
-    return match.keys
+    return walk(interner(game)).keys
 
 
 _REACHABLE_KEYS = _reachable_keys(GAME)
@@ -156,36 +190,79 @@ TABLE_GAMES = (
 )
 
 
+def seated(game):
+    """A ``_Match`` of two fresh agents on ``game``."""
+    return _Match(AgentModel(role="A"), AgentModel(role="B"), game)
+
+
+def position(state, cells):
+    """The integer key of ``state``: A's cell mask | (B's mask << cells)."""
+    return sum(1 << i << (cells if c == 2 else 0) for i, c in enumerate(state.cells) if c)
+
+
+@st.composite
+def small_games(draw):
+    """A board of up to 3 x 4 cells, k-in-a-row for any valid k or scored
+    when full."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    k = draw(st.one_of(st.none(), st.integers(1, max(rows, cols))))
+    if k is None:
+        return GameSpec(rows, cols, win_condition=BOARD_FULL_SCORING, k=None)
+    return GameSpec(rows, cols, k=k)
+
+
 class TestMatchInterning:
+    @settings(max_examples=40, deadline=None)
+    @given(game=small_games())
+    @example(game=GameSpec(1, 1, k=1))
+    @example(game=GameSpec(1, 1, win_condition=BOARD_FULL_SCORING, k=None))
+    @example(game=GameSpec(3, 4, k=3))
+    def test_walk_agrees_with_the_rules(self, game):
+        # the 3 x 4 boards of k >= 2 hold 10,562 to 143,365 states; a walk
+        # of their first ids keeps the test short
+        match, ref = walk(seated(game), 6_100), walk(interner(game), 6_100)
+        assert match.keys == ref.keys
+        assert match.moves == ref.moves
+        assert match.child_ids == ref.child_ids
+        assert match.status == [state.status for state in ref.states]
+        assert match.positions == [position(state, game.cells) for state in ref.states]
+
+    @pytest.mark.parametrize("game, count", [(GAME, 5478), (GameSpec(3, 4, k=3), 111_973)],
+                             ids=lambda x: getattr(x, "game_id", x))
+    def test_a_full_walk_interns_every_reachable_state(self, game, count):
+        match = walk(seated(game))
+        assert len(match.keys) == enumerate_reachable_states(game).count == count
+        assert None not in match.child_ids
+
     @settings(max_examples=200, deadline=None)
     @given(game=st.sampled_from(TABLE_GAMES),
            picks=st.lists(st.integers(min_value=0, max_value=11), max_size=12))
     def test_table_agrees_with_the_rules(self, game, picks):
         # walk a random legal line through both the match and the rules
-        match = interner(game)
+        match = seated(game)
         state, sid = initial_state(game), 0
         for pick in [*picks, None]:
-            assert match.states[sid] == state
+            assert match.positions[sid] == position(state, game.cells)
             assert match.keys[sid] == state.key()
+            assert match.status[sid] == state.status
             assert (not match.moves[sid]) == (state.status != ONGOING)
-            assert match.intern(state) == sid
             if state.status != ONGOING:
                 assert match.moves[sid] == ()
                 break
             moves = legal_moves(state, game)
             assert list(match.moves[sid]) == moves
             for move, kid in zip(moves, match.children(sid)):
-                assert match.states[kid] == apply_move(state, move, game)
+                assert match.keys[kid] == apply_move(state, move, game).key()
             if pick is None:
                 break
             i = pick % len(moves)
             state, sid = apply_move(state, moves[i], game), match.children(sid)[i]
 
     def test_ids_follow_first_sight(self):
-        match = interner(tic_tac_toe())
-        assert len(match.states) == 1 and match.child_ids == [None]
+        match = seated(tic_tac_toe())
+        assert len(match.keys) == 1 and match.child_ids == [None]
         assert match.children(0) == tuple(range(1, 10))
-        assert len(match.states) == 10
+        assert len(match.keys) == 10
 
     def test_every_interned_state_is_seated_from_its_agents_dicts(self):
         agent_a, agent_b, _ = fixed_line_agents([0, 4, 8, 1, 7, 2, 6])
@@ -196,7 +273,7 @@ class TestMatchInterning:
         for seat in (match.a, match.b):
             agent = seat.agent
             assert len(seat.value) == len(seat.updated) == len(seat.counts)
-            assert len(seat.value) == len(match.states)
+            assert len(seat.value) == len(match.keys)
             assert seat.value == [agent.value.get(key, 0.0) for key in match.keys]
             assert seat.counts == [agent.opponent_counts.get(key) for key in match.keys]
             assert not any(seat.updated)
@@ -207,9 +284,9 @@ class TestMatchInterning:
 
 def play(match, seed):
     """One ``_play_episode`` game of ``match`` from a fresh seeded stream:
-    the moves played and the final state."""
+    the moves played and the outcome."""
     sids, moves = _play_episode(match, np.random.default_rng(seed))
-    return moves, match.states[sids[-1]]
+    return moves, match.status[sids[-1]]
 
 
 class TestSelfPlayEpisode:
@@ -218,7 +295,7 @@ class TestSelfPlayEpisode:
         moves1, final1 = play(_Match(a, b, GAME), seed=5)
         moves2, final2 = play(_Match(a, b, GAME), seed=5)
         assert moves1 == moves2 and final1 == final2
-        assert final1.status in (A_WINS, B_WINS, DRAW)
+        assert final1 in (A_WINS, B_WINS, DRAW)
 
     def test_stone_balance_on_every_transcript_state(self):
         match = _Match(AgentModel(role="A"), AgentModel(role="B"), GAME)
@@ -226,8 +303,8 @@ class TestSelfPlayEpisode:
             sids, moves = _play_episode(match, np.random.default_rng(seed))
             assert len(sids) == len(moves) + 1
             for ply, sid in enumerate(sids):
-                n_a = match.states[sid].cells.count(1)
-                n_b = match.states[sid].cells.count(2)
+                board = match.keys[sid].partition(":")[0]
+                n_a, n_b = board.count("A"), board.count("B")
                 # the players alternate, A first
                 assert n_a - n_b == ply % 2
 
@@ -237,13 +314,13 @@ class TestSelfPlayEpisode:
         oracle = AgentModel(role="A", value={k: v for k, v in cache.items()}, epsilon=0.0)
         rando = AgentModel(role="B", epsilon=1.0)
         match = _Match(oracle, rando, GAME)
-        losses = sum(play(match, seed=s)[1].status == B_WINS for s in range(1000))
+        losses = sum(play(match, seed=s)[1] == B_WINS for s in range(1000))
         assert losses == 0
 
     def test_one_cell_game_single_move(self):
         game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
         moves, final = play(_Match(AgentModel(role="A"), AgentModel(role="B"), game), 1)
-        assert len(moves) == 1 and final.status == A_WINS
+        assert len(moves) == 1 and final == A_WINS
 
 
 def fixed_line_agents(moves):
