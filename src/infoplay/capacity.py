@@ -1,6 +1,10 @@
 """Capacity bounds for placement games: log-factorial move-ordering bounds,
 exhaustive reachable-state enumeration, and the information-dominance test.
 
+Enumeration is one layer pass, ``_layers``: it yields each ply's sorted
+position keys and won mask, built from the previous ply's ongoing keys in
+chunks of bounded size.
+
 The move-ordering bound log2(cells!) and the labeling bound
 cells*log2(labels) are two distinct readings of "possible states of the
 board"; both are reported side by side rather than conflated.
@@ -18,6 +22,8 @@ from .errors import ResourceCapError, ValidationError
 from .games import GameSpec, K_IN_A_ROW, line_masks
 
 DEFAULT_STATE_CAP = 100_000_000
+# children built, canonicalised and sorted at once by _layers
+_CHUNK_CHILDREN = 1 << 20
 
 A_DOMINATES = "A_dominates"
 B_DOMINATES = "B_dominates"
@@ -99,30 +105,46 @@ def enumerate_reachable_states(
     symmetry_reduction: bool = False,
 ) -> EnumerationResult:
     """Count the distinct positions (terminal ones included) reachable from
-    the empty board under legal play.
+    the empty board under legal play: the empty board plus the layers of
+    ``_layers``.
 
-    Counting goes ply by ply: every move adds one stone, so the positions
-    after ply p come only from the ongoing positions after ply p - 1, and A
-    places on the even plies.  A position is one key, A's cell mask OR B's
-    mask shifted up by the cell count: a ``uint64`` when both masks fit in
-    64 bits, else a Python int in an ``object`` array.  Each layer's
-    children OR the mover's bit into every empty cell of every frontier
-    key, and a sort with a neighbour comparison deduplicates them.  Only
-    the new stone can complete a line, so a position is won when the
-    mover's mask covers one of the line masks of ``games.line_masks`` (the
-    table the rules and self-play use); the other positions with an empty
-    cell are the next frontier.  Symmetry reduction additionally quotients
-    by the board symmetry group, keying each child on the least key among
-    its images, and is off by default.
+    Symmetry reduction quotients by the board symmetry group and is off by
+    default.  ``max_states`` bounds memory as well as the count, and
+    ``ResourceCapError`` is raised exactly when the full count exceeds it
+    (see ``_layers``).
+    """
+    layers = _layers(game, max_states, symmetry_reduction)
+    count = 1 + sum(layer.size for layer, _ in layers)
+    return EnumerationResult(count=count, log2_count=math.log2(count))
 
-    ``max_states`` bounds memory as well as the count.  Before ply 0 the
-    closed-form ``_reachable_lower_bound`` refuses a board certain to
-    exceed the cap (under symmetry reduction an orbit holds at most one
-    position per group element).  A child has at most one parent per stone
-    of the mover (times the group order under symmetry reduction), which
-    bounds a layer's distinct children from below; a layer certain to push
-    the count past the cap is refused before it is built.  Either way the
-    error is raised exactly when the full count exceeds the cap.
+
+def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
+    """Yield, for plies 1, 2, ..., the sorted distinct keys of the positions
+    after that ply and the mask of those won by its mover.
+
+    Every move adds one stone, so the positions after ply p come only from
+    the ongoing positions after ply p - 1, and A places on the even plies.
+    A position is one key, A's cell mask OR B's mask shifted up by the cell
+    count: a ``uint64`` when both masks fit in 64 bits, else a Python int
+    in an ``object`` array.  A key with s stones has n - s empty cells, so
+    n - s passes of ``low = -empty & empty`` (its lowest empty cell; uint64
+    wraps) give all its children.  The frontier is cut into chunks of at
+    most ``_CHUNK_CHILDREN`` children.  Each chunk is canonicalised (under
+    symmetry reduction, the least key among a child's images), sorted,
+    deduplicated and merged into the layer so far, its new keys inserted at
+    their ``searchsorted`` places.  Only the new stone can complete a line,
+    so a position is won when the mover's mask covers one of the line masks
+    of ``games.line_masks`` (the table the rules and self-play use); the
+    other positions with an empty cell are the next frontier.
+
+    The cap bounds memory to a few layer-sized arrays and one chunk.
+    Before ply 0 the closed-form ``_reachable_lower_bound`` refuses a board
+    certain to exceed it (under symmetry reduction an orbit holds at most
+    one position per group element).  A child has at most one parent per stone of the
+    mover (times the group order under symmetry reduction), which bounds a
+    layer's distinct children from below: a layer certain to push the count
+    past the cap is refused before it is built.  Otherwise the count so far
+    is checked after every chunk.
     """
     n = game.cells
     group = (8 if game.rows == game.cols else 4) if symmetry_reduction else 1
@@ -130,44 +152,54 @@ def enumerate_reachable_states(
     if _reachable_lower_bound(game, max_states * group) > max_states * group:
         raise ResourceCapError(exceeded)
     dtype = np.uint64 if 2 * n <= 64 else object
-    bits = [1 << m for m in range(n)]
     tables = _symmetry_tables(game, dtype) if symmetry_reduction else []
+    lines = {line for through in line_masks(game) for line in through}
     frontier = np.zeros(1, dtype=dtype)
     count = 1
     for ply in range(n):
         if not frontier.size:
             break
+        free = n - ply
         # the mover holds (ply + 2) // 2 stones in each child
-        least_children = -(-frontier.size * (n - ply) // ((ply + 2) // 2 * group))
+        least_children = -(-frontier.size * free // ((ply + 2) // 2 * group))
         if count + least_children > max_states:
             raise ResourceCapError(exceeded)
         shift = n * (ply % 2)  # A on the even plies, in the low half
-        occupied = frontier | frontier >> n
-        # every frontier key holds ply stones, so it has n - ply children
-        children = np.empty(frontier.size * (n - ply), dtype=dtype)
-        start = 0
-        for bit in bits:
-            free = frontier[(occupied & bit) == 0]
-            children[start:start + free.size] = free | bit << shift
-            start += free.size
-        if tables:
-            key_bytes = [(children >> c & 255).astype(np.uint8) for c in range(0, 2 * n, 8)]
-            for per_byte in tables:
-                image = per_byte[0][key_bytes[0]]
-                for table, byte in zip(per_byte[1:], key_bytes[1:]):
-                    image |= table[byte]
-                np.minimum(children, image, out=children)
-        children.sort()
-        layer = children[np.concatenate(([True], children[1:] != children[:-1]))]
+        step = max(1, _CHUNK_CHILDREN // free)
+        layer = None
+        for start in range(0, frontier.size, step):
+            keys = frontier[start:start + step]
+            empty = ~(keys | keys >> n) & (1 << n) - 1
+            children = np.empty((free, keys.size), dtype=dtype)
+            for row in children:
+                low = -empty & empty
+                np.bitwise_or(keys, low << shift, out=row)
+                empty ^= low
+            children = children.ravel()
+            if tables:
+                key_bytes = [(children >> c & 255).astype(np.uint8) for c in range(0, 2 * n, 8)]
+                for per_byte in tables:
+                    image = per_byte[0][key_bytes[0]]
+                    for table, byte in zip(per_byte[1:], key_bytes[1:]):
+                        image |= table[byte]
+                    np.minimum(children, image, out=children)
+            children.sort()
+            children = children[np.concatenate(([True], children[1:] != children[:-1]))]
+            if layer is None:
+                layer = children
+            else:
+                at = np.searchsorted(layer, children)
+                fresh = layer[np.minimum(at, layer.size - 1)] != children
+                layer = np.insert(layer, at[fresh], children[fresh])
+            if count + layer.size > max_states:
+                raise ResourceCapError(exceeded)
         count += layer.size
-        if count > max_states:
-            raise ResourceCapError(exceeded)
         won = np.zeros(layer.size, dtype=bool)
-        for line in {line for through in line_masks(game) for line in through}:
+        for line in lines:
             mask = line << shift
             won |= (layer & mask) == mask
+        yield layer, won
         frontier = layer[~won]
-    return EnumerationResult(count=count, log2_count=math.log2(count))
 
 
 def _reachable_lower_bound(game: GameSpec, cap: int) -> int:

@@ -4,12 +4,14 @@ import math
 import time
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ref_count_positions
 
+from infoplay import capacity
 from infoplay.capacity import (
     A_DOMINATES,
     B_DOMINATES,
@@ -61,9 +63,22 @@ def _small_games(draw):
     return rows, cols, draw(st.one_of(st.none(), st.integers(1, max(rows, cols))))
 
 
+def _game(rows, cols, k):
+    if k is None:
+        return GameSpec(rows=rows, cols=cols, win_condition=BOARD_FULL_SCORING, k=None)
+    return GameSpec(rows=rows, cols=cols, k=k)
+
+
 @lru_cache(maxsize=None)
 def _reference_count(rows, cols, k, symmetry):
     return ref_count_positions(rows, cols, k, symmetry)
+
+
+def _has_line(mask, rows, cols, k):
+    """Whether the cells of ``mask`` hold k in a row, by walking the board."""
+    cells = {divmod(i, cols) for i in range(rows * cols) if mask >> i & 1}
+    return any(all((r + j * dr, c + j * dc) in cells for j in range(k))
+               for r, c in cells for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)))
 
 
 class TestEnumeration:
@@ -103,13 +118,8 @@ class TestEnumeration:
     @example(spec=(2, 2, None), symmetry=False)
     @example(spec=(1, 4, 3), symmetry=False)
     def test_count_matches_reference(self, spec, symmetry):
-        rows, cols, k = spec
-        if k is None:
-            game = GameSpec(rows=rows, cols=cols, win_condition=BOARD_FULL_SCORING, k=None)
-        else:
-            game = GameSpec(rows=rows, cols=cols, k=k)
-        count = enumerate_reachable_states(game, symmetry_reduction=symmetry).count
-        assert count == _reference_count(rows, cols, k, symmetry)
+        count = enumerate_reachable_states(_game(*spec), symmetry_reduction=symmetry).count
+        assert count == _reference_count(*spec, symmetry)
 
     @pytest.mark.parametrize("spec,symmetry,count", [
         ((4, 4, 3), False, 6_036_001),
@@ -164,9 +174,69 @@ class TestEnumeration:
                                                max_states=1_000_000,
                                                symmetry_reduction=symmetry)
             peak = tracemalloc.get_traced_memory()[1]
+            # 4x4-k3 passes the closed-form bound (12,857 positions), and its
+            # 6,036,001 positions cross the cap inside a layer; building that
+            # layer in one piece peaks at 77.5 MiB traced
+            tracemalloc.reset_peak()
+            with pytest.raises(ResourceCapError, match="cap of 3000000 states"):
+                enumerate_reachable_states(GameSpec(rows=4, cols=4, k=3), max_states=3_000_000)
+            layer_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+        assert layer_peak < 64 * 2**20
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=_small_games(), symmetry=st.booleans(), data=st.data())
+    @example(spec=(3, 4, 3), symmetry=False, data=None)
+    @example(spec=(3, 4, None), symmetry=True, data=None)
+    def test_many_chunks_match_reference(self, spec, symmetry, data):
+        # a few children per chunk: every ply with more than one frontier
+        # key merges many chunks, and the cap is checked after each of them
+        game = _game(*spec)
+        count = _reference_count(*spec, symmetry)
+        cap = count - 1 if data is None else data.draw(st.integers(0, 2 * count))
+        with mock.patch.object(capacity, "_CHUNK_CHILDREN", 64):
+            assert enumerate_reachable_states(game, symmetry_reduction=symmetry).count == count
+            if cap < count:
+                with pytest.raises(ResourceCapError, match=f"cap of {cap} states"):
+                    enumerate_reachable_states(game, max_states=cap,
+                                               symmetry_reduction=symmetry)
+            else:
+                assert enumerate_reachable_states(game, max_states=cap,
+                                                  symmetry_reduction=symmetry).count == count
+
+    def test_many_chunks_of_wide_keys(self):
+        # 2 * cells > 64: the keys are Python ints in an object array
+        with mock.patch.object(capacity, "_CHUNK_CHILDREN", 64):
+            counts = [enumerate_reachable_states(GameSpec(rows=6, cols=6, k=1),
+                                                 symmetry_reduction=symmetry).count
+                      for symmetry in (False, True)]
+            # 6x6-k2: nobody can win before ply 3, so plies 1 to 3 hold every
+            # balanced placement, and plies 2 and 3 merge one chunk per key
+            layers = capacity._layers(GameSpec(rows=6, cols=6, k=2), 10**6, False)
+            sizes = [next(layers)[0].size for _ in range(3)]
+        assert counts == [_reference_count(6, 6, 1, symmetry) for symmetry in (False, True)]
+        assert sizes == [36, 36 * 35, math.comb(36, 2) * 34]
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize("spec", [(3, 3, 3), (2, 4, 3), (2, 3, None)])
+    def test_layers(self, spec, symmetry):
+        rows, cols, k = spec
+        game = _game(*spec)
+        n = game.cells
+        sizes = []
+        for ply, (layer, won) in enumerate(capacity._layers(game, 10**6, symmetry), start=1):
+            assert (layer[1:] > layer[:-1]).all()
+            assert won.shape == layer.shape
+            for key, key_won in zip(layer.tolist(), won.tolist()):
+                a, b = key & (1 << n) - 1, key >> n
+                assert (a.bit_count(), b.bit_count()) == ((ply + 1) // 2, ply // 2)
+                mover = a if ply % 2 else b
+                assert key_won == (k is not None and _has_line(mover, rows, cols, k))
+            sizes.append(layer.size)
+        assert 1 + sum(sizes) == enumerate_reachable_states(
+            game, symmetry_reduction=symmetry).count
 
     @pytest.mark.parametrize("symmetry", [False, True])
     def test_cap_boundary(self, symmetry):
