@@ -43,7 +43,6 @@ from .selfplay import (
     elo_win_prob,
     learn,
     load_agent,
-    measure_cross_mi,
     save_agent,
 )
 from .turbo import (

@@ -126,7 +126,6 @@ class ResolvedConfig:
     name: str
     seed: int
     params: dict
-    config_dir: Path
 
 
 def _check_seed(seed: int) -> int:
@@ -180,8 +179,7 @@ def load_config(path) -> ResolvedConfig:
             params[p.name] = _parse_value(p, p.default, path.parent)
         else:
             params[p.name] = p.default
-    return ResolvedConfig(kind=kind, name=name, seed=seed, params=params,
-                          config_dir=path.parent)
+    return ResolvedConfig(kind=kind, name=name, seed=seed, params=params)
 
 
 def _game_from_params(params) -> GameSpec:

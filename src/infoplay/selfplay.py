@@ -34,7 +34,7 @@ from .games import (
     line_masks,
 )
 
-SNAPSHOT_HEADER = "# infoplay-agent-v2"
+SNAPSHOT_HEADER = "# infoplay-agent-v3"
 
 _TIE_TOL = 1e-12
 
@@ -95,7 +95,7 @@ class _Draws:
 
 @dataclass
 class AgentModel:
-    """One tabular self-play agent.
+    """One tabular self-play agent: its role and its two tables.
 
     ``value`` maps afterstate keys to expected outcome in [-1, 1] from
     this agent's perspective.  ``opponent_counts`` maps decision-state
@@ -105,21 +105,16 @@ class AgentModel:
     a fresh internal channel carries no information, not even cell
     occupancy).  These text-keyed dicts are the agent's durable form: a
     self-play pass reads them into lists by state id and works on those.
+    The exploration rate and step size belong to the pass that plays.
     """
 
     role: str
-    step_size: float = 0.25
-    epsilon: float = 0.1
     value: dict = field(default_factory=dict)
     opponent_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.role not in (PLAYER_A, PLAYER_B):
             raise ValidationError(f"role must be 'A' or 'B', got {self.role!r}")
-        if not (0.0 <= self.step_size <= 1.0):
-            raise ValidationError("step_size must lie in [0, 1] (0 = frozen values)")
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValidationError("epsilon must lie in [0, 1]")
 
 
 class _Seat:
@@ -211,15 +206,15 @@ class _Match:
                     counts[key] = row
 
 
-def _play_episode(match: _Match, rng, epsilon: float | None = None,
+def _play_episode(match: _Match, rng, epsilon: float,
                   memo: dict | None = None) -> tuple[list, list]:
     """One game between the seated agents: the ids of the states it passes
     through, from the root to the final state, and the move made at each
     decision (one fewer).  Every game the agents play with each other is
     played here.
 
-    Each move is epsilon-greedy (``epsilon`` overrides both agents' own
-    rate): with probability epsilon a uniform legal move, otherwise a
+    Each move is epsilon-greedy at the one rate ``epsilon`` for both
+    movers: with probability epsilon a uniform legal move, otherwise a
     uniform pick among the afterstates whose value lies within
     ``_TIE_TOL`` of the best.  A pick among one option takes no draw:
     numpy's ``integers(1)`` reads no bits, so skipping it moves no later
@@ -228,13 +223,12 @@ def _play_episode(match: _Match, rng, epsilon: float | None = None,
     once; the state fixes the player to move, so one dict serves both."""
     random, integers = rng.random, rng.integers
     legal, known = match.moves, match.child_ids
-    value, eps = match.a.value, match.a.agent.epsilon if epsilon is None else epsilon
-    other_value, other_eps = match.b.value, match.b.agent.epsilon if epsilon is None else epsilon
+    value, other_value = match.a.value, match.b.value
     sid = 0  # the root
     sids, moves = [sid], []
     while options := legal[sid]:
         kids = known[sid] or match.children(sid)
-        if eps > 0.0 and random() < eps:
+        if epsilon > 0.0 and random() < epsilon:
             i = integers(len(options)) if len(options) > 1 else 0
         else:
             if memo is None or (ties := memo.get(sid)) is None:
@@ -247,7 +241,7 @@ def _play_episode(match: _Match, rng, epsilon: float | None = None,
         moves.append(options[i])
         sid = kids[i]
         sids.append(sid)
-        value, eps, other_value, other_eps = other_value, other_eps, value, eps
+        value, other_value = other_value, value
     return sids, moves
 
 
@@ -255,13 +249,14 @@ def _play_episode(match: _Match, rng, epsilon: float | None = None,
 _REWARDS = {A_WINS: (1.0, -1.0), B_WINS: (-1.0, 1.0), DRAW: (0.0, 0.0)}
 
 
-def _training_episode(match: _Match, rng) -> str:
-    """One self-play game, then TD(0) afterstate updates and opponent-model
+def _training_episode(match: _Match, rng, epsilon: float, step: float) -> str:
+    """One self-play game at exploration rate ``epsilon``, then TD(0)
+    afterstate updates of step size ``step`` and opponent-model
     observation for both agents along its path, in place on the seats'
     lists.  Playing first reads the same values as updating online: an
     update only touches an afterstate with fewer stones than any value the
     rest of the game reads."""
-    sids, moves = _play_episode(match, rng)
+    sids, moves = _play_episode(match, rng, epsilon)
     cells = match.game.cells
     outcome = match.status[sids[-1]]
     reward_a, reward_b = _REWARDS[outcome]
@@ -272,7 +267,7 @@ def _training_episode(match: _Match, rng) -> str:
         afters = sids[ply + 1::2]
         if not afters:
             continue
-        value, updated, step = seat.value, seat.updated, seat.agent.step_size
+        value, updated = seat.value, seat.updated
         targets = [value[after] for after in afters[1:]]
         targets.append(reward)
         for after, target in zip(afters, targets):
@@ -311,7 +306,7 @@ class EvaluationResult:
     actual_a: tuple
 
 
-def _evaluate(match: _Match, episodes: int, rng, epsilon: float = 0.0) -> EvaluationResult:
+def _evaluate(match: _Match, episodes: int, rng, epsilon: float) -> EvaluationResult:
     """Frozen evaluation games between the seated agents; each game is
     played out before its decision points are predicted.  Both agents stay
     frozen for the pass, so each state's greedy and prediction ties are
@@ -367,22 +362,6 @@ def cross_mi_from_evaluation(ev: EvaluationResult, game: GameSpec) -> CrossMi:
         bits_ba_per_game=bits_ba * len(ev.actual_b) / len(ev.outcomes),
         bits_ab_per_game=bits_ab * len(ev.actual_a) / len(ev.outcomes),
     )
-
-
-def measure_cross_mi(agent_a: AgentModel, agent_b: AgentModel, game: GameSpec,
-                     episodes: int, seed) -> CrossMi:
-    """How much each agent decodes of the other, over fresh evaluation games.
-
-    I_{B-A} is the plug-in MI between agent A's binned prediction (argmax
-    of its opponent model) and agent B's actual move, pooled over every B
-    decision point, normalized by log2(board cells); I_{A-B} symmetric.
-    Agents are frozen; play is greedy with seeded tie-breaking.
-    """
-    if episodes < 100:
-        raise ValidationError("episodes must be >= 100 for a stable estimate")
-    rng = _Draws(seed)
-    ev = _evaluate(_Match(agent_a, agent_b, game), episodes, rng)
-    return cross_mi_from_evaluation(ev, game)
 
 
 def elo_win_prob(e_a: float, e_b: float, c_elo: float = 1.0 / 400.0) -> float:
@@ -492,10 +471,7 @@ def learn(game: GameSpec, config: LearnConfig, seed):
     """
     if not isinstance(config, LearnConfig):
         raise ValidationError("config must be a LearnConfig")
-    agent_a = AgentModel(role=PLAYER_A, step_size=config.step_size,
-                         epsilon=config.epsilon_start)
-    agent_b = AgentModel(role=PLAYER_B, step_size=config.step_size,
-                         epsilon=config.epsilon_start)
+    agent_a, agent_b = AgentModel(role=PLAYER_A), AgentModel(role=PLAYER_B)
     match = _Match(agent_a, agent_b, game)
     root = _seed_sequence(seed)
     anneal = config.anneal_generations or config.generations
@@ -505,14 +481,12 @@ def learn(game: GameSpec, config: LearnConfig, seed):
         frac = 0.0 if anneal <= 1 else min(1.0, (gen - 1) / (anneal - 1))
         epsilon = config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start)
         step = config.step_size + frac * (config.step_size_end - config.step_size)
-        agent_a.epsilon = agent_b.epsilon = epsilon
-        agent_a.step_size = agent_b.step_size = step
         ss_train, ss_eval = root.spawn(2)
         train_rng = _Draws(ss_train)
         for _ in range(config.episodes_per_generation):
-            _training_episode(match, train_rng)
+            _training_episode(match, train_rng, epsilon, step)
         eval_rng = _Draws(ss_eval)
-        ev = _evaluate(match, config.eval_episodes, eval_rng, epsilon=config.eval_epsilon)
+        ev = _evaluate(match, config.eval_episodes, eval_rng, config.eval_epsilon)
         cross = cross_mi_from_evaluation(ev, game)
         for outcome in ev.outcomes:
             elo_a, elo_b = elo_update(elo_a, elo_b, outcome)
@@ -605,15 +579,9 @@ def generation_csv(records, seed: int | None = None) -> str:
 
 
 def agent_to_text(agent: AgentModel, game: GameSpec) -> str:
-    """Versioned plain-text snapshot: hyperparameters, then one sorted line
+    """Versioned plain-text snapshot: role and game, then one sorted line
     per table entry (V: afterstate values, O: opponent move counts)."""
-    lines = [
-        SNAPSHOT_HEADER,
-        f"role {agent.role}",
-        f"game {game.game_id}",
-        f"step_size {agent.step_size!r}",
-        f"epsilon {agent.epsilon!r}",
-    ]
+    lines = [SNAPSHOT_HEADER, f"role {agent.role}", f"game {game.game_id}"]
     for key in sorted(agent.value):
         lines.append(f"V {key} {agent.value[key]!r}")
     for key in sorted(agent.opponent_counts):
@@ -680,7 +648,7 @@ def _snapshot_unique(seen: dict, key: str, line: str):
 
 
 def agent_from_text(text: str, game: GameSpec) -> AgentModel:
-    """Read a v2 snapshot.  Any malformed line raises ValidationError."""
+    """Read a v3 snapshot.  Any malformed line raises ValidationError."""
     lines = text.strip().split("\n")
     if lines[0] != SNAPSHOT_HEADER:
         raise ValidationError("not an infoplay agent snapshot (bad header)")
@@ -705,25 +673,18 @@ def agent_from_text(text: str, game: GameSpec) -> AgentModel:
             if key not in value:  # else checked on its V line
                 _snapshot_key(key, game)
             counts[key] = _snapshot_counts(packed, key.partition(":")[0])
-        elif tag in ("role", "game", "step_size", "epsilon"):
+        elif tag in ("role", "game"):
             _snapshot_unique(fields, tag, line)
+            if tag == "game" and rest != game.game_id:
+                # before the table lines, whose keys are checked against ``game``
+                raise ValidationError(f"snapshot is for game {rest!r}, not {game.game_id!r}")
             fields[tag] = rest
         else:
             raise ValidationError(f"unknown snapshot line tag {tag!r}")
-    missing = [name for name in ("role", "game", "step_size", "epsilon") if name not in fields]
+    missing = [name for name in ("role", "game") if name not in fields]
     if missing:
         raise ValidationError(f"snapshot lacks the line(s) {', '.join(missing)}")
-    if fields["game"] != game.game_id:
-        raise ValidationError(
-            f"snapshot is for game {fields['game']!r}, not {game.game_id!r}"
-        )
-    return AgentModel(
-        role=fields["role"],
-        step_size=_snapshot_float("step_size", fields["step_size"]),
-        epsilon=_snapshot_float("epsilon", fields["epsilon"]),
-        value=value,
-        opponent_counts=counts,
-    )
+    return AgentModel(role=fields["role"], value=value, opponent_counts=counts)
 
 
 def save_agent(agent: AgentModel, game: GameSpec, path):

@@ -293,13 +293,20 @@ def _run_steps(batch: int, n_states: int) -> int:
     return max(1, _RUN_ELEMENTS // (10 * n_states * batch))
 
 
-def _scratch_elements(batch: int, k_total: int, n_states: int) -> int:
-    """float64 elements of scratch ``_bcjr_rows`` takes for ``batch`` rows
-    of ``k_total`` steps: 2K metric rows and K // 2 + 1 rows of the
+def _scratch_shapes(batch: int, k_total: int, n_states: int) -> tuple:
+    """The arrays ``_bcjr_rows`` carves from its scratch for ``batch`` rows
+    of ``k_total`` steps, in order: the metric rows, K // 2 + 1 rows of the
     recursions, then the run buffers, whose size does not depend on K."""
     run = _run_steps(batch, n_states)
-    return batch * (2 * k_total + 2 * n_states * (k_total // 2 + 1)
-                    + 2 * n_states * (5 * run + 3) + 2)
+    return ((k_total, 2, batch), (k_total // 2 + 1, 2, n_states, batch),
+            (run + 1, 2, n_states, batch), (run, 2, 2, n_states, batch),
+            (2, run, 2, n_states, batch), (2, 2, n_states, batch), (2, 1, batch))
+
+
+def _scratch_elements(batch: int, k_total: int, n_states: int) -> int:
+    """float64 elements of scratch ``_bcjr_rows`` takes for ``batch`` rows
+    of ``k_total`` steps."""
+    return sum(math.prod(shape) for shape in _scratch_shapes(batch, k_total, n_states))
 
 
 def _carve(buf, *shapes):
@@ -411,9 +418,7 @@ def _bcjr_rows(ls, lp, la, code: RscCode, terminated: bool, exact: bool, app, bu
     run = _run_steps(batch, n_states)
     mid = k_total // 2
     gam, hist, ring, edges, metric, step, peak = _carve(
-        buf, (k_total, 2, batch), (mid + 1, 2, n_states, batch),
-        (run + 1, 2, n_states, batch), (run, 2, 2, n_states, batch),
-        (2, run, 2, n_states, batch), (2, 2, n_states, batch), (2, 1, batch))
+        buf, *_scratch_shapes(batch, k_total, n_states))
 
     # gam[k] = (A + P, P - A), a chunk of steps at a time, A in the
     # metric buffer

@@ -159,7 +159,7 @@ def test_criterion_8_selfplay_convergence_and_stopping():
         # draw rate over the final 100 evaluation games
         rng = np.random.default_rng(123)
         match = _Match(agent_a, agent_b, game)
-        final_eval = _evaluate(match, 100, rng)
+        final_eval = _evaluate(match, 100, rng, 0.0)
         assert final_eval.outcomes.count(DRAW) / 100 >= 0.9
 
         # recorded MI series is non-decreasing over its final window within 0.05

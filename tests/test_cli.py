@@ -52,11 +52,9 @@ SELFPLAY_PARAMS = {
 # a valid snapshot for 3x3-k3; the agent-exit cases below read it as a.txt
 # (role A) and b.txt (role B) next to their config
 SNAPSHOT = "\n".join([
-    "# infoplay-agent-v2",
+    "# infoplay-agent-v3",
     "role {role}",
     "game 3x3-k3",
-    "step_size 0.25",
-    "epsilon 0.1",
     "V ....A....:B 0.75",
     "O ....A....:B 0:3,8:1",
 ]) + "\n"
@@ -323,8 +321,7 @@ class TestMainEntry:
         ("0:3,8:1", "3:x"),  # count not an integer
         ("0:3,8:1", "12:1"),  # move beyond the 9 cells
         ("0:3,8:1", "3:-1"),  # negative count
-        ("step_size 0.25\n", ""),
-        ("epsilon 0.1\n", ""),
+        ("game 3x3-k3\n", ""),  # no game line
         ("0.75", "high"),  # value not a float
         ("0.75", "0.75\u00e9"),  # not ASCII
         ("....A....:B 0.75", "AAAA.....:B 0.75"),  # stone balance broken
@@ -334,7 +331,7 @@ class TestMainEntry:
         ("0:3,8:1", "4:100000"),  # a move on an occupied cell
         ("V ....A....:B 0.75", "V ....A....:B 0.75\nV ....A....:B 0.5"),  # repeated key
         ("O ....A....:B 0:3,8:1", "O ....A....:B 0:3,8:1\nO ....A....:B 1:1"),
-        ("# infoplay-agent-v2", "# infoplay-agent-v1"),  # old format, no longer read
+        ("# infoplay-agent-v3", "# infoplay-agent-v1"),  # old format, no longer read
         ("0.75", "1e300"),  # a value TD(0) cannot reach
     ])
     def test_malformed_snapshot_exit_code(self, tmp_path, capsys, old, new):
@@ -349,11 +346,36 @@ class TestMainEntry:
         assert "config error" in err and "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def agent_exit_error(self, tmp_path, capsys, snapshot_a: str) -> str:
+        """stderr of a default 3x3-k3 agent-exit run on ``snapshot_a`` as
+        agent A, which must exit 2 and write nothing."""
+        (tmp_path / "a.txt").write_text(snapshot_a)
+        (tmp_path / "b.txt").write_text(SNAPSHOT.format(role="B"))
+        cfg = write_config(tmp_path / "ae.ini", "agent-exit",
+                           {"agent_a": "a.txt", "agent_b": "b.txt", "episodes": 100})
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert list((tmp_path / "out").iterdir()) == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_version_2_snapshot_exit_code(self, tmp_path, capsys):
+        # version 2 also held the exploration rate and step size
+        v2 = SNAPSHOT.format(role="A").replace("# infoplay-agent-v3", "# infoplay-agent-v2")
+        v2 = v2.replace("game 3x3-k3\n", "game 3x3-k3\nstep_size 0.25\nepsilon 0.1\n")
+        assert "bad header" in self.agent_exit_error(tmp_path, capsys, v2)
+
+    def test_snapshot_of_another_game_exit_code(self, tmp_path, capsys):
+        # the game line is checked before the table keys it would reject
+        other = "# infoplay-agent-v3\nrole A\ngame 1x2-k2\nV .A:B 0.5\n"
+        err = self.agent_exit_error(tmp_path, capsys, other)
+        assert "snapshot is for game '1x2-k2', not '3x3-k3'" in err
+
     def test_side_that_never_moves_exit_code(self, tmp_path, capsys):
         # on 1x1-k1 A's first stone wins, so agent A has no B move to predict
         for role in "AB":
             (tmp_path / f"{role}.txt").write_text(
-                f"# infoplay-agent-v2\nrole {role}\ngame 1x1-k1\nstep_size 0.25\nepsilon 0.1\n")
+                f"# infoplay-agent-v3\nrole {role}\ngame 1x1-k1\n")
         cfg = write_config(tmp_path / "ae.ini", "agent-exit",
                            {"agent_a": "A.txt", "agent_b": "B.txt",
                             "rows": 1, "cols": 1, "k": 1, "episodes": 100})
