@@ -19,7 +19,14 @@ from .entropy import (
     sample_consistent_gaussian_apriori,
 )
 from .errors import NumericalContractError, ValidationError
-from .turbo import ChannelModel, RscCode, _bcjr_batch, rsc_encode, transmit
+from .turbo import (
+    ChannelModel,
+    RscCode,
+    _bcjr_batch,
+    _decode_in_halves,
+    rsc_encode,
+    transmit,
+)
 
 MONOTONE_DIP_TOLERANCE = 0.02
 TUNNEL_EPSILON = 1e-3
@@ -159,8 +166,9 @@ def measure_exit_curve(
     channel, synthesize consistent-Gaussian a-priori LLRs at that I_A,
     and measure the extrinsic output information over all
     ``samples_per_point`` bits.  One batched BCJR pass decodes the blocks
-    of every grid point together.  Grid points use independently derived
-    seeds, so the curve is reproducible bit for bit.
+    of every grid point together, or of each half of the grid in its own
+    process (see ``turbo._decode_in_halves``).  Grid points use
+    independently derived seeds, so the curve is reproducible bit for bit.
     """
     grid = np.asarray(ia_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -171,36 +179,43 @@ def measure_exit_curve(
         raise ValidationError("samples_per_point must be >= 1000")
     n_blocks = (samples_per_point + EXIT_BLOCK_LEN - 1) // EXIT_BLOCK_LEN
     k = EXIT_BLOCK_LEN + code.memory
-    # one decoder pass over the blocks of every grid point, each point
-    # filling its rows; blocks never mix
-    ls = np.empty((len(grid) * n_blocks, k))
-    lp = np.empty((len(grid) * n_blocks, k))
-    la = np.empty((len(grid) * n_blocks, EXIT_BLOCK_LEN))
-    bits = np.empty((len(grid), n_blocks * EXIT_BLOCK_LEN), dtype=np.int8)
-    root = _seed_sequence(seed)
-    for point, (ss, ia) in enumerate(zip(root.spawn(len(grid)), grid)):
-        ss_bits, ss_chan, ss_apriori = ss.spawn(3)
-        point_bits = np.random.default_rng(ss_bits).integers(0, 2, (n_blocks, EXIT_BLOCK_LEN))
-        sys_bits, par_bits = rsc_encode(point_bits, code)
-        rx = transmit(
-            np.concatenate([sys_bits.ravel(), par_bits.ravel()]), channel, ss_chan
-        )
-        apriori = sample_consistent_gaussian_apriori(point_bits.ravel(), float(ia), ss_apriori)
-        rows = slice(point * n_blocks, (point + 1) * n_blocks)
-        ls[rows] = rx.llrs[: n_blocks * k].reshape(n_blocks, k)
-        lp[rows] = rx.llrs[n_blocks * k:].reshape(n_blocks, k)
-        la[rows] = apriori.llrs.reshape(n_blocks, EXIT_BLOCK_LEN)
-        bits[point] = point_bits.ravel()
-    ext = _bcjr_batch(ls, lp, la, code, terminated=True)
-    ext -= la
-    ext -= ls[:, :EXIT_BLOCK_LEN]
-    np.clip(ext, -LLR_CLAMP, LLR_CLAMP, out=ext)
-    ext = ext.reshape(len(grid), n_blocks * EXIT_BLOCK_LEN)
-    points = [
-        (float(ia), _llr_information(point_ext[:samples_per_point],
-                                     point_bits[:samples_per_point]))
-        for ia, point_ext, point_bits in zip(grid, ext, bits)
-    ]
+    seeds = _seed_sequence(seed).spawn(len(grid))
+
+    def decode(points):
+        """I_E at the grid points in the slice ``points``: one decoder pass
+        over the blocks of those points, each point filling its rows;
+        blocks never mix."""
+        point_grid, point_seeds = grid[points], seeds[points]
+        ls = np.empty((len(point_grid) * n_blocks, k))
+        lp = np.empty((len(point_grid) * n_blocks, k))
+        la = np.empty((len(point_grid) * n_blocks, EXIT_BLOCK_LEN))
+        bits = np.empty((len(point_grid), n_blocks * EXIT_BLOCK_LEN), dtype=np.int8)
+        for point, (ss, ia) in enumerate(zip(point_seeds, point_grid)):
+            ss_bits, ss_chan, ss_apriori = ss.spawn(3)
+            point_bits = np.random.default_rng(ss_bits).integers(
+                0, 2, (n_blocks, EXIT_BLOCK_LEN))
+            sys_bits, par_bits = rsc_encode(point_bits, code)
+            rx = transmit(
+                np.concatenate([sys_bits.ravel(), par_bits.ravel()]), channel, ss_chan
+            )
+            apriori = sample_consistent_gaussian_apriori(point_bits.ravel(), float(ia),
+                                                         ss_apriori)
+            rows = slice(point * n_blocks, (point + 1) * n_blocks)
+            ls[rows] = rx.llrs[: n_blocks * k].reshape(n_blocks, k)
+            lp[rows] = rx.llrs[n_blocks * k:].reshape(n_blocks, k)
+            la[rows] = apriori.llrs.reshape(n_blocks, EXIT_BLOCK_LEN)
+            bits[point] = point_bits.ravel()
+        ext = _bcjr_batch(ls, lp, la, code, terminated=True)
+        ext -= la
+        ext -= ls[:, :EXIT_BLOCK_LEN]
+        np.clip(ext, -LLR_CLAMP, LLR_CLAMP, out=ext)
+        ext = ext.reshape(len(point_grid), n_blocks * EXIT_BLOCK_LEN)
+        return np.array([_llr_information(point_ext[:samples_per_point],
+                                          point_bits[:samples_per_point])
+                         for point_ext, point_bits in zip(ext, bits)])
+
+    i_e = _decode_in_halves(decode, grid.shape, 0, n_blocks * k * code.n_states)
+    points = zip(grid.tolist(), i_e.tolist())
     return ExitCurve(points=tuple(points), label=label, mc_samples=samples_per_point)
 
 

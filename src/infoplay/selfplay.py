@@ -438,8 +438,10 @@ class LearnConfig:
         for eps in (self.epsilon_start, self.epsilon_end, self.eval_epsilon):
             if not (0.0 <= eps <= 1.0):
                 raise ValidationError("exploration rates must lie in [0, 1]")
-        if not (0.0 < self.step_size <= 1.0) or not (0.0 <= self.step_size_end <= 1.0):
-            raise ValidationError("step sizes must lie in (0, 1]")
+        if not (0.0 < self.step_size <= 1.0):
+            raise ValidationError("step_size must lie in (0, 1]")
+        if not (0.0 <= self.step_size_end <= 1.0):
+            raise ValidationError("step_size_end must lie in [0, 1] (0 freezes the tables)")
 
 
 def _stop_rule_fires(i_ba: list, i_ab: list, window: int, delta: float) -> bool:

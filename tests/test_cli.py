@@ -24,6 +24,7 @@ from infoplay.cli import (
     main,
     run,
 )
+from infoplay import turbo
 from infoplay.errors import ConfigError
 from infoplay.games import tic_tac_toe
 from infoplay.selfplay import agent_from_text
@@ -401,6 +402,37 @@ class TestMainEntry:
         assert err.startswith("out of memory: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_out_of_memory_in_the_forked_half_exit_code(self, tmp_path, capfd, monkeypatch):
+        # five blocks split as two in a forked child and three in the caller;
+        # decoding the child's two fails, in the child and again when the
+        # caller redoes them
+        real_fork, real_iterations = os.fork, turbo._turbo_iterations
+        forks, caller_rows = [], []
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        def iterations(ls, *args):
+            caller_rows.append(ls.shape[0])
+            if ls.shape[0] == 2:
+                raise MemoryError("injected into the lower half")
+            return real_iterations(ls, *args)
+
+        monkeypatch.setattr(turbo.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(turbo, "_FORK_BREAK_EVEN", 1)
+        monkeypatch.setattr(turbo.os, "fork", counting_fork)
+        monkeypatch.setattr(turbo, "_turbo_iterations", iterations)
+        cfg = write_config(tmp_path / "t.ini", "turbo", dict(TURBO_PARAMS, blocks=5))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_RESOURCE
+        assert len(forks) == 1 and caller_rows == [3, 2]
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == "out of memory: injected into the lower half\n"
+        assert list((tmp_path / "out").iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("kind,overrides", [
         ("selfplay", {"rows": 2, "cols": 1, "k": 1}),  # B never moves: no MI estimate

@@ -457,6 +457,16 @@ class TestLearn:
         with pytest.raises(ValidationError):
             LearnConfig(stop_delta=0.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("step_size", 0.0, r"step_size must lie in \(0, 1\]"),
+        ("step_size_end", 2.0, r"step_size_end must lie in \[0, 1\]"),
+        ("step_size_end", -1.0, r"step_size_end must lie in \[0, 1\]"),
+    ])
+    def test_step_size_ranges_named_per_field(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            LearnConfig(**{field: value})
+        LearnConfig(step_size=1.0, step_size_end=0.0)  # both range ends are valid
+
     def test_negative_anneal_generations_rejected(self):
         with pytest.raises(ValidationError, match="anneal_generations"):
             LearnConfig(anneal_generations=-1)

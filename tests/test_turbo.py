@@ -1,7 +1,10 @@
 """RSC encoding, channels, BCJR vs brute-force MAP, and the turbo loop."""
 
+import errno
 import hashlib
 import math
+import os
+import signal
 import threading
 import tracemalloc
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from infoplay.entropy import LLR_CLAMP, LlrBlock
-from infoplay import turbo
+from infoplay import exit_chart, turbo
 from infoplay.errors import NumericalContractError, ValidationError
 from infoplay.turbo import (
     ChannelModel,
@@ -31,6 +34,7 @@ from infoplay.turbo import (
 from oracles import brute_force_map, ref_bcjr_batch, ref_encode_75, ref_s_random_permutation
 
 CODE75 = RscCode(feedback_poly=0o7, feedforward_poly=0o5, memory=2)
+CODE_MEMORY3 = RscCode(0o13, 0o15, memory=3)
 
 
 class TestRscEncode:
@@ -273,6 +277,21 @@ def _bcjr_inputs(draw):
     return ls, lp, la, code, terminated
 
 
+def _long_block_cases():
+    """(batch, n_info, code, terminated) cases that each span several runs
+    of steps after the middle row, the last one partial.  n_info 4095
+    gives an odd K when open, so the middle row pairs with itself.  At
+    batch 200 a memory-3 code runs 4 steps at a time, so its open case
+    takes 1001 bits: 1000 would leave 500 steps after the middle row, an
+    exact number of runs."""
+    for batch, n_info in [(1, 4096), (1, 4095), (126, 1000), (200, 1000)]:
+        for code_id, code in [("memory2", CODE75), ("memory3", CODE_MEMORY3)]:
+            for terminated in (True, False):
+                n = n_info + 1 if (batch, code.memory, terminated) == (200, 3, False) else n_info
+                yield pytest.param(batch, n, code, terminated,
+                                   id=f"{batch}-{n}-{code_id}-{terminated}")
+
+
 class TestBcjrKernel:
     @settings(max_examples=150, deadline=None)
     @given(inputs=_bcjr_inputs(), exact=st.booleans())
@@ -290,21 +309,11 @@ class TestBcjrKernel:
             one = turbo._bcjr_batch(ls[b:b + 1], lp[b:b + 1], la[b:b + 1], code, terminated, exact)
             assert np.array_equal(got[b:b + 1], one)
 
-    # every case spans several runs of steps after the middle row, the last
-    # one partial: batch 1 in one set of rows, batches 126 (just above the
-    # memory-2 split threshold) and 200 as two row halves; n_info 4095
-    # gives an odd K when open, so the middle row pairs with itself
     @pytest.mark.parametrize("exact", [True, False])
-    @pytest.mark.parametrize("terminated", [True, False])
-    @pytest.mark.parametrize("code", [CODE75, RscCode(0o13, 0o15, memory=3)],
-                             ids=["memory2", "memory3"])
-    @pytest.mark.parametrize("batch, n_info", [(1, 4096), (1, 4095), (126, 1000), (200, 1000)])
-    def test_long_blocks_match_frozen_reference(self, batch, n_info, code, terminated, exact,
-                                                monkeypatch):
-        monkeypatch.setattr(turbo.os, "sched_getaffinity", lambda pid: {0, 1})
+    @pytest.mark.parametrize("batch, n_info, code, terminated", _long_block_cases())
+    def test_long_blocks_match_frozen_reference(self, batch, n_info, code, terminated, exact):
         k_total = n_info + (code.memory if terminated else 0)
-        rows = batch // 2 if batch >= _SPLIT_FROM[code.memory] else batch
-        run = turbo._run_steps(rows, code.n_states)
+        run = turbo._run_steps(batch, code.n_states)
         after_middle = k_total - k_total // 2
         assert after_middle > run and after_middle % run
         rng = np.random.default_rng(batch + code.memory)
@@ -318,7 +327,8 @@ class TestBcjrKernel:
     def test_traced_peak_of_a_large_batch(self, cpus, monkeypatch):
         # 200 x 1000 (1002 steps): the result (1.5 MiB), two metric rows per
         # step (3.1 MiB), half the recursion history (6.1 MiB) and the run
-        # buffers; a full history and four metric rows per step took 21.2 MiB
+        # buffers; a full history and four metric rows per step took 21.2 MiB.
+        # The kernel decodes every row in one pass whatever the CPU count.
         monkeypatch.setattr(turbo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         rng = np.random.default_rng(3)
         ls, lp = rng.normal(2.0, 4.0, (2, 200, 1002))
@@ -330,82 +340,6 @@ class TestBcjrKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 13 * 2**20
-
-
-# the smallest batch decoded as two row halves, by code memory: each half's
-# per-step logaddexp must exceed numpy's 500-element GIL release
-_SPLIT_FROM = {2: 126, 3: 64}
-
-
-@st.composite
-def _batches_around_split(draw):
-    code = draw(_component_codes().filter(lambda c: c.memory >= 2))
-    terminated = draw(st.booleans())
-    split_from = _SPLIT_FROM[code.memory]
-    batch = draw(st.sampled_from([split_from - 1, split_from]) | st.integers(1, 2 * split_from))
-    n_info = draw(st.integers(1, 6))
-    k_total = n_info + (code.memory if terminated else 0)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    streams = []
-    for width in (k_total, k_total, n_info):
-        llrs = np.clip(rng.normal(0.0, 8.0, (batch, width)), -LLR_CLAMP, LLR_CLAMP)
-        saturated = rng.random(llrs.shape) < 0.1
-        llrs[saturated] = np.copysign(LLR_CLAMP, llrs[saturated])
-        streams.append(llrs)
-    return (*streams, code, terminated)
-
-
-def _single_thread_rows(ls, lp, la, code, terminated, exact):
-    batch, k_total = ls.shape
-    app = np.empty(la.shape)
-    buf = np.empty(turbo._scratch_elements(batch, k_total, code.n_states))
-    turbo._bcjr_rows(ls, lp, la, code, terminated, exact, app, buf)
-    return app
-
-
-class TestBcjrSplit:
-    @settings(max_examples=120, deadline=None)
-    @given(inputs=_batches_around_split(), exact=st.booleans(), cpus=st.sampled_from([1, 2]))
-    def test_split_equals_one_thread(self, inputs, exact, cpus):
-        ls, lp, la, code, terminated = inputs
-        expected = _single_thread_rows(ls, lp, la, code, terminated, exact)
-        threads = []
-        real_rows = turbo._bcjr_rows
-
-        def recording_rows(*args):
-            threads.append(threading.current_thread())
-            real_rows(*args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(turbo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            mp.setattr(turbo, "_bcjr_rows", recording_rows)
-            got = turbo._bcjr_batch(ls, lp, la, code, terminated, exact)
-        assert np.array_equal(got, expected)
-        split = cpus == 2 and ls.shape[0] >= _SPLIT_FROM[code.memory]
-        if split:
-            assert len(threads) == 2 and threads[0] is not threads[1]
-            assert threading.current_thread() in threads
-        else:
-            assert threads == [threading.current_thread()]
-
-    @pytest.mark.parametrize("failing_half", ["worker", "caller"])
-    def test_error_in_either_half_is_raised(self, failing_half, monkeypatch):
-        caller = threading.current_thread()
-        real_rows = turbo._bcjr_rows
-
-        def failing_rows(*args):
-            on_worker = threading.current_thread() is not caller
-            if on_worker == (failing_half == "worker"):
-                raise RuntimeError(f"{failing_half} half failed")
-            real_rows(*args)
-
-        monkeypatch.setattr(turbo.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(turbo, "_bcjr_rows", failing_rows)
-        ls = np.zeros((200, 12))
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"{failing_half} half failed"):
-            turbo._bcjr_batch(ls, ls, np.zeros((200, 10)), CODE75, terminated=True)
-        assert threading.active_count() == before
 
 
 def transmit_turbo_blocks(n_info, ebn0_db, n_blocks, seed):
@@ -516,3 +450,149 @@ class TestTurboDecode:
         traces = simulate_turbo(**fixture)
         text = trace_csv(traces, seed=fixture["seed"])
         assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def _split_forced(mp, forks):
+    """Split every decode of two or more rows, as on two CPUs, and record
+    each ``os.fork`` the caller makes in ``forks``."""
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    mp.setattr(turbo.os, "sched_getaffinity", lambda pid: {0, 1})
+    mp.setattr(turbo, "_FORK_BREAK_EVEN", 1)
+    mp.setattr(turbo.os, "fork", counting_fork)
+
+
+def _in_one_process(mp):
+    mp.setattr(turbo.os, "sched_getaffinity", lambda pid: {0})
+
+
+_EXIT_GRID = st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.7, 0.85, 0.95]),
+                      min_size=2, max_size=5, unique=True).map(sorted)
+
+
+class TestForkedHalves:
+    @settings(max_examples=30, deadline=None)
+    @given(code=st.sampled_from([CODE75, CODE_MEMORY3]), n_info=st.integers(1, 24),
+           n_blocks=st.integers(1, 7), iters=st.integers(1, 3),
+           ebn0_db=st.sampled_from([-2.0, 1.0, 4.0]),
+           kind=st.sampled_from(["uniform", "s_random"]), seed=st.integers(0, 2**32 - 1))
+    def test_turbo_split_equals_one_process(self, code, n_info, n_blocks, iters, ebn0_db, kind,
+                                            seed):
+        forks = []
+        args = (n_info, ebn0_db, n_blocks, iters, seed, code, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            _in_one_process(mp)
+            expected = simulate_turbo(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            _split_forced(mp, forks)
+            got = simulate_turbo(*args)
+        assert len(forks) == (n_blocks >= 2)
+        for got_field, expected_field in zip(got, expected):
+            assert got_field.shape == (n_blocks, iters)
+            assert np.array_equal(got_field, expected_field)
+
+    @settings(max_examples=20, deadline=None)
+    @given(code=st.sampled_from([CODE75, CODE_MEMORY3]), grid=_EXIT_GRID,
+           samples=st.integers(1000, 2500), ebn0_db=st.sampled_from([-2.0, 0.5, 3.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_exit_split_equals_one_process(self, code, grid, samples, ebn0_db, seed):
+        forks = []
+        args = (code, ChannelModel(ebn0_db, rate=0.5), grid, samples, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            _in_one_process(mp)
+            expected = exit_chart.measure_exit_curve(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            _split_forced(mp, forks)
+            got = exit_chart.measure_exit_curve(*args)
+        assert len(forks) == 1
+        assert got == expected
+
+    @pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("failing", ["child", "caller"])
+    @pytest.mark.parametrize("kind", ["turbo", "exit"])
+    def test_error_in_either_half_is_raised(self, kind, failing, exc_type, monkeypatch):
+        # five blocks or grid points of one block: the child decodes 2 rows,
+        # the caller 3; the child's half fails again when the caller redoes it
+        failing_rows = 2 if failing == "child" else 3
+        module, name = (turbo, "_turbo_iterations") if kind == "turbo" else (exit_chart,
+                                                                             "_bcjr_batch")
+        real = getattr(module, name)
+
+        def failing_decode(ls, *args, **kwargs):
+            if ls.shape[0] == failing_rows:
+                raise exc_type(f"{failing} half failed")
+            return real(ls, *args, **kwargs)
+
+        forks = []
+        _split_forced(monkeypatch, forks)
+        monkeypatch.setattr(module, name, failing_decode)
+        with pytest.raises(exc_type, match=f"^{failing} half failed$"):
+            if kind == "turbo":
+                simulate_turbo(16, 1.0, 5, 2, seed=4)
+            else:
+                exit_chart.measure_exit_curve(CODE75, ChannelModel(1.0, rate=0.5),
+                                              [0.0, 0.2, 0.4, 0.6, 0.8], 1000, seed=4)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_child_is_replaced_by_the_caller(self, monkeypatch):
+        expected = simulate_turbo(16, 1.0, 5, 2, seed=5)
+        caller = os.getpid()
+        real = turbo._turbo_iterations
+
+        def dying_child(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        forks = []
+        _split_forced(monkeypatch, forks)
+        monkeypatch.setattr(turbo, "_turbo_iterations", dying_child)
+        got = simulate_turbo(16, 1.0, 5, 2, seed=5)
+        assert len(forks) == 1
+        for got_field, expected_field in zip(got, expected):
+            assert np.array_equal(got_field, expected_field)
+
+    @pytest.mark.parametrize("condition", ["no-fork", "fork-fails", "no-affinity", "one-cpu",
+                                           "second-thread", "below-break-even"])
+    def test_in_process_fallback(self, condition, monkeypatch):
+        # 4 blocks of 16 bits with 2 iterations stay below the break-even
+        expected = simulate_turbo(16, 1.0, 4, 2, seed=6)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        def failing_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        _split_forced(monkeypatch, [])
+        monkeypatch.setattr(turbo.os, "fork", no_fork)
+        if condition == "no-fork":
+            monkeypatch.delattr(turbo.os, "fork")
+        elif condition == "fork-fails":
+            monkeypatch.setattr(turbo.os, "fork", failing_fork)
+        elif condition == "no-affinity":
+            monkeypatch.delattr(turbo.os, "sched_getaffinity")
+        elif condition == "one-cpu":
+            _in_one_process(monkeypatch)
+        elif condition == "below-break-even":
+            # each half: 2 blocks x 2 decoders x 2 iterations x 18 steps x 4 states
+            monkeypatch.setattr(turbo, "_FORK_BREAK_EVEN", 2 * 2 * 2 * 18 * 4 + 1)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        if condition == "second-thread":
+            helper.start()
+        try:
+            got = simulate_turbo(16, 1.0, 4, 2, seed=6)
+        finally:
+            release.set()
+            if helper.is_alive():
+                helper.join(timeout=10)
+        assert not helper.is_alive()
+        for got_field, expected_field in zip(got, expected):
+            assert np.array_equal(got_field, expected_field)
