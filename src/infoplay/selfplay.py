@@ -216,11 +216,15 @@ def _play_episode(match: _Match, rng, epsilon: float,
     Each move is epsilon-greedy at the one rate ``epsilon`` for both
     movers: with probability epsilon a uniform legal move, otherwise a
     uniform pick among the afterstates whose value lies within
-    ``_TIE_TOL`` of the best.  A pick among one option takes no draw:
-    numpy's ``integers(1)`` reads no bits, so skipping it moves no later
-    draw of the stream.  ``memo`` (state id -> greedy ties) serves a pass
-    in which both agents are frozen, so each state's ties are worked out
-    once; the state fixes the player to move, so one dict serves both."""
+    ``_TIE_TOL`` of the best.  The tie list is built only when a second
+    value lies within tolerance; else the move is the first best one.  A
+    pick among one option takes no draw: numpy's ``integers(1)`` reads no
+    bits, so skipping it moves no later draw of the stream.  ``memo``
+    (state id -> greedy ties, one-element lists included) serves a pass in
+    which both agents are frozen (an evaluation or agent-exit pass, or a
+    training generation at step size 0), so each state's ties are worked
+    out once; the state fixes the player to move, so one dict serves
+    both."""
     random, integers = rng.random, rng.integers
     legal, known = match.moves, match.child_ids
     value, other_value = match.a.value, match.b.value
@@ -231,13 +235,19 @@ def _play_episode(match: _Match, rng, epsilon: float,
         if epsilon > 0.0 and random() < epsilon:
             i = integers(len(options)) if len(options) > 1 else 0
         else:
-            if memo is None or (ties := memo.get(sid)) is None:
+            ties = memo.get(sid) if memo else None
+            if ties is None:
                 vals = [value[kid] for kid in kids]
-                floor = max(vals) - _TIE_TOL
-                ties = [i for i, v in enumerate(vals) if v >= floor]
+                ranked = sorted(vals)
+                floor = ranked[-1] - _TIE_TOL
+                if len(ranked) > 1 and ranked[-2] >= floor:
+                    ties = [j for j, v in enumerate(vals) if v >= floor]
+                else:
+                    i = vals.index(ranked[-1])  # the one value within tolerance
                 if memo is not None:
-                    memo[sid] = ties
-            i = ties[integers(len(ties))] if len(ties) > 1 else ties[0]
+                    memo[sid] = ties or [i]
+            if ties:
+                i = ties[integers(len(ties))] if len(ties) > 1 else ties[0]
         moves.append(options[i])
         sid = kids[i]
         sids.append(sid)
@@ -249,14 +259,18 @@ def _play_episode(match: _Match, rng, epsilon: float,
 _REWARDS = {A_WINS: (1.0, -1.0), B_WINS: (-1.0, 1.0), DRAW: (0.0, 0.0)}
 
 
-def _training_episode(match: _Match, rng, epsilon: float, step: float) -> str:
+def _training_episode(match: _Match, rng, epsilon: float, step: float,
+                      memo: dict | None = None) -> str:
     """One self-play game at exploration rate ``epsilon``, then TD(0)
     afterstate updates of step size ``step`` and opponent-model
     observation for both agents along its path, in place on the seats'
     lists.  Playing first reads the same values as updating online: an
     update only touches an afterstate with fewer stones than any value the
-    rest of the game reads."""
-    sids, moves = _play_episode(match, rng, epsilon)
+    rest of the game reads.  Each agent's afterstates are updated in play
+    order, each toward the next one's value before that is updated, the
+    last toward the reward.  ``memo`` is handed to ``_play_episode`` and
+    must be None unless ``step`` is 0, which leaves every value as it is."""
+    sids, moves = _play_episode(match, rng, epsilon, memo)
     cells = match.game.cells
     outcome = match.status[sids[-1]]
     reward_a, reward_b = _REWARDS[outcome]
@@ -268,11 +282,10 @@ def _training_episode(match: _Match, rng, epsilon: float, step: float) -> str:
         if not afters:
             continue
         value, updated = seat.value, seat.updated
-        targets = [value[after] for after in afters[1:]]
-        targets.append(reward)
-        for after, target in zip(afters, targets):
-            old = value[after]
-            value[after] = old + step * (target - old)
+        # in play order, so each target is read before its own update
+        for i, after in enumerate(afters, 1):
+            target = value[afters[i]] if i < len(afters) else reward
+            value[after] += step * (target - value[after])
             updated[after] = True
         observed = observer.counts
         for sid, move in zip(sids[ply::2], moves[ply::2]):
@@ -314,8 +327,7 @@ def _evaluate(match: _Match, episodes: int, rng, epsilon: float) -> EvaluationRe
     status, cells = match.status, match.game.cells
     counts_a, counts_b = match.a.counts, match.b.counts
     choice_ties, prediction_ties = {}, {}
-    outcomes = []
-    pred_b, act_b, pred_a, act_a = [], [], [], []
+    outcomes, pred_b, act_b, pred_a, act_a = [], [], [], [], []
     for _ in range(episodes):
         sids, moves = _play_episode(match, rng, epsilon, choice_ties)
         outcomes.append(status[sids[-1]])
@@ -326,8 +338,7 @@ def _evaluate(match: _Match, episodes: int, rng, epsilon: float) -> EvaluationRe
             else:
                 pred_a.append(_predict(counts_b, sid, cells, rng, prediction_ties))
                 act_a.append(move)
-    return EvaluationResult(tuple(outcomes), tuple(pred_b), tuple(act_b), tuple(pred_a),
-                            tuple(act_a))
+    return EvaluationResult(*map(tuple, (outcomes, pred_b, act_b, pred_a, act_a)))
 
 
 @dataclass(frozen=True)
@@ -452,11 +463,8 @@ def _stop_rule_fires(i_ba: list, i_ab: list, window: int, delta: float) -> bool:
     gate and the stopped window is genuinely flat.)"""
     if len(i_ba) < window:
         return False
-    recent_ba = i_ba[-window:]
-    recent_ab = i_ab[-window:]
-    changes = [abs(b - a) for a, b in zip(recent_ba, recent_ba[1:])]
-    changes += [abs(b - a) for a, b in zip(recent_ab, recent_ab[1:])]
-    return all(c < delta for c in changes)
+    recent = [series[-window:] for series in (i_ba, i_ab)]
+    return all(abs(b - a) < delta for r in recent for a, b in zip(r, r[1:]))
 
 
 def learn(game: GameSpec, config: LearnConfig, seed):
@@ -468,8 +476,10 @@ def learn(game: GameSpec, config: LearnConfig, seed):
     Stops early when the windowed stopping rule fires; the recorded MI
     need not reach 1.0, since learning may stop at a local optimum.
     Deterministic given (game, config, seed).  Both agents start fresh;
-    their tables are written back from the match once, at the end.
-    Returns (records, agent_a, agent_b).
+    their tables are written back from the match once, at the end.  A
+    generation whose step size is exactly 0 changes no value, so its
+    training episodes share one greedy-ties memo, dropped before its
+    evaluation pass.  Returns (records, agent_a, agent_b).
     """
     if not isinstance(config, LearnConfig):
         raise ValidationError("config must be a LearnConfig")
@@ -485,27 +495,20 @@ def learn(game: GameSpec, config: LearnConfig, seed):
         step = config.step_size + frac * (config.step_size_end - config.step_size)
         ss_train, ss_eval = root.spawn(2)
         train_rng = _Draws(ss_train)
+        # x + 0 * (t - x) == x, so a generation at step 0 is frozen
+        memo = {} if step == 0.0 else None
         for _ in range(config.episodes_per_generation):
-            _training_episode(match, train_rng, epsilon, step)
-        eval_rng = _Draws(ss_eval)
-        ev = _evaluate(match, config.eval_episodes, eval_rng, config.eval_epsilon)
+            _training_episode(match, train_rng, epsilon, step, memo)
+        memo = None  # dropped before the evaluation pass builds its own
+        ev = _evaluate(match, config.eval_episodes, _Draws(ss_eval), config.eval_epsilon)
         cross = cross_mi_from_evaluation(ev, game)
         for outcome in ev.outcomes:
             elo_a, elo_b = elo_update(elo_a, elo_b, outcome)
         n = len(ev.outcomes)
-        record = GenerationRecord(
-            generation=gen,
-            i_ba=cross.i_ba,
-            i_ab=cross.i_ab,
-            elo_a=elo_a,
-            elo_b=elo_b,
-            draw_rate=ev.outcomes.count(DRAW) / n,
-            a_win_rate=ev.outcomes.count(A_WINS) / n,
-            b_win_rate=ev.outcomes.count(B_WINS) / n,
-            bits_ba_per_game=cross.bits_ba_per_game,
-            bits_ab_per_game=cross.bits_ab_per_game,
-        )
-        records.append(record)
+        records.append(GenerationRecord(
+            gen, cross.i_ba, cross.i_ab, elo_a, elo_b, ev.outcomes.count(DRAW) / n,
+            ev.outcomes.count(A_WINS) / n, ev.outcomes.count(B_WINS) / n,
+            cross.bits_ba_per_game, cross.bits_ab_per_game))
         series_ba.append(cross.i_ba.value)
         series_ab.append(cross.i_ab.value)
         if _stop_rule_fires(series_ba, series_ab, config.stop_window, config.stop_delta):

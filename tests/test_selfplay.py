@@ -574,8 +574,10 @@ def test_selfplay_builds_no_numpy_generator(monkeypatch):
 
 _SMALL_GAME = GameSpec(rows=2, cols=3, k=2)
 _SMALL_KEYS = _reachable_keys(_SMALL_GAME)
-# exact ties, ties within _TIE_TOL and clear gaps
-_TIE_VALUES = (0.0, _TIE_TOL / 2, -_TIE_TOL / 2, 0.5, 0.5 + _TIE_TOL / 3, -0.25, 1.0)
+# exact ties, ties within _TIE_TOL, a tie exactly _TIE_TOL below the best,
+# negative zero, the largest value just outside tolerance and clear gaps
+_TIE_VALUES = (0.0, _TIE_TOL / 2, -_TIE_TOL / 2, 0.5, 0.5 + _TIE_TOL / 3, -0.25, 1.0,
+               1.0 - _TIE_TOL, -0.0, math.nextafter(1.0 - _TIE_TOL, -math.inf))
 
 
 def ref_choose(agent, table, sid, rng, epsilon):
@@ -721,19 +723,57 @@ class TestFrozenPasses:
                                                    100, seed)
 
 
+class TestGreedyPick:
+    """The walker's greedy pick at the edges of ``_TIE_TOL``: the first two
+    moves of the root lead to afterstates valued ``first`` and ``second``,
+    every other move to -1.  Greedy games from many seeds must open with
+    exactly the tied moves, with and without a memo."""
+
+    @pytest.mark.parametrize("first, second, opening", [
+        (1.0, 1.0 - _TIE_TOL, {0, 1}),  # v >= best - _TIE_TOL holds with equality
+        (1.0 - _TIE_TOL, 1.0, {0, 1}),
+        (1.0, math.nextafter(1.0 - _TIE_TOL, -math.inf), {0}),
+        (math.nextafter(1.0 - _TIE_TOL, -math.inf), 1.0, {1}),
+        (-0.0, 0.0, {0, 1}),
+        (0.0, -0.0, {0, 1}),
+        (0.5, 0.5, {0, 1}),
+        (-0.5, 0.25, {1}),
+    ])
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_ties_at_the_tolerance(self, first, second, opening, stream):
+        table = interner(_SMALL_GAME)
+        kids = table.children(0)
+        value = {table.keys[kid]: -1.0 for kid in kids}
+        value[table.keys[kids[0]]], value[table.keys[kids[1]]] = first, second
+        agent_a, agent_b = AgentModel(role="A", value=value), AgentModel(role="B")
+        for memo in (None, {}):
+            match = _Match(agent_a, agent_b, _SMALL_GAME)
+            played = set()
+            for seed in range(64):
+                _, moves = _play_episode(match, stream(seed), 0.0, memo)
+                ref_path, _ = ref_play(agent_a, agent_b, table, stream(seed), 0.0)
+                assert moves == [move for _, move in ref_path]
+                played.add(moves[0])
+            assert played == opening
+            if memo is not None:
+                assert memo[0] == sorted(opening)
+
+
 class TestTrainingEpisode:
     @pytest.mark.parametrize("stream", STREAMS)
     @settings(max_examples=40, deadline=None)
     @given(pair=frozen_agent_pairs(), epsilon=st.sampled_from([0.0, 0.1, 1.0]),
-           step_size=st.sampled_from([0.25, 1.0]), seed=st.integers(0, 2**32 - 1))
+           step_size=st.sampled_from([0.25, 1.0, 0.0]), seed=st.integers(0, 2**32 - 1))
     def test_updating_after_the_game_matches_updating_online(self, stream, pair, epsilon,
                                                              step_size, seed):
         game, agent_a, agent_b = pair
         ref_a, ref_b = copy.deepcopy(agent_a), copy.deepcopy(agent_b)
         match, ref_table = _Match(agent_a, agent_b, game), interner(game)
         rng, ref_rng = stream(seed), stream(seed)
+        # one memo for the episodes of a frozen generation, as ``learn`` keeps it
+        memo = {} if step_size == 0.0 else None
         for _ in range(5):
-            outcome = _training_episode(match, rng, epsilon, step_size)
+            outcome = _training_episode(match, rng, epsilon, step_size, memo)
             assert outcome == ref_training_episode(ref_a, ref_b, ref_table, ref_rng, epsilon,
                                                    step_size)
         match.write_back()
@@ -799,6 +839,18 @@ class TestLearnMatchesReference:
         assert records == ref_records
         for agent, ref in ((agent_a, ref_a), (agent_b, ref_b)):
             assert agent == ref  # role and both tables
+        assert tables_text(agent_a, agent_b) == tables_text(ref_a, ref_b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_frozen_generations_match_text_keyed_loop(self, seed):
+        """Generations 2-4 run at step size 0, with enough episodes that
+        their greedy ties come from the generation's memo."""
+        config = LearnConfig(generations=4, episodes_per_generation=40, eval_episodes=100,
+                             anneal_generations=2, stop_window=5, stop_delta=math.inf)
+        records, agent_a, agent_b = learn(_SMALL_GAME, config, seed)
+        ref_records, ref_a, ref_b = ref_learn(_SMALL_GAME, config, seed)
+        assert [r.generation for r in records] == [1, 2, 3, 4]
+        assert records == ref_records
         assert tables_text(agent_a, agent_b) == tables_text(ref_a, ref_b)
 
 
