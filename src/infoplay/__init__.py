@@ -13,17 +13,14 @@ from .capacity import (
     log2_factorial,
 )
 from .entropy import (
-    DiscreteDistribution,
     JointCounts,
     LlrBlock,
     MutualInfo,
     binary_entropy,
     j_function,
     j_inverse,
-    mi_from_llrs,
     mutual_information_plugin,
     sample_consistent_gaussian_apriori,
-    shannon_entropy,
 )
 from .exit_chart import (
     ExitCurve,
@@ -34,7 +31,7 @@ from .exit_chart import (
     render_exit_chart,
     tunnel_analysis,
 )
-from .games import GameSpec, GameState, apply_move, initial_state, legal_moves, tic_tac_toe
+from .games import GameSpec, GameState, tic_tac_toe
 from .selfplay import (
     AgentModel,
     LearnConfig,

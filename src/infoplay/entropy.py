@@ -1,4 +1,4 @@
-"""Shannon information measures on discrete distributions and LLR blocks.
+"""Shannon information measures on count tables and LLR blocks.
 
 Conventions shared by every module in this package:
 
@@ -24,7 +24,6 @@ from .errors import NumericalContractError, ValidationError
 LLR_CLAMP = 50.0
 
 _LN2 = np.log(2.0)
-_PROB_SUM_TOL = 1e-9
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -41,25 +40,6 @@ def _as_bits(x) -> np.ndarray:
     if bits.dtype.kind not in "biuf" or bits.size and not np.isin(bits, (0, 1)).all():
         raise ValidationError("bit vector entries must be 0 or 1")
     return bits.astype(np.int8)
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteDistribution:
-    """A probability mass function over a finite alphabet."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            raise ValidationError("distribution must be a non-empty 1-D vector")
-        if not np.isfinite(p).all() or (p < 0).any():
-            raise ValidationError("probabilities must be finite and non-negative")
-        if abs(p.sum() - 1.0) > _PROB_SUM_TOL:
-            raise ValidationError(
-                f"probabilities must sum to 1 within {_PROB_SUM_TOL}, got {p.sum()!r}"
-            )
-        object.__setattr__(self, "probs", p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +74,6 @@ class JointCounts:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def transpose(self) -> "JointCounts":
-        return JointCounts(self.counts.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +125,6 @@ class MutualInfo:
         object.__setattr__(self, "value", float(max(self.value, 0.0)))
 
 
-def shannon_entropy(dist) -> float:
-    """Entropy in bits of a discrete distribution (0 log 0 = 0)."""
-    if not isinstance(dist, DiscreteDistribution):
-        dist = DiscreteDistribution(np.asarray(dist, dtype=float))
-    p = dist.probs[dist.probs > 0]
-    return float(max(-(p * np.log2(p)).sum(), 0.0))
-
-
 def binary_entropy(p: float) -> float:
     """H_b(p) in bits; symmetric around p = 1/2."""
     if not (0.0 <= p <= 1.0):
@@ -165,13 +134,10 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
-def mutual_information_plugin(joint, correction: str | None = None) -> MutualInfo:
-    """Plug-in (maximum-likelihood) mutual information of a count table, in bits.
-
-    ``correction="miller_madow"`` adds the first-order Miller-Madow bias
-    correction; the default is the uncorrected ML estimate so results stay
-    comparable to closed forms at large sample sizes.
-    """
+def mutual_information_plugin(joint) -> MutualInfo:
+    """Plug-in (maximum-likelihood) mutual information of a count table, in
+    bits, uncorrected, so results stay comparable to closed forms at large
+    sample sizes."""
     if not isinstance(joint, JointCounts):
         joint = JointCounts(np.asarray(joint))
     n = joint.total
@@ -183,13 +149,6 @@ def mutual_information_plugin(joint, correction: str | None = None) -> MutualInf
     nz = p > 0
     outer = np.outer(px, py)
     info = float((p[nz] * np.log2(p[nz] / outer[nz])).sum())
-    if correction == "miller_madow":
-        m_x = int((px > 0).sum())
-        m_y = int((py > 0).sum())
-        m_xy = int(nz.sum())
-        info += ((m_x - 1) + (m_y - 1) - (m_xy - 1)) / (2.0 * n * _LN2)
-    elif correction is not None:
-        raise ValidationError(f"unknown correction {correction!r}")
     return MutualInfo(max(info, 0.0), "bits")
 
 
@@ -200,14 +159,6 @@ def _llr_information(llrs: np.ndarray, truth: np.ndarray) -> float | list[float]
     x = 1.0 - 2.0 * truth
     terms = np.logaddexp(0.0, -x * llrs) / _LN2
     return np.clip(1.0 - terms.mean(axis=-1), 0.0, 1.0).tolist()
-
-
-def mi_from_llrs(block: LlrBlock) -> MutualInfo:
-    """Normalized information content of an LLR block, via the ergodic
-    (time-average) estimator over the known transmitted bits."""
-    if len(block) == 0:
-        raise ValidationError("LLR block is empty")
-    return MutualInfo(_llr_information(block.llrs, block.truth), "normalized")
 
 
 @lru_cache(maxsize=1)

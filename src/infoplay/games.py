@@ -1,11 +1,12 @@
-"""Finite two-player placement games: board specs, states, legal moves.
+"""Finite two-player placement games: board specs, states and the win rule.
 
 Cells are numbered row-major; 0 = empty, 1 = player A's stone, 2 = player
 B's stone.  A always moves first, so the stone counts of any reachable
-state satisfy #A - #B in {0, 1}.  ``GameState`` and ``apply_move`` are the
-validated rules; capacity and self-play key a position as one integer, A's
-cell mask | (B's mask << cells).  All three read the win rule from one
-table, ``line_masks``.
+state satisfy #A - #B in {0, 1}.  Capacity enumeration and self-play key a
+position as one integer, A's cell mask | (B's mask << cells), and both read
+the win rule from one table, ``line_masks``.  ``GameState`` is a position
+as its cells and status; the snapshot reader checks a key by rebuilding
+one.
 """
 
 from __future__ import annotations
@@ -99,18 +100,6 @@ class GameState:
         return "".join(_CELL_CHARS[c] for c in self.cells) + ":" + self.to_move
 
 
-def initial_state(game: GameSpec) -> GameState:
-    return GameState(cells=(0,) * game.cells)
-
-
-def legal_moves(state: GameState, game: GameSpec) -> list[int]:
-    """Empty cells in row-major order.  Calling this on a terminal state is
-    a contract violation."""
-    if state.status != ONGOING:
-        raise ValidationError("legal_moves called on a terminal state")
-    return [i for i, c in enumerate(state.cells) if c == 0]
-
-
 @lru_cache(maxsize=None)
 def line_masks(game: GameSpec) -> tuple:
     """For each cell, the masks (bit i for cell i) of the k-in-a-row lines
@@ -132,23 +121,4 @@ def line_masks(game: GameSpec) -> tuple:
                     for i in through:
                         lines[i].append(mask)
     return tuple(tuple(masks) for masks in lines)
-
-
-def apply_move(state: GameState, move: int, game: GameSpec) -> GameState:
-    if state.status != ONGOING:
-        raise ValidationError("cannot move in a terminal state")
-    if type(move) is not int or not 0 <= move < game.cells or state.cells[move] != 0:
-        raise ValidationError(f"illegal move {move!r}")
-    stone = 1 if state.to_move == PLAYER_A else 2
-    cells = state.cells[:move] + (stone,) + state.cells[move + 1:]
-    mine = sum(1 << i for i, c in enumerate(cells) if c == stone)
-    if any(mine & line == line for line in line_masks(game)[move]):
-        status = A_WINS if stone == 1 else B_WINS
-    elif 0 not in cells:
-        # a full board is drawn unless scored: A's stones are one more on an odd board
-        scored = game.win_condition == BOARD_FULL_SCORING and cells.count(1) > cells.count(2)
-        status = A_WINS if scored else DRAW
-    else:
-        status = ONGOING
-    return GameState(cells=cells, status=status)
 

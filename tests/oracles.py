@@ -2,13 +2,17 @@
 
 Everything here is deliberately written from scratch (explicit registers,
 exhaustive enumeration, plain recursion) so it shares no code path with
-the library it checks.
+the library it checks: nothing is imported from ``infoplay``, and a game
+is read only through its ``rows``, ``cols``, ``k`` and ``win_condition``
+attributes.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
-from infoplay.games import A_WINS, B_WINS, DRAW, apply_move, legal_moves
+ONGOING, A_WINS, B_WINS, DRAW = "ongoing", "A_wins", "B_wins", "draw"
 
 
 def ref_encode_75(bits, terminate=True):
@@ -152,16 +156,81 @@ def brute_force_map(ls, lp, la, n_info):
     return app
 
 
+def _makes_run(cells, rows, cols, move, k):
+    """Whether the stone at ``move`` lies on a run of at least ``k`` equal
+    stones along a row, column or diagonal, counted cell by cell."""
+    r0, c0 = divmod(move, cols)
+    stone = cells[move]
+    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        run = 1
+        for sign in (1, -1):
+            r, c = r0 + sign * dr, c0 + sign * dc
+            while 0 <= r < rows and 0 <= c < cols and cells[r * cols + c] == stone:
+                run += 1
+                r, c = r + sign * dr, c + sign * dc
+        if run >= k:
+            return True
+    return False
+
+
+class RefState(NamedTuple):
+    """A position of the reference rules: cells (0 empty, 1 A, 2 B) and
+    status.  A moves first, so A is to move iff both have as many stones."""
+
+    cells: tuple
+    status: str = ONGOING
+
+    @property
+    def to_move(self):
+        return "A" if self.cells.count(1) == self.cells.count(2) else "B"
+
+    def key(self):
+        """The text key the agents' tables use: one of ``.AB`` per cell,
+        then the player to move."""
+        return "".join(".AB"[c] for c in self.cells) + ":" + self.to_move
+
+
+def ref_start(game):
+    return RefState((0,) * (game.rows * game.cols))
+
+
+def ref_moves(state):
+    """The empty cells in row-major order; a finished game has none to ask for."""
+    if state.status != ONGOING:
+        raise ValueError("the game is over")
+    return [i for i, c in enumerate(state.cells) if c == 0]
+
+
+def ref_move(state, move, game):
+    """The position after the player to move places a stone on ``move``.
+    A k-in-a-row game is won by a run of at least ``k`` and drawn when the
+    board fills; a full board of a scored game goes to the player with
+    more stones (A, on an odd board) and is drawn otherwise."""
+    if (state.status != ONGOING or type(move) is not int
+            or not 0 <= move < len(state.cells) or state.cells[move] != 0):
+        raise ValueError(f"illegal move {move!r}")
+    stone = 1 if state.to_move == "A" else 2
+    cells = state.cells[:move] + (stone,) + state.cells[move + 1:]
+    scored = game.win_condition == "board_full_scoring"
+    if not scored and _makes_run(cells, game.rows, game.cols, move, game.k):
+        status = A_WINS if stone == 1 else B_WINS
+    elif 0 in cells:
+        status = ONGOING
+    else:
+        status = A_WINS if scored and cells.count(1) > cells.count(2) else DRAW
+    return RefState(cells, status)
+
+
 def minimax_value(state, game, cache=None):
-    """Game-theoretic value from A's perspective: +1 / 0 / -1."""
+    """Game-theoretic value of a ``RefState`` from A's perspective: +1 / 0 / -1."""
     cache = {} if cache is None else cache
-    if state.status != "ongoing":
+    if state.status != ONGOING:
         return {A_WINS: 1, B_WINS: -1, DRAW: 0}[state.status]
     key = state.key()
     if key in cache:
         return cache[key]
-    children = [minimax_value(apply_move(state, m, game), game, cache)
-                for m in legal_moves(state, game)]
+    children = [minimax_value(ref_move(state, m, game), game, cache)
+                for m in ref_moves(state)]
     val = max(children) if state.to_move == "A" else min(children)
     cache[key] = val
     return val
@@ -175,21 +244,9 @@ def ref_count_positions(rows, cols, k=None, symmetry=False):
     wins by placing a stone that makes a run of at least ``k`` along a row,
     column or diagonal.  With ``symmetry`` positions are counted up to the
     reflections and rotations of the board.  Plain recursion over tuples
-    with its own win check: no library code is used.
+    with ``_makes_run`` as the win check.
     """
     n = rows * cols
-
-    def makes_run(cells, r0, c0, stone):
-        for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
-            run = 1
-            for sign in (1, -1):
-                r, c = r0 + sign * dr, c0 + sign * dc
-                while 0 <= r < rows and 0 <= c < cols and cells[r * cols + c] == stone:
-                    run += 1
-                    r, c = r + sign * dr, c + sign * dc
-            if run >= k:
-                return True
-        return False
 
     symmetries = [lambda r, c: (r, c), lambda r, c: (rows - 1 - r, c),
                   lambda r, c: (r, cols - 1 - c), lambda r, c: (rows - 1 - r, cols - 1 - c)]
@@ -221,7 +278,7 @@ def ref_count_positions(rows, cols, k=None, symmetry=False):
             if cells[p] == 0:
                 child = list(cells)
                 child[p] = stone
-                won = k is not None and makes_run(child, p // cols, p % cols, stone)
+                won = k is not None and _makes_run(child, rows, cols, p, k)
                 visit(tuple(child), "B" if player == "A" else "A", won or 0 not in child)
 
     visit((0,) * n, "A", False)

@@ -12,13 +12,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import brute_force_map, minimax_value
+from oracles import RefState, brute_force_map, minimax_value, ref_start
 
 from infoplay.capacity import capacity_bounds, enumerate_reachable_states, log2_factorial
 from infoplay.cli import run as cli_run
 from infoplay.entropy import JointCounts, LlrBlock, binary_entropy, mutual_information_plugin
 from infoplay.exit_chart import ExitCurve, OPEN, decoding_trajectory, tunnel_analysis
-from infoplay.games import DRAW, GameState, initial_state, tic_tac_toe
+from infoplay.games import DRAW, tic_tac_toe
 from infoplay.selfplay import LearnConfig, _evaluate, _Match, _play_episode, elo_win_prob, learn
 from infoplay.turbo import ChannelModel, RscCode, bcjr_decode, rsc_encode, simulate_turbo, transmit
 
@@ -171,13 +171,13 @@ def test_criterion_8_selfplay_convergence_and_stopping():
         # oracle cross-check: converged greedy play never leaves the
         # game-theoretic draw (tabular minimax)
         cache = {}
-        minimax_value(initial_state(game), game, cache)
+        minimax_value(ref_start(game), game, cache)
         replay_rng = np.random.default_rng(5)
         for _ in range(100):
             sids, _ = _play_episode(match, replay_rng, epsilon=0.0)
             for sid in sids[1:]:  # every state after a move
                 cells = tuple(".AB".index(c) for c in match.keys[sid].partition(":")[0])
-                state = GameState(cells=cells, status=match.status[sid])
+                state = RefState(cells, match.status[sid])
                 assert minimax_value(state, game, cache) == 0
         assert time.perf_counter() - t0 < 300.0
 

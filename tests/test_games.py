@@ -1,4 +1,9 @@
-"""Board mechanics: legal moves, termination, stone balance."""
+"""Board mechanics: legal moves, termination, stone balance.
+
+Each move-rule case is played by the reference rules of ``oracles`` and
+through the children of a self-play ``_Match``, the library's live rule
+path; the two must agree on every key and status along the line.
+"""
 
 import pytest
 
@@ -11,60 +16,72 @@ from infoplay.games import (
     GameSpec,
     GameState,
     ONGOING,
-    apply_move,
-    initial_state,
-    legal_moves,
     tic_tac_toe,
 )
+from infoplay.selfplay import AgentModel, _Match
+
+from oracles import ref_move, ref_moves, ref_start
 
 
 def play(moves, game=None):
+    """Play ``moves`` by the reference rules and through a fresh match:
+    the reference state, the match and the id of the match's state."""
     game = game or tic_tac_toe()
-    state = initial_state(game)
+    state, sid = ref_start(game), 0
+    match = _Match(AgentModel(role="A"), AgentModel(role="B"), game)
     for m in moves:
-        state = apply_move(state, m, game)
-    return state
+        state = ref_move(state, m, game)
+        sid = match.children(sid)[match.moves[sid].index(m)]
+        assert match.keys[sid] == state.key()
+        assert match.status[sid] == state.status
+    return state, match, sid
+
+
+def offers(match, sid, move):
+    """Whether the match lists ``move`` (an int, not a bool) at ``sid``."""
+    return any(type(m) is type(move) and m == move for m in match.moves[sid])
 
 
 class TestLegalMoves:
     def test_empty_board_has_all_cells(self):
-        game = tic_tac_toe()
-        assert legal_moves(initial_state(game), game) == list(range(9))
+        state, match, sid = play([])
+        assert ref_moves(state) == list(match.moves[sid]) == list(range(9))
 
     def test_one_empty_cell(self):
-        state = play([0, 1, 2, 4, 3, 5, 7, 6])  # cell 8 open, no winner yet
-        game = tic_tac_toe()
+        state, match, sid = play([0, 1, 2, 4, 3, 5, 7, 6])  # cell 8 open, no winner yet
         assert state.status == ONGOING
-        assert legal_moves(state, game) == [8]
+        assert ref_moves(state) == list(match.moves[sid]) == [8]
 
     def test_terminal_state_rejected(self):
-        state = play([0, 3, 1, 4, 2])  # A wins across the top row
+        state, match, sid = play([0, 3, 1, 4, 2])  # A wins across the top row
         assert state.status == A_WINS
-        with pytest.raises(ValidationError):
-            legal_moves(state, tic_tac_toe())
+        with pytest.raises(ValueError):
+            ref_moves(state)
+        assert match.moves[sid] == ()
 
 
 class TestTermination:
     def test_row_column_and_diagonal_wins(self):
-        assert play([0, 3, 1, 4, 2]).status == A_WINS
-        assert play([1, 0, 2, 3, 4, 6]).status == B_WINS  # B takes the left column
-        assert play([0, 1, 4, 2, 8]).status == A_WINS  # main diagonal
-        assert play([2, 1, 4, 3, 6]).status == A_WINS  # anti-diagonal
+        assert play([0, 3, 1, 4, 2])[0].status == A_WINS
+        assert play([1, 0, 2, 3, 4, 6])[0].status == B_WINS  # B takes the left column
+        assert play([0, 1, 4, 2, 8])[0].status == A_WINS  # main diagonal
+        assert play([2, 1, 4, 3, 6])[0].status == A_WINS  # anti-diagonal
 
     def test_full_board_draw(self):
-        state = play([0, 1, 2, 4, 3, 5, 7, 6, 8])
+        state, match, sid = play([0, 1, 2, 4, 3, 5, 7, 6, 8])
         assert state.status == DRAW
+        assert match.moves[sid] == ()
 
     def test_board_full_scoring_gives_majority_win(self):
         game = GameSpec(rows=1, cols=3, win_condition=BOARD_FULL_SCORING, k=None)
-        state = play([0, 1, 2], game)
+        state, _, _ = play([0, 1, 2], game)
         assert state.status == A_WINS  # 2 stones vs 1
 
     def test_one_by_one_game(self):
         game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
-        state = initial_state(game)
-        assert legal_moves(state, game) == [0]
-        assert apply_move(state, 0, game).status == A_WINS
+        state, match, sid = play([], game)
+        assert ref_moves(state) == list(match.moves[sid]) == [0]
+        assert play([0], game)[0].status == A_WINS
 
 
 class TestInvariants:
@@ -92,23 +109,24 @@ class TestInvariants:
     # a bool is an int subclass, but like a bool cell it is no move
     @pytest.mark.parametrize("move", [1.5, "4", None, -1, 9, True, False])
     def test_malformed_move_rejected(self, move):
-        game = tic_tac_toe()
-        with pytest.raises(ValidationError):
-            apply_move(initial_state(game), move, game)
+        state, match, sid = play([])
+        with pytest.raises(ValueError):
+            ref_move(state, move, tic_tac_toe())
+        assert not offers(match, sid, move)
 
     def test_moves_alternate(self):
-        game = tic_tac_toe()
-        state = initial_state(game)
+        state, match, sid = play([])
         assert state.to_move == "A"
-        state = apply_move(state, 4, game)
+        state, match, sid = play([4])
         assert state.to_move == "B"
         assert state.cells[4] == 1
+        assert match.keys[sid] == "....A....:B"
 
     def test_occupied_cell_rejected(self):
-        game = tic_tac_toe()
-        state = apply_move(initial_state(game), 4, game)
-        with pytest.raises(ValidationError):
-            apply_move(state, 4, game)
+        state, match, sid = play([4])
+        with pytest.raises(ValueError):
+            ref_move(state, 4, tic_tac_toe())
+        assert not offers(match, sid, 4)
 
 
 class TestSpecValidation:
@@ -119,4 +137,3 @@ class TestSpecValidation:
     def test_empty_board_rejected(self):
         with pytest.raises(ValidationError):
             GameSpec(rows=0, cols=3)
-

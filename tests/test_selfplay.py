@@ -22,9 +22,6 @@ from infoplay.games import (
     DRAW,
     GameSpec,
     ONGOING,
-    apply_move,
-    initial_state,
-    legal_moves,
     tic_tac_toe,
 )
 from infoplay.selfplay import (
@@ -52,21 +49,21 @@ from infoplay.selfplay import (
     learn,
 )
 
-from oracles import minimax_value
+from oracles import minimax_value, ref_move, ref_moves, ref_start
 
 GAME = tic_tac_toe()
 
 
 class RefTable:
     """The states of ``game`` by id in order of first sight, built by the
-    validated rules alone (``initial_state``, ``legal_moves``,
-    ``apply_move``): the reference for the match's integer-keyed interning,
-    and the table the text-keyed reference loops below walk."""
+    reference rules alone (``ref_start``, ``ref_moves``, ``ref_move``): the
+    reference for the match's integer-keyed interning, and the table the
+    text-keyed reference loops below walk."""
 
     def __init__(self, game):
         self.game = game
         self.states, self.keys, self.moves, self.child_ids, self._ids = [], [], [], [], {}
-        self.intern(initial_state(game))
+        self.intern(ref_start(game))
 
     def intern(self, state):
         sid = self._ids.get(state)
@@ -75,14 +72,14 @@ class RefTable:
             self.states.append(state)
             self.keys.append(state.key())
             ongoing = state.status == ONGOING
-            self.moves.append(tuple(legal_moves(state, self.game)) if ongoing else ())
+            self.moves.append(tuple(ref_moves(state)) if ongoing else ())
             self.child_ids.append(None)
         return sid
 
     def children(self, sid):
         if self.child_ids[sid] is None:
             state, game = self.states[sid], self.game
-            self.child_ids[sid] = tuple(self.intern(apply_move(state, m, game))
+            self.child_ids[sid] = tuple(self.intern(ref_move(state, m, game))
                                         for m in self.moves[sid])
         return self.child_ids[sid]
 
@@ -240,7 +237,7 @@ class TestMatchInterning:
     def test_table_agrees_with_the_rules(self, game, picks):
         # walk a random legal line through both the match and the rules
         match = seated(game)
-        state, sid = initial_state(game), 0
+        state, sid = ref_start(game), 0
         for pick in [*picks, None]:
             assert match.positions[sid] == position(state, game.cells)
             assert match.keys[sid] == state.key()
@@ -249,14 +246,14 @@ class TestMatchInterning:
             if state.status != ONGOING:
                 assert match.moves[sid] == ()
                 break
-            moves = legal_moves(state, game)
+            moves = ref_moves(state)
             assert list(match.moves[sid]) == moves
             for move, kid in zip(moves, match.children(sid)):
-                assert match.keys[kid] == apply_move(state, move, game).key()
+                assert match.keys[kid] == ref_move(state, move, game).key()
             if pick is None:
                 break
             i = pick % len(moves)
-            state, sid = apply_move(state, moves[i], game), match.children(sid)[i]
+            state, sid = ref_move(state, moves[i], game), match.children(sid)[i]
 
     def test_ids_follow_first_sight(self):
         match = seated(tic_tac_toe())
@@ -311,7 +308,7 @@ class TestSelfPlayEpisode:
 
     def test_minimax_agent_never_loses_to_random(self):
         cache = {}
-        minimax_value(initial_state(GAME), GAME, cache)
+        minimax_value(ref_start(GAME), GAME, cache)
         oracle = AgentModel(role="A", value={k: v for k, v in cache.items()})
         # greedy play: B's untrained values tie every move, so B plays uniformly
         rando = AgentModel(role="B")
@@ -329,9 +326,9 @@ def fixed_line_agents(moves):
     """Agents whose greedy play follows the given move list exactly, with
     agent A's opponent model reproducing B's moves."""
     agent_a, agent_b = AgentModel(role="A"), AgentModel(role="B")
-    state = initial_state(GAME)
+    state = ref_start(GAME)
     for mv in moves:
-        after = apply_move(state, mv, GAME)
+        after = ref_move(state, mv, GAME)
         if state.to_move == "A":
             agent_a.value[after.key()] = 1.0
         else:
