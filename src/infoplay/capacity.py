@@ -131,10 +131,12 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
     wraps) give all its children.  The frontier is cut into chunks of at
     most ``_CHUNK_CHILDREN`` children.  Each chunk is canonicalised (under
     symmetry reduction, the least key among a child's images), sorted,
-    deduplicated and merged into the layer so far, its new keys inserted at
-    their ``searchsorted`` places.  Only the new stone can complete a line,
-    so a position is won when the mover's mask covers one of the line masks
-    of ``games.line_masks`` (the table the rules and self-play use); the
+    deduplicated and stripped of the keys already in the layer so far,
+    which is a stack of disjoint sorted runs: a run is merged into the one
+    below while that is under twice its size, and all after the last
+    chunk, so a key is copied O(log chunks) times.  Only the new stone can
+    complete a line, so a position is won when the mover's mask covers
+    one of the line masks of ``games.line_masks`` (the rules' table); the
     other positions with an empty cell are the next frontier.
 
     The cap bounds memory to a few layer-sized arrays and one chunk.
@@ -166,7 +168,7 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
             raise ResourceCapError(exceeded)
         shift = n * (ply % 2)  # A on the even plies, in the low half
         step = max(1, _CHUNK_CHILDREN // free)
-        layer = None
+        runs = []  # the layer so far
         for start in range(0, frontier.size, step):
             keys = frontier[start:start + step]
             empty = ~(keys | keys >> n) & (1 << n) - 1
@@ -185,15 +187,19 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
                     np.minimum(children, image, out=children)
             children.sort()
             children = children[np.concatenate(([True], children[1:] != children[:-1]))]
-            if layer is None:
-                layer = children
-            else:
-                at = np.searchsorted(layer, children)
-                fresh = layer[np.minimum(at, layer.size - 1)] != children
-                layer = np.insert(layer, at[fresh], children[fresh])
-            if count + layer.size > max_states:
+            for run in runs:
+                at = np.searchsorted(run, children)
+                children = children[run[np.minimum(at, run.size - 1)] != children]
+            count += children.size
+            if count > max_states:
                 raise ResourceCapError(exceeded)
-        count += layer.size
+            if children.size:
+                runs.append(children)
+            last = start + step >= frontier.size
+            while len(runs) > 1 and (last or runs[-2].size < 2 * runs[-1].size):
+                runs[-2:] = [np.concatenate(runs[-2:])]
+                runs[-1].sort(kind="stable")  # timsort: one merge of two runs
+        layer = runs[0]
         won = np.zeros(layer.size, dtype=bool)
         for line in lines:
             mask = line << shift

@@ -37,7 +37,7 @@ def _as_bits(x) -> np.ndarray:
     bits = np.asarray(x)
     if bits.ndim != 1:
         raise ValidationError("bit vector must be one-dimensional")
-    if bits.dtype.kind not in "biuf" or bits.size and not np.isin(bits, (0, 1)).all():
+    if bits.dtype.kind not in "biuf" or not ((bits == 0) | (bits == 1)).all():
         raise ValidationError("bit vector entries must be 0 or 1")
     return bits.astype(np.int8)
 

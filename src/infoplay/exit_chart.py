@@ -185,31 +185,25 @@ def measure_exit_curve(
         """I_E at the grid points in the slice ``points``: one decoder pass
         over the blocks of those points, each point filling its rows;
         blocks never mix."""
-        point_grid, point_seeds = grid[points], seeds[points]
-        ls = np.empty((len(point_grid) * n_blocks, k))
-        lp = np.empty((len(point_grid) * n_blocks, k))
-        la = np.empty((len(point_grid) * n_blocks, EXIT_BLOCK_LEN))
-        bits = np.empty((len(point_grid), n_blocks * EXIT_BLOCK_LEN), dtype=np.int8)
-        for point, (ss, ia) in enumerate(zip(point_seeds, point_grid)):
-            ss_bits, ss_chan, ss_apriori = ss.spawn(3)
-            point_bits = np.random.default_rng(ss_bits).integers(
-                0, 2, (n_blocks, EXIT_BLOCK_LEN))
-            sys_bits, par_bits = rsc_encode(point_bits, code)
-            rx = transmit(
-                np.concatenate([sys_bits.ravel(), par_bits.ravel()]), channel, ss_chan
-            )
-            apriori = sample_consistent_gaussian_apriori(point_bits.ravel(), float(ia),
-                                                         ss_apriori)
+        streams = [ss.spawn(3) for ss in seeds[points]]
+        bits = np.empty((len(streams), n_blocks * EXIT_BLOCK_LEN), dtype=np.int8)
+        for point_bits, (ss_bits, _, _) in zip(bits, streams):
+            point_bits[:] = np.random.default_rng(ss_bits).integers(0, 2, point_bits.size)
+        sys_bits, par_bits = rsc_encode(bits.reshape(-1, EXIT_BLOCK_LEN), code)
+        ls, lp = np.empty((2, len(streams) * n_blocks, k))
+        la = np.empty((len(streams) * n_blocks, EXIT_BLOCK_LEN))
+        for point, ((_, ss_chan, ss_apriori), ia) in enumerate(zip(streams, grid[points])):
             rows = slice(point * n_blocks, (point + 1) * n_blocks)
-            ls[rows] = rx.llrs[: n_blocks * k].reshape(n_blocks, k)
-            lp[rows] = rx.llrs[n_blocks * k:].reshape(n_blocks, k)
-            la[rows] = apriori.llrs.reshape(n_blocks, EXIT_BLOCK_LEN)
-            bits[point] = point_bits.ravel()
+            word = np.concatenate([sys_bits[rows], par_bits[rows]]).ravel()
+            ls[rows], lp[rows] = transmit(word, channel, ss_chan).llrs.reshape(2, n_blocks, k)
+            la[rows] = sample_consistent_gaussian_apriori(
+                bits[point], float(ia), ss_apriori).llrs.reshape(n_blocks, EXIT_BLOCK_LEN)
+        del sys_bits, par_bits  # not needed by the decoder
         ext = _bcjr_batch(ls, lp, la, code, terminated=True)
         ext -= la
         ext -= ls[:, :EXIT_BLOCK_LEN]
         np.clip(ext, -LLR_CLAMP, LLR_CLAMP, out=ext)
-        ext = ext.reshape(len(point_grid), n_blocks * EXIT_BLOCK_LEN)
+        ext = ext.reshape(bits.shape)
         return np.array([_llr_information(point_ext[:samples_per_point],
                                           point_bits[:samples_per_point])
                          for point_ext, point_bits in zip(ext, bits)])

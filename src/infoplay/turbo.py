@@ -138,7 +138,7 @@ def rsc_encode(bits, code: RscCode, terminate: bool = True):
     u = np.asarray(bits)
     if u.ndim not in (1, 2) or u.size == 0:
         raise ValidationError("input bits must be a non-empty 1-D vector or 2-D batch")
-    if not np.isin(u, (0, 1)).all():
+    if not ((u == 0) | (u == 1)).all():
         raise ValidationError("input bits must be 0/1")
     tr = _trellis(code)
     n_states = code.n_states
@@ -278,7 +278,7 @@ def transmit(symbols, channel: ChannelModel, seed) -> LlrBlock:
     bits = np.asarray(symbols)
     if bits.ndim != 1 or bits.size == 0:
         raise ValidationError("symbols must be a non-empty 1-D bit vector")
-    if not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValidationError("symbols must be 0/1")
     rng = np.random.default_rng(seed)
     x = 1.0 - 2.0 * bits
@@ -636,11 +636,10 @@ def simulate_turbo(
     interleaver_kind: str = "uniform",
 ) -> TurboTrace:
     """Encode, transmit, and decode ``n_blocks`` independent blocks over an
-    AWGN channel at the given Eb/N0, decoding all blocks in one batch, or
-    in two halves in two processes (``_decode_in_halves``).
-
-    Row b of the trace is block b; each row is identical to decoding that
-    block alone, because blocks never mix.
+    AWGN channel at the given Eb/N0: all blocks in one batch, or each half
+    encoded, transmitted and decoded in its own process
+    (``_decode_in_halves``) from the bits and noise seeds drawn here.  Row
+    b of the trace is block b, identical to decoding that block alone.
     """
     if min(n_info, n_blocks, max_iters) < 1:
         raise ValidationError("n_info, n_blocks and max_iters must each be >= 1")
@@ -658,18 +657,19 @@ def simulate_turbo(
     truth = np.empty((n_blocks, n_info), dtype=np.int8)
     for b in range(n_blocks):
         truth[b] = bit_rng.integers(0, 2, n_info)
-    words = turbo_encode(truth, code, interleaver)
-    llrs = np.empty(words.shape)
-    for b, ss in enumerate(ss_noise.spawn(n_blocks)):
-        llrs[b] = transmit(words[b], channel, ss).llrs
-    del words  # not needed by the decoder
+    noise = ss_noise.spawn(n_blocks)
     # [systematic | parity1 | parity2]: the first two carry the tail
     k = n_info + code.memory
-    ls, lp1, lp2 = np.split(llrs, [k, 2 * k], axis=1)
 
     def decode(rows):
-        return np.stack(_turbo_iterations(ls[rows], lp1[rows], lp2[rows], truth[rows],
-                                          interleaver, code, max_iters))
+        words = turbo_encode(truth[rows], code, interleaver)
+        llrs = np.empty(words.shape)
+        for b, ss in enumerate(noise[rows]):
+            llrs[b] = transmit(words[b], channel, ss).llrs
+        del words  # not needed by the decoder
+        ls, lp1, lp2 = np.split(llrs, [k, 2 * k], axis=1)
+        return np.stack(_turbo_iterations(ls, lp1, lp2, truth[rows], interleaver, code,
+                                          max_iters))
 
     # two component decoders of about k steps per iteration
     return TurboTrace(*_decode_in_halves(decode, (3, n_blocks, max_iters), 1,

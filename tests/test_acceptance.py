@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import RefState, brute_force_map, minimax_value, ref_start
+from oracles import brute_force_map, minimax_value, ref_move, ref_start
 
 from infoplay.capacity import capacity_bounds, enumerate_reachable_states, log2_factorial
 from infoplay.cli import run as cli_run
@@ -147,7 +147,8 @@ def test_criterion_7_state_enumeration():
 
 
 def test_criterion_8_selfplay_convergence_and_stopping():
-    with criterion(8, "committed config: draws >= 0.9, stopping fires, MI window stable"):
+    with criterion(8, "committed config: draws >= 0.9, stopping fires, MI window stable, "
+                      "rules agree with the oracle"):
         t0 = time.perf_counter()
         game = tic_tac_toe()
         config = LearnConfig()  # the committed default config
@@ -169,16 +170,28 @@ def test_criterion_8_selfplay_convergence_and_stopping():
             assert all(b >= a - 0.05 for a, b in zip(tail, tail[1:]))
 
         # oracle cross-check: converged greedy play never leaves the
-        # game-theoretic draw (tabular minimax)
+        # game-theoretic draw (tabular minimax).  Each game is replayed
+        # under the oracle's rules, which give every position and its
+        # status; the match must agree with both.
         cache = {}
         minimax_value(ref_start(game), game, cache)
         replay_rng = np.random.default_rng(5)
         for _ in range(100):
-            sids, _ = _play_episode(match, replay_rng, epsilon=0.0)
-            for sid in sids[1:]:  # every state after a move
-                cells = tuple(".AB".index(c) for c in match.keys[sid].partition(":")[0])
-                state = RefState(cells, match.status[sid])
+            sids, moves = _play_episode(match, replay_rng, epsilon=0.0)
+            state = ref_start(game)
+            for sid, move in zip(sids[1:], moves):  # every state after a move
+                state = ref_move(state, move, game)
+                assert (state.key(), state.status) == (match.keys[sid], match.status[sid])
                 assert minimax_value(state, game, cache) == 0
+        # the rules: after 100 uniformly random games on the same match,
+        # every position it built, each from its parent
+        for _ in range(100):
+            _play_episode(match, replay_rng, epsilon=1.0)
+        ref = {0: ref_start(game)}
+        for sid, kids in enumerate(match.child_ids):
+            for move, kid in zip(match.moves[sid], kids or ()):
+                ref[kid] = ref_move(ref[sid], move, game)
+                assert (ref[kid].key(), ref[kid].status) == (match.keys[kid], match.status[kid])
         assert time.perf_counter() - t0 < 300.0
 
 

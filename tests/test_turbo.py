@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from infoplay.entropy import LLR_CLAMP, LlrBlock
-from infoplay import exit_chart, turbo
+from infoplay import entropy, exit_chart, turbo
 from infoplay.errors import NumericalContractError, ValidationError
 from infoplay.turbo import (
     ChannelModel,
@@ -171,6 +171,31 @@ class TestTransmit:
         for ebn0_db in (4000.0, -4000.0):  # Eb/N0 overflows or underflows a float
             with pytest.raises(ValidationError, match="noise variance"):
                 ChannelModel(ebn0_db, rate=1.0 / 3.0)
+
+
+_BIT_CANDIDATES = st.one_of(
+    hnp.arrays(hnp.integer_dtypes(), st.integers(1, 8), elements=st.integers(-1, 2)),
+    hnp.arrays(hnp.unsigned_integer_dtypes(), st.integers(1, 8), elements=st.integers(0, 2)),
+    hnp.arrays(np.bool_, st.integers(1, 8)),
+    hnp.arrays(hnp.floating_dtypes(), st.integers(1, 8),
+               elements=st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, 2.0, math.nan, math.inf,
+                                         -math.inf])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_BIT_CANDIDATES)
+def test_bit_checks_accept_exactly_zeros_and_ones(x):
+    accepted = bool(np.isin(x, (0, 1)).all())
+    checks = {"input bits must be 0/1": lambda: rsc_encode(x, CODE75),
+              "symbols must be 0/1": lambda: transmit(x, ChannelModel(1.0), seed=0),
+              "entries must be 0 or 1": lambda: entropy._as_bits(x)}
+    for message, check in checks.items():
+        if accepted:
+            check()
+        else:
+            with pytest.raises(ValidationError, match=message):
+                check()
 
 
 def noisy_component_block(n_info, seed, ebn0_db=1.0):
@@ -596,3 +621,40 @@ class TestForkedHalves:
         assert not helper.is_alive()
         for got_field, expected_field in zip(got, expected):
             assert np.array_equal(got_field, expected_field)
+
+
+class TestCallerHalf:
+    @pytest.mark.parametrize("n_blocks", [2, 5, 8])
+    def test_caller_transmits_only_its_blocks(self, n_blocks, monkeypatch):
+        expected = simulate_turbo(16, 1.0, n_blocks, 2, seed=7)
+        caller = os.getpid()
+        senders = []  # the child's calls land in its own copy of this list
+        real = turbo.transmit
+
+        def recording_transmit(*args):
+            senders.append(os.getpid())
+            return real(*args)
+
+        forks = []
+        _split_forced(monkeypatch, forks)
+        monkeypatch.setattr(turbo, "transmit", recording_transmit)
+        got = simulate_turbo(16, 1.0, n_blocks, 2, seed=7)
+        assert forks == [caller]
+        assert senders == [caller] * (n_blocks - n_blocks // 2)
+        for got_field, expected_field in zip(got, expected):
+            assert np.array_equal(got_field, expected_field)
+
+    def test_traced_peak_of_the_caller(self, monkeypatch):
+        # 40 blocks of 1024 bits, one iteration: the caller's peak is its
+        # own 20 blocks' decoder pass and their channel LLRs (0.47 MiB);
+        # holding the child's 20 blocks' LLRs as well took 3.12 MiB
+        forks = []
+        _split_forced(monkeypatch, forks)
+        tracemalloc.start()
+        try:
+            simulate_turbo(1024, 1.0, 40, 1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == 1
+        assert peak <= 2.9 * 2**20
