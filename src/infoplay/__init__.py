@@ -31,7 +31,7 @@ from .exit_chart import (
     render_exit_chart,
     tunnel_analysis,
 )
-from .games import GameSpec, GameState, tic_tac_toe
+from .games import GameSpec, tic_tac_toe
 from .selfplay import (
     AgentModel,
     LearnConfig,

@@ -6,7 +6,7 @@ position keys and won mask, built from the previous ply's ongoing keys in
 chunks of bounded size.
 
 The move-ordering bound log2(cells!) and the labeling bound
-cells*log2(labels) are two distinct readings of "possible states of the
+cells*log2(3) (each cell empty, A or B) are two distinct readings of "possible states of the
 board"; both are reported side by side rather than conflated.
 """
 
@@ -233,7 +233,7 @@ def capacity_bounds(game: GameSpec, max_states: int = DEFAULT_STATE_CAP) -> Capa
     """Move-ordering and labeling upper bounds, plus the exact reachable
     state count whenever enumeration fits under ``max_states``."""
     orderings = log2_factorial(game.cells)
-    labelings = game.cells * math.log2(game.labels)
+    labelings = game.cells * math.log2(3)
     exact_bits = None
     exact_states = None
     try:

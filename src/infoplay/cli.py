@@ -68,7 +68,6 @@ SCHEMAS: dict[str, list[Param]] = {
         Param("cols", "int", required=True),
         Param("win", "str", K_IN_A_ROW, help=f"{K_IN_A_ROW} or {BOARD_FULL_SCORING}"),
         Param("k", "int", 3),
-        Param("labels", "int", 3),
         Param("max_states", "int", cap.DEFAULT_STATE_CAP),
         Param("require_exact", "int", 0, help="fail (exit 3) if enumeration blows the cap"),
     ],
@@ -185,8 +184,7 @@ def load_config(path) -> ResolvedConfig:
 def _game_from_params(params) -> GameSpec:
     win = params.get("win", K_IN_A_ROW)
     k = params["k"] if win == K_IN_A_ROW else None
-    return GameSpec(rows=params["rows"], cols=params["cols"], win_condition=win,
-                    k=k, labels=params.get("labels", 3))
+    return GameSpec(rows=params["rows"], cols=params["cols"], win_condition=win, k=k)
 
 
 def _run_capacity(rc: ResolvedConfig, outdir: Path) -> dict:

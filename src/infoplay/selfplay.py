@@ -8,6 +8,10 @@ channel.  The harness measures how much of each opponent's behavior the
 other agent decodes (plug-in MI between predicted and actual moves,
 normalized by log2 of the board size), tracks Elo, and stops learning
 when the exchanged information stops increasing.
+
+Both tables are keyed by position, the integer A's cell mask | (B's mask
+<< cells) that capacity enumeration also counts.  Text keys appear only
+in the snapshot reader and writer at the end of this module.
 """
 
 from __future__ import annotations
@@ -25,12 +29,10 @@ from .games import (
     B_WINS,
     DRAW,
     GameSpec,
-    GameState,
     K_IN_A_ROW,
     ONGOING,
     PLAYER_A,
     PLAYER_B,
-    _CELL_CHARS,
     line_masks,
 )
 
@@ -97,15 +99,17 @@ class _Draws:
 class AgentModel:
     """One tabular self-play agent: its role and its two tables.
 
-    ``value`` maps afterstate keys to expected outcome in [-1, 1] from
-    this agent's perspective.  ``opponent_counts`` maps decision-state
-    keys to observed opponent move counts, a list of one int per cell; the
-    binned prediction used for MI measurement is the count argmax (an
-    unvisited state yields an uninformed guess over the whole board, since
-    a fresh internal channel carries no information, not even cell
-    occupancy).  These text-keyed dicts are the agent's durable form: a
-    self-play pass reads them into lists by state id and works on those.
-    The exploration rate and step size belong to the pass that plays.
+    Both tables are keyed by position, the key a ``_Match`` interns.
+    ``value`` maps afterstates to expected outcome in [-1, 1] from this
+    agent's perspective.  ``opponent_counts`` maps decision states to
+    observed opponent move counts, a list of one int per cell; the binned
+    prediction used for MI measurement is the count argmax (an unvisited
+    state yields an uninformed guess over the whole board, since a fresh
+    internal channel carries no information, not even cell occupancy).
+    These dicts are the agent's durable form: a self-play pass reads them
+    into lists by state id and works on those, and only a snapshot writes
+    their keys as text.  The exploration rate and step size belong to the
+    pass that plays.
     """
 
     role: str
@@ -138,48 +142,45 @@ class _Match:
     A state is capacity's integer key, A's cell mask | (B's mask << cells),
     interned to ids in order of first sight (the empty board is id 0).  Per
     id the match keeps the key, status, legal moves (empty cells in row-major
-    order; none iff terminal), child ids (None until ``children`` expands
-    the state) and text key.  A child is won when the mover's mask covers a
-    mask of ``line_masks`` through the move.  The text key, one slice of the
-    parent's, reads the agents' dicts as the state's entry is appended to
-    both seats, and names it at ``write_back``.  A moves first, so ply ``n``
-    is A's iff ``n`` is even.
+    order; none iff terminal) and child ids (None until ``children`` expands
+    the state).  A child is won when the mover's mask covers a mask of
+    ``line_masks`` through the move.  The key also reads the agents' dicts
+    as the state's entry is appended to both seats, and names it at
+    ``write_back``.  A moves first, so ply ``n`` is A's iff ``n`` is even.
     """
 
-    __slots__ = ("game", "positions", "status", "moves", "child_ids", "keys", "_ids", "_full",
-                 "a", "b")
+    __slots__ = ("game", "positions", "status", "moves", "child_ids", "_ids", "_full", "a", "b")
 
     def __init__(self, agent_a: AgentModel, agent_b: AgentModel, game: GameSpec):
         self.game = game
-        self.positions, self.status, self.moves, self.child_ids, self.keys = [], [], [], [], []
+        self.positions, self.status, self.moves, self.child_ids = [], [], [], []
         self._ids: dict[int, int] = {}
         # a full board is drawn unless scored: A's stones are one more on an odd board
         self._full = DRAW if game.win_condition == K_IN_A_ROW or game.cells % 2 == 0 else A_WINS
         self.a, self.b = _Seat(agent_a), _Seat(agent_b)
-        self._intern(0, ONGOING, tuple(range(game.cells)), _CELL_CHARS[0] * game.cells + ":A")
+        self._intern(0, ONGOING, tuple(range(game.cells)))
 
-    def _intern(self, position: int, status: str, moves: tuple, key: str) -> int:
-        sid = self._ids[position] = len(self.keys)
+    def _intern(self, position: int, status: str, moves: tuple) -> int:
+        sid = self._ids[position] = len(self.positions)
         self.positions.append(position)
         self.status.append(status)
         self.moves.append(moves)
         self.child_ids.append(None)
-        self.keys.append(key)
         for seat in (self.a, self.b):
-            seat.value.append(seat.agent.value.get(key, 0.0))
+            seat.value.append(seat.agent.value.get(position, 0.0))
             seat.updated.append(False)
-            seat.counts.append(seat.agent.opponent_counts.get(key))
+            seat.counts.append(seat.agent.opponent_counts.get(position))
         return sid
 
     def children(self, sid: int) -> tuple:
         """Child ids of state ``sid``, one per legal move, in move order."""
         kids = self.child_ids[sid]
         if kids is None:
-            position, moves, key = self.positions[sid], self.moves[sid], self.keys[sid]
+            position, moves = self.positions[sid], self.moves[sid]
             if (self.game.cells - len(moves)) % 2:  # B moves at the odd plies
-                shift, mover, other, won = self.game.cells, PLAYER_B, PLAYER_A, B_WINS
+                shift, won = self.game.cells, B_WINS
             else:
-                shift, mover, other, won = 0, PLAYER_A, PLAYER_B, A_WINS
+                shift, won = 0, A_WINS
             mine = position >> shift  # the mover's stones; B's, above A's, meet no line
             lines, kids = line_masks(self.game), []
             for i, m in enumerate(moves):
@@ -188,8 +189,7 @@ class _Match:
                     wins = any((mine | 1 << m) & line == line for line in lines[m])
                     rest = () if wins else moves[:i] + moves[i + 1:]
                     status = won if wins else ONGOING if rest else self._full
-                    text = key[:m] + mover + key[m + 1:-1] + other
-                    kid = self._intern(child, status, rest, text)
+                    kid = self._intern(child, status, rest)
                 kids.append(kid)
             kids = self.child_ids[sid] = tuple(kids)
         return kids
@@ -199,7 +199,7 @@ class _Match:
         agents' dicts."""
         for seat in (self.a, self.b):
             value, counts = seat.agent.value, seat.agent.opponent_counts
-            for key, v, updated, row in zip(self.keys, seat.value, seat.updated, seat.counts):
+            for key, v, updated, row in zip(self.positions, seat.value, seat.updated, seat.counts):
                 if updated:
                     value[key] = v
                 if row is not None:
@@ -581,42 +581,59 @@ def generation_csv(records, seed: int | None = None) -> str:
 
 
 # -- snapshot format -----------------------------------------------------
+#
+# Only a snapshot names a position by text: the board row-major, one of
+# ``_CELL_CHARS`` per cell, a colon and the player to move.
+
+_CELL_CHARS = ".AB"  # an empty cell, A's stone, B's stone
+_A_BITS = str.maketrans(_CELL_CHARS, "010")
+_B_BITS = str.maketrans(_CELL_CHARS, "001")
+
+
+def _key_text(position: int, cells: int) -> str:
+    """The text key of ``position``."""
+    b = position >> cells
+    a = position ^ b << cells
+    board = "".join([_CELL_CHARS[(a >> i & 1) | (b >> i & 1) << 1] for i in range(cells)])
+    return f"{board}:{PLAYER_A if a.bit_count() == b.bit_count() else PLAYER_B}"
 
 
 def agent_to_text(agent: AgentModel, game: GameSpec) -> str:
-    """Versioned plain-text snapshot: role and game, then one sorted line
-    per table entry (V: afterstate values, O: opponent move counts)."""
+    """Versioned plain-text snapshot: role and game, then one line per
+    table entry (V: afterstate values, O: opponent move counts), sorted by
+    text key."""
     lines = [SNAPSHOT_HEADER, f"role {agent.role}", f"game {game.game_id}"]
-    for key in sorted(agent.value):
-        lines.append(f"V {key} {agent.value[key]!r}")
-    for key in sorted(agent.opponent_counts):
-        counts = agent.opponent_counts[key]
+    text = {position: _key_text(position, game.cells)
+            for position in agent.value.keys() | agent.opponent_counts.keys()}
+    for key, v in sorted((text[position], v) for position, v in agent.value.items()):
+        lines.append(f"V {key} {v!r}")
+    for key, counts in sorted((text[position], row)
+                              for position, row in agent.opponent_counts.items()):
         packed = ",".join(f"{m}:{c}" for m, c in enumerate(counts) if c)
         lines.append(f"O {key} {packed}")
     return "\n".join(lines) + "\n"
 
 
-def _snapshot_key(key: str, game: GameSpec) -> str:
-    """``key`` if it is the key of a ``game`` state, checked by rebuilding
-    the state from the board characters and comparing its key."""
-    board = key.partition(":")[0]
-    try:
-        state = GameState(cells=tuple(_CELL_CHARS.index(c) for c in board))
-    except ValueError:
-        state = None
-    if state is None or len(board) != game.cells or state.key() != key:
+def _snapshot_key(key: str, game: GameSpec) -> int:
+    """The position that the text key ``key`` names, if it is a ``game``
+    state.  This is where the parity rule is checked: A moves first, so
+    #A - #B is 0 or 1, and A is to move iff #A == #B."""
+    cells, (board, _, mover) = game.cells, key.partition(":")
+    n_a, n_b = board.count(PLAYER_A), board.count(PLAYER_B)
+    if (len(board) != cells or n_a + n_b + board.count(_CELL_CHARS[0]) != cells
+            or n_a - n_b not in (0, 1) or mover != (PLAYER_A if n_a == n_b else PLAYER_B)):
         raise ValidationError(f"snapshot key {key!r} is not a {game.game_id} state")
-    return key
+    bits = board[::-1]  # cell 0 is the lowest bit
+    return int(bits.translate(_A_BITS), 2) | int(bits.translate(_B_BITS), 2) << cells
 
 
 _COUNT_MAX = np.iinfo(np.int64).max
 
 
-def _snapshot_counts(packed: str, board: str) -> list[int]:
-    """Parse ``move:count,...`` for a state whose cells are ``board``; an
-    empty list (all counts zero) is allowed, a move on an occupied cell is
-    not."""
-    cells = len(board)
+def _snapshot_counts(packed: str, position: int, cells: int) -> list[int]:
+    """Parse ``move:count,...`` for ``position``; an empty list (all counts
+    zero) is allowed, a move on an occupied cell is not."""
+    occupied = position | position >> cells
     counts = [0] * cells
     seen = set()
     for item in packed.split(",") if packed else ():
@@ -627,8 +644,8 @@ def _snapshot_counts(packed: str, board: str) -> list[int]:
             raise ValidationError(f"opponent count {item!r} is not move:count") from None
         if not 0 <= move < cells or not 0 <= count <= _COUNT_MAX:
             raise ValidationError(f"opponent count {item!r} is out of range")
-        if board[move] != _CELL_CHARS[0]:
-            raise ValidationError(f"opponent count {item!r} is on an occupied cell of {board}")
+        if occupied >> move & 1:
+            raise ValidationError(f"opponent count {item!r} is on an occupied cell")
         if move in seen:
             raise ValidationError(f"opponent count {item!r} repeats move {move}")
         seen.add(move)
@@ -646,7 +663,7 @@ def _snapshot_float(name: str, text: str) -> float:
     return number
 
 
-def _snapshot_unique(seen: dict, key: str, line: str):
+def _snapshot_unique(seen: dict, key, line: str):
     """The writer puts each key on one line; a repeat would silently win."""
     if key in seen:
         raise ValidationError(f"snapshot line {line!r} repeats an earlier key")
@@ -658,26 +675,26 @@ def agent_from_text(text: str, game: GameSpec) -> AgentModel:
     if lines[0] != SNAPSHOT_HEADER:
         raise ValidationError("not an infoplay agent snapshot (bad header)")
     fields: dict[str, str] = {}
-    value: dict[str, float] = {}
-    counts: dict[str, list[int]] = {}
+    value: dict[int, float] = {}
+    counts: dict[int, list[int]] = {}
+    positions: dict[str, int] = {}  # each distinct text key is parsed once
     for line in lines[1:]:
         tag, _, rest = line.partition(" ")
-        if tag == "V":
-            key, _, num = rest.partition(" ")
-            _snapshot_unique(value, key, line)
-            v = _snapshot_float(f"value of {key}", num)
-            if abs(v) > 1.0:
-                # TD(0) only mixes rewards in [-1, 1] and values already in it
-                raise ValidationError(f"snapshot value of {key} {num!r} lies outside [-1, 1]")
-            if key not in counts:  # else checked on its O line
-                _snapshot_key(key, game)
-            value[key] = v
-        elif tag == "O":
-            key, _, packed = rest.partition(" ")
-            _snapshot_unique(counts, key, line)
-            if key not in value:  # else checked on its V line
-                _snapshot_key(key, game)
-            counts[key] = _snapshot_counts(packed, key.partition(":")[0])
+        if tag in ("V", "O"):
+            key, _, entry = rest.partition(" ")
+            if (position := positions.get(key)) is None:
+                position = positions[key] = _snapshot_key(key, game)
+            if tag == "V":
+                _snapshot_unique(value, position, line)
+                v = _snapshot_float(f"value of {key}", entry)
+                if abs(v) > 1.0:
+                    # TD(0) only mixes rewards in [-1, 1] and values already in it
+                    raise ValidationError(
+                        f"snapshot value of {key} {entry!r} lies outside [-1, 1]")
+                value[position] = v
+            else:
+                _snapshot_unique(counts, position, line)
+                counts[position] = _snapshot_counts(entry, position, game.cells)
         elif tag in ("role", "game"):
             _snapshot_unique(fields, tag, line)
             if tag == "game" and rest != game.game_id:

@@ -185,9 +185,20 @@ class RefState(NamedTuple):
         return "A" if self.cells.count(1) == self.cells.count(2) else "B"
 
     def key(self):
-        """The text key the agents' tables use: one of ``.AB`` per cell,
-        then the player to move."""
+        """The text key a snapshot writes: one of ``.AB`` per cell, then
+        the player to move."""
         return "".join(".AB"[c] for c in self.cells) + ":" + self.to_move
+
+    def position(self):
+        """The integer key the agents' tables use: bit i for A's stone on
+        cell i, bit ``cells + i`` for B's."""
+        n, key = len(self.cells), 0
+        for i, c in enumerate(self.cells):
+            if c == 1:
+                key |= 1 << i
+            elif c == 2:
+                key |= 1 << (n + i)
+        return key
 
 
 def ref_start(game):
@@ -226,7 +237,7 @@ def minimax_value(state, game, cache=None):
     cache = {} if cache is None else cache
     if state.status != ONGOING:
         return {A_WINS: 1, B_WINS: -1, DRAW: 0}[state.status]
-    key = state.key()
+    key = state.position()
     if key in cache:
         return cache[key]
     children = [minimax_value(ref_move(state, m, game), game, cache)

@@ -181,7 +181,8 @@ def test_criterion_8_selfplay_convergence_and_stopping():
             state = ref_start(game)
             for sid, move in zip(sids[1:], moves):  # every state after a move
                 state = ref_move(state, move, game)
-                assert (state.key(), state.status) == (match.keys[sid], match.status[sid])
+                assert ((state.position(), state.status)
+                        == (match.positions[sid], match.status[sid]))
                 assert minimax_value(state, game, cache) == 0
         # the rules: after 100 uniformly random games on the same match,
         # every position it built, each from its parent
@@ -191,7 +192,8 @@ def test_criterion_8_selfplay_convergence_and_stopping():
         for sid, kids in enumerate(match.child_ids):
             for move, kid in zip(match.moves[sid], kids or ()):
                 ref[kid] = ref_move(ref[sid], move, game)
-                assert (ref[kid].key(), ref[kid].status) == (match.keys[kid], match.status[kid])
+                assert ((ref[kid].position(), ref[kid].status)
+                        == (match.positions[kid], match.status[kid]))
         assert time.perf_counter() - t0 < 300.0
 
 

@@ -1,6 +1,7 @@
 """Self-play agents, cross-MI measurement, Elo, learning loop, snapshots."""
 
 import copy
+import functools
 import hashlib
 import itertools
 import math
@@ -49,20 +50,20 @@ from infoplay.selfplay import (
     learn,
 )
 
-from oracles import minimax_value, ref_move, ref_moves, ref_start
+from oracles import RefState, minimax_value, ref_move, ref_moves, ref_start
 
 GAME = tic_tac_toe()
 
 
 class RefTable:
     """The states of ``game`` by id in order of first sight, built by the
-    reference rules alone (``ref_start``, ``ref_moves``, ``ref_move``): the
-    reference for the match's integer-keyed interning, and the table the
-    text-keyed reference loops below walk."""
+    reference rules alone (``ref_start``, ``ref_moves``, ``ref_move``), with
+    each state's position as the oracle computes it: the reference for the
+    match's interning, and the table the reference loops below walk."""
 
     def __init__(self, game):
         self.game = game
-        self.states, self.keys, self.moves, self.child_ids, self._ids = [], [], [], [], {}
+        self.states, self.positions, self.moves, self.child_ids, self._ids = [], [], [], [], {}
         self.intern(ref_start(game))
 
     def intern(self, state):
@@ -70,7 +71,7 @@ class RefTable:
         if sid is None:
             sid = self._ids[state] = len(self.states)
             self.states.append(state)
-            self.keys.append(state.key())
+            self.positions.append(state.position())
             ongoing = state.status == ONGOING
             self.moves.append(tuple(ref_moves(state)) if ongoing else ())
             self.child_ids.append(None)
@@ -92,17 +93,17 @@ def walk(table, limit=math.inf):
     """Expand the states of ``table`` in id order, which interns their
     children as the walk goes, until all are expanded or ``limit`` are."""
     sid = 0
-    while sid < min(len(table.keys), limit):
+    while sid < min(len(table.positions), limit):
         table.children(sid)
         sid += 1
     return table
 
 
-def _reachable_keys(game):
-    return walk(interner(game)).keys
+def _reachable_positions(game):
+    return walk(interner(game)).positions
 
 
-_REACHABLE_KEYS = _reachable_keys(GAME)
+_REACHABLE_POSITIONS = _reachable_positions(GAME)
 
 QUICK_CONFIG = LearnConfig(
     generations=6, episodes_per_generation=200, eval_episodes=100, anneal_generations=4
@@ -116,14 +117,23 @@ QUICK_SEED31_CSV_SHA256 = "3e9a809ba45fe4a2e2c84431c97cfe3c59d9d9fa99bcc3942a9c4
 QUICK_SEED31_TABLES_SHA256 = "33d250029f02f8d29dff94e70c9f0a6a750967c05260d9af10d2812d0207820c"
 
 
-def tables_text(*agents):
+def text_key(position, cells):
+    """The oracle's text key of ``position``, read cell by cell."""
+    return RefState(tuple(1 if position >> i & 1 else 2 if position >> cells + i & 1 else 0
+                          for i in range(cells))).key()
+
+
+def tables_text(game, *agents):
+    """Both tables of each agent, one sorted row per entry under the
+    oracle's text key."""
     rows = []
     for agent in agents:
-        for key in sorted(agent.value):
-            rows.append(f"{agent.role} V {key} {agent.value[key]!r}")
-        for key in sorted(agent.opponent_counts):
-            packed = ",".join(f"{m}:{int(c)}" for m, c in
-                              enumerate(agent.opponent_counts[key]) if c)
+        value = {text_key(p, game.cells): v for p, v in agent.value.items()}
+        counts = {text_key(p, game.cells): row for p, row in agent.opponent_counts.items()}
+        for key in sorted(value):
+            rows.append(f"{agent.role} V {key} {value[key]!r}")
+        for key in sorted(counts):
+            packed = ",".join(f"{m}:{int(c)}" for m, c in enumerate(counts[key]) if c)
             rows.append(f"{agent.role} O {key} {packed}")
     return "\n".join(rows)
 
@@ -192,11 +202,6 @@ def seated(game):
     return _Match(AgentModel(role="A"), AgentModel(role="B"), game)
 
 
-def position(state, cells):
-    """The integer key of ``state``: A's cell mask | (B's mask << cells)."""
-    return sum(1 << i << (cells if c == 2 else 0) for i, c in enumerate(state.cells) if c)
-
-
 @st.composite
 def small_games(draw):
     """A board of up to 3 x 4 cells, k-in-a-row for any valid k or scored
@@ -218,17 +223,16 @@ class TestMatchInterning:
         # the 3 x 4 boards of k >= 2 hold 10,562 to 143,365 states; a walk
         # of their first ids keeps the test short
         match, ref = walk(seated(game), 6_100), walk(interner(game), 6_100)
-        assert match.keys == ref.keys
+        assert match.positions == ref.positions
         assert match.moves == ref.moves
         assert match.child_ids == ref.child_ids
         assert match.status == [state.status for state in ref.states]
-        assert match.positions == [position(state, game.cells) for state in ref.states]
 
     @pytest.mark.parametrize("game, count", [(GAME, 5478), (GameSpec(3, 4, k=3), 111_973)],
                              ids=lambda x: getattr(x, "game_id", x))
     def test_a_full_walk_interns_every_reachable_state(self, game, count):
         match = walk(seated(game))
-        assert len(match.keys) == enumerate_reachable_states(game).count == count
+        assert len(match.positions) == enumerate_reachable_states(game).count == count
         assert None not in match.child_ids
 
     @settings(max_examples=200, deadline=None)
@@ -239,8 +243,7 @@ class TestMatchInterning:
         match = seated(game)
         state, sid = ref_start(game), 0
         for pick in [*picks, None]:
-            assert match.positions[sid] == position(state, game.cells)
-            assert match.keys[sid] == state.key()
+            assert match.positions[sid] == state.position()
             assert match.status[sid] == state.status
             assert (not match.moves[sid]) == (state.status != ONGOING)
             if state.status != ONGOING:
@@ -249,7 +252,7 @@ class TestMatchInterning:
             moves = ref_moves(state)
             assert list(match.moves[sid]) == moves
             for move, kid in zip(moves, match.children(sid)):
-                assert match.keys[kid] == ref_move(state, move, game).key()
+                assert match.positions[kid] == ref_move(state, move, game).position()
             if pick is None:
                 break
             i = pick % len(moves)
@@ -257,22 +260,22 @@ class TestMatchInterning:
 
     def test_ids_follow_first_sight(self):
         match = seated(tic_tac_toe())
-        assert len(match.keys) == 1 and match.child_ids == [None]
+        assert len(match.positions) == 1 and match.child_ids == [None]
         assert match.children(0) == tuple(range(1, 10))
-        assert len(match.keys) == 10
+        assert len(match.positions) == 10
 
     def test_every_interned_state_is_seated_from_its_agents_dicts(self):
         agent_a, agent_b, _ = fixed_line_agents([0, 4, 8, 1, 7, 2, 6])
-        agent_b.opponent_counts["AB.......:A"] = [0, 0, 3] + [0] * 6
+        agent_b.opponent_counts[1 | 1 << 1 + 9] = [0, 0, 3] + [0] * 6  # A on 0, B on 1
         match = _Match(agent_a, agent_b, GAME)
         for sid in range(200):  # children() interns as the walk goes
             match.children(sid)
         for seat in (match.a, match.b):
             agent = seat.agent
             assert len(seat.value) == len(seat.updated) == len(seat.counts)
-            assert len(seat.value) == len(match.keys)
-            assert seat.value == [agent.value.get(key, 0.0) for key in match.keys]
-            assert seat.counts == [agent.opponent_counts.get(key) for key in match.keys]
+            assert len(seat.value) == len(match.positions)
+            assert seat.value == [agent.value.get(p, 0.0) for p in match.positions]
+            assert seat.counts == [agent.opponent_counts.get(p) for p in match.positions]
             assert not any(seat.updated)
         assert any(match.a.value) and any(match.b.value)
         assert any(row is not None for row in match.a.counts)
@@ -301,15 +304,16 @@ class TestSelfPlayEpisode:
             sids, moves = _play_episode(match, np.random.default_rng(seed), 0.1)
             assert len(sids) == len(moves) + 1
             for ply, sid in enumerate(sids):
-                board = match.keys[sid].partition(":")[0]
-                n_a, n_b = board.count("A"), board.count("B")
+                position = match.positions[sid]
+                n_a = (position & (1 << GAME.cells) - 1).bit_count()
+                n_b = (position >> GAME.cells).bit_count()
                 # the players alternate, A first
                 assert n_a - n_b == ply % 2
 
     def test_minimax_agent_never_loses_to_random(self):
         cache = {}
         minimax_value(ref_start(GAME), GAME, cache)
-        oracle = AgentModel(role="A", value={k: v for k, v in cache.items()})
+        oracle = AgentModel(role="A", value=dict(cache))
         # greedy play: B's untrained values tie every move, so B plays uniformly
         rando = AgentModel(role="B")
         match = _Match(oracle, rando, GAME)
@@ -330,12 +334,12 @@ def fixed_line_agents(moves):
     for mv in moves:
         after = ref_move(state, mv, GAME)
         if state.to_move == "A":
-            agent_a.value[after.key()] = 1.0
+            agent_a.value[after.position()] = 1.0
         else:
-            agent_b.value[after.key()] = 1.0
+            agent_b.value[after.position()] = 1.0
             counts = [0] * GAME.cells
             counts[mv] = 5
-            agent_a.opponent_counts[state.key()] = counts
+            agent_a.opponent_counts[state.position()] = counts
         state = after
     return agent_a, agent_b, state
 
@@ -446,7 +450,7 @@ class TestLearn:
     def test_pinned_run_digests(self):
         records, fa, fb = learn(GAME, QUICK_CONFIG, seed=31)
         assert sha256(generation_csv(records)) == QUICK_SEED31_CSV_SHA256
-        assert sha256(tables_text(fa, fb)) == QUICK_SEED31_TABLES_SHA256
+        assert sha256(tables_text(GAME, fa, fb)) == QUICK_SEED31_TABLES_SHA256
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -570,7 +574,7 @@ def test_selfplay_builds_no_numpy_generator(monkeypatch):
 
 
 _SMALL_GAME = GameSpec(rows=2, cols=3, k=2)
-_SMALL_KEYS = _reachable_keys(_SMALL_GAME)
+_SMALL_POSITIONS = _reachable_positions(_SMALL_GAME)
 # exact ties, ties within _TIE_TOL, a tie exactly _TIE_TOL below the best,
 # negative zero, the largest value just outside tolerance and clear gaps
 _TIE_VALUES = (0.0, _TIE_TOL / 2, -_TIE_TOL / 2, 0.5, 0.5 + _TIE_TOL / 3, -0.25, 1.0,
@@ -582,13 +586,13 @@ def ref_choose(agent, table, sid, rng, epsilon):
     choice, one option included."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(len(table.moves[sid])))
-    vals = [agent.value.get(table.keys[kid], 0.0) for kid in table.children(sid)]
+    vals = [agent.value.get(table.positions[kid], 0.0) for kid in table.children(sid)]
     ties = [i for i, v in enumerate(vals) if v >= max(vals) - _TIE_TOL]
     return ties[rng.integers(len(ties))]
 
 
-def ref_predict(agent, key, cells, rng):
-    counts = agent.opponent_counts.get(key, [0])
+def ref_predict(agent, position, cells, rng):
+    counts = agent.opponent_counts.get(position, [0])
     if max(counts) == 0:
         return int(rng.integers(cells))
     ties = [move for move, count in enumerate(counts) if count == max(counts)]
@@ -613,10 +617,10 @@ def ref_evaluate(agent_a, agent_b, table, episodes, rng, epsilon):
         outcomes.append(table.states[final].status)
         for sid, move in path:
             if table.states[sid].to_move == "B":
-                pred_b.append(ref_predict(agent_a, table.keys[sid], cells, rng))
+                pred_b.append(ref_predict(agent_a, table.positions[sid], cells, rng))
                 act_b.append(move)
             else:
-                pred_a.append(ref_predict(agent_b, table.keys[sid], cells, rng))
+                pred_a.append(ref_predict(agent_b, table.positions[sid], cells, rng))
                 act_a.append(move)
     return tuple(outcomes), tuple(pred_b), tuple(act_b), tuple(pred_a), tuple(act_a)
 
@@ -636,21 +640,21 @@ def ref_exit_points(agent, opponent, game, grid, episodes, seed):
                 if rng.random() < ia:
                     predicted.append(move)
                 else:
-                    predicted.append(ref_predict(agent, table.keys[sid], game.cells, rng))
+                    predicted.append(ref_predict(agent, table.positions[sid], game.cells, rng))
                 actual.append(move)
         points.append((float(ia), _paired_mi(predicted, actual, game.cells)[1]))
     return tuple(points)
 
 
-def ref_td_update(agent, key, target, step):
-    old = agent.value.get(key, 0.0)
-    agent.value[key] = old + step * (target - old)
+def ref_td_update(agent, position, target, step):
+    old = agent.value.get(position, 0.0)
+    agent.value[position] = old + step * (target - old)
 
 
 def ref_training_episode(agent_a, agent_b, table, rng, epsilon, step):
     """A training game that observes and updates right after each move,
     so every later choice reads the values as they are at that move."""
-    cells, states, keys = table.game.cells, table.states, table.keys
+    cells, states, positions = table.game.cells, table.states, table.positions
     last_after = {"A": None, "B": None}
     sid = 0
     while table.moves[sid]:
@@ -658,11 +662,12 @@ def ref_training_episode(agent_a, agent_b, table, rng, epsilon, step):
         agent, other = (agent_a, agent_b) if mover == "A" else (agent_b, agent_a)
         i = ref_choose(agent, table, sid, rng, epsilon)
         after = table.children(sid)[i]
-        counts = other.opponent_counts.setdefault(keys[sid], [0] * cells)
+        counts = other.opponent_counts.setdefault(positions[sid], [0] * cells)
         counts[table.moves[sid][i]] += 1
         if last_after[mover] is not None:
-            ref_td_update(agent, last_after[mover], agent.value.get(keys[after], 0.0), step)
-        last_after[mover] = keys[after]
+            ref_td_update(agent, last_after[mover], agent.value.get(positions[after], 0.0),
+                          step)
+        last_after[mover] = positions[after]
         sid = after
     outcome = states[sid].status
     for agent in (agent_a, agent_b):
@@ -677,14 +682,14 @@ def ref_training_episode(agent_a, agent_b, table, rng, epsilon, step):
 def frozen_agent_pairs(draw):
     """A game and two agents whose value tables hold exact and near ties and
     whose opponent counts hold tied argmaxes, all-zero rows and, for every
-    key left out, unvisited states."""
+    position left out, unvisited states."""
     game = draw(st.sampled_from([_SMALL_GAME, GAME]))
-    keys = st.sampled_from(_SMALL_KEYS if game is _SMALL_GAME else _REACHABLE_KEYS)
+    positions = st.sampled_from(_SMALL_POSITIONS if game is _SMALL_GAME else _REACHABLE_POSITIONS)
     agents = []
     for role in "AB":
-        value = draw(st.dictionaries(keys, st.sampled_from(_TIE_VALUES), max_size=40))
+        value = draw(st.dictionaries(positions, st.sampled_from(_TIE_VALUES), max_size=40))
         counts = draw(st.dictionaries(
-            keys, st.lists(st.integers(0, 2), min_size=game.cells, max_size=game.cells),
+            positions, st.lists(st.integers(0, 2), min_size=game.cells, max_size=game.cells),
             max_size=40))
         agents.append(AgentModel(role=role, value=value, opponent_counts=counts))
     return game, agents[0], agents[1]
@@ -740,8 +745,8 @@ class TestGreedyPick:
     def test_ties_at_the_tolerance(self, first, second, opening, stream):
         table = interner(_SMALL_GAME)
         kids = table.children(0)
-        value = {table.keys[kid]: -1.0 for kid in kids}
-        value[table.keys[kids[0]]], value[table.keys[kids[1]]] = first, second
+        value = {table.positions[kid]: -1.0 for kid in kids}
+        value[table.positions[kids[0]]], value[table.positions[kids[1]]] = first, second
         agent_a, agent_b = AgentModel(role="A", value=value), AgentModel(role="B")
         for memo in (None, {}):
             match = _Match(agent_a, agent_b, _SMALL_GAME)
@@ -780,7 +785,8 @@ class TestTrainingEpisode:
 
 
 def ref_learn(game, config, seed):
-    """``learn``'s generation loop on the text-keyed oracles above."""
+    """``learn``'s generation loop on the reference loops above, which keep
+    the agents' tables as dicts throughout."""
     agent_a, agent_b = AgentModel(role="A"), AgentModel(role="B")
     table = interner(game)
     root = _seed_sequence(seed)
@@ -816,7 +822,9 @@ def ref_learn(game, config, seed):
 
 class TestLearnMatchesReference:
     """A whole run keeps its tables as lists by state id across generations
-    and writes them back at the end; it must match the text-keyed loop."""
+    and writes them back at the end; it must match the reference loop,
+    which updates the agents' dicts directly (once keyed by text, hence
+    the test names)."""
 
     @pytest.mark.parametrize("game", [GameSpec(rows=1, cols=4, k=2),
                                       GameSpec(rows=2, cols=2, k=2), _SMALL_GAME],
@@ -836,7 +844,7 @@ class TestLearnMatchesReference:
         assert records == ref_records
         for agent, ref in ((agent_a, ref_a), (agent_b, ref_b)):
             assert agent == ref  # role and both tables
-        assert tables_text(agent_a, agent_b) == tables_text(ref_a, ref_b)
+        assert tables_text(game, agent_a, agent_b) == tables_text(game, ref_a, ref_b)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_frozen_generations_match_text_keyed_loop(self, seed):
@@ -848,7 +856,18 @@ class TestLearnMatchesReference:
         ref_records, ref_a, ref_b = ref_learn(_SMALL_GAME, config, seed)
         assert [r.generation for r in records] == [1, 2, 3, 4]
         assert records == ref_records
-        assert tables_text(agent_a, agent_b) == tables_text(ref_a, ref_b)
+        assert (tables_text(_SMALL_GAME, agent_a, agent_b)
+                == tables_text(_SMALL_GAME, ref_a, ref_b))
+
+
+# boards whose every position the snapshot round trip is checked on
+KEY_GAMES = (GameSpec(1, 4, k=2), GameSpec(2, 2, k=2), GameSpec(2, 3, k=3), GAME)
+
+
+@functools.cache
+def full_walks(game):
+    """A full walk of a fresh ``_Match`` of ``game`` and of the oracle's table."""
+    return walk(seated(game)), walk(interner(game))
 
 
 class TestSnapshots:
@@ -915,14 +934,14 @@ class TestSnapshots:
 
     @settings(max_examples=100, deadline=None)
     @given(role=st.sampled_from("AB"),
-           value=st.dictionaries(st.sampled_from(_REACHABLE_KEYS), st.floats(-1.0, 1.0)),
+           value=st.dictionaries(st.sampled_from(_REACHABLE_POSITIONS), st.floats(-1.0, 1.0)),
            counts=st.dictionaries(
-               st.sampled_from(_REACHABLE_KEYS),
+               st.sampled_from(_REACHABLE_POSITIONS),
                st.lists(st.integers(0, 2**40), min_size=9, max_size=9),
            ).map(lambda rows: {  # counts only on empty cells
-               key: [c if key[m] == "." else 0 for m, c in enumerate(row)]
-               for key, row in rows.items()}))
-    @example(role="B", value={}, counts={"....A....:B": [0] * 9})
+               p: [0 if (p | p >> 9) >> m & 1 else c for m, c in enumerate(row)]
+               for p, row in rows.items()}))
+    @example(role="B", value={}, counts={1 << 4: [0] * 9})
     def test_round_trip_property(self, role, value, counts):
         agent = AgentModel(role=role, value=value, opponent_counts=counts)
         text = agent_to_text(agent, GAME)
@@ -965,10 +984,39 @@ class TestSnapshots:
             valid = (colon == ":" and len(board) == 9 and set(board) <= set(".AB")
                      and n_a - n_b in (0, 1) and player == ("A" if n_a == n_b else "B"))
             if valid:
-                assert _snapshot_key(key, GAME) == key
+                a = sum(1 << i for i, c in enumerate(board) if c == "A")
+                b = sum(1 << i for i, c in enumerate(board) if c == "B")
+                assert _snapshot_key(key, GAME) == a | b << 9
             else:
                 with pytest.raises(ValidationError):
                     _snapshot_key(key, GAME)
+
+    @settings(max_examples=30, deadline=None)
+    @given(game=st.sampled_from(KEY_GAMES), role=st.sampled_from("AB"),
+           values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+           counts=st.lists(st.integers(0, 2**40), min_size=1, max_size=8),
+           stride=st.integers(1, 5))
+    def test_every_walked_position_round_trips(self, game, role, values, counts, stride):
+        # every position a full walk interns gets a value, every
+        # ``stride``-th one a count row on its empty cells
+        match, ref = full_walks(game)
+        assert match.positions == ref.positions
+        cells = game.cells
+        value = {p: values[sid % len(values)] for sid, p in enumerate(match.positions)}
+        rows = {p: [0 if (p | p >> cells) >> m & 1 else counts[(sid + m) % len(counts)]
+                    for m in range(cells)]
+                for sid, p in enumerate(match.positions) if sid % stride == 0}
+        agent = AgentModel(role=role, value=value, opponent_counts=rows)
+        text = agent_to_text(agent, game)
+        assert agent_from_text(text, game) == agent
+        # each position is written under the oracle's key of its state
+        keys = [state.key() for state in ref.states]
+        expected = sorted(f"V {keys[sid]} {value[p]!r}" for sid, p in enumerate(ref.positions))
+        expected += sorted(
+            f"O {keys[sid]} " + ",".join(f"{m}:{c}" for m, c in enumerate(rows[p]) if c)
+            for sid, p in enumerate(ref.positions) if p in rows)
+        assert text.splitlines() == ["# infoplay-agent-v3", f"role {role}",
+                                     f"game {game.game_id}", *expected]
 
 
 class TestGenerationCsv:
