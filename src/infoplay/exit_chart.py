@@ -335,7 +335,7 @@ def _polyline(pairs, stroke, dasharray=None) -> str:
 
 def render_exit_chart(
     curve_a: ExitCurve,
-    curve_b: ExitCurve | None = None,
+    curve_b: ExitCurve,
     trajectory: Trajectory | None = None,
 ) -> str:
     """Plain-text SVG of the unit square with curve A, curve B transposed,
@@ -369,9 +369,8 @@ def render_exit_chart(
             prev_ie2 = ie2
         parts.append(_polyline(path, "#888888", dasharray="3,2"))
     parts.append(_polyline(curve_a.points, "#1f6fb2"))
-    if curve_b is not None:
-        transposed = [(ie, ia) for ia, ie in curve_b.points]
-        parts.append(_polyline(transposed, "#b23a1f"))
+    transposed = [(ie, ia) for ia, ie in curve_b.points]
+    parts.append(_polyline(transposed, "#b23a1f"))
     label_y = size - margin + 28
     parts.append(
         f'<text x="{size // 2}" y="{label_y}" text-anchor="middle" '

@@ -420,7 +420,9 @@ class LearnConfig:
     ``anneal_generations`` (0: over all ``generations``); the
     step size anneals to zero, which freezes the value tables (and with
     them the greedy play lines) so the exchanged-information series can
-    actually plateau and trip the stopping rule.
+    actually plateau and trip the stopping rule.  ``stop_window`` must be
+    at least 2: the rule reads the changes between consecutive
+    generations in the window, and one generation holds none.
     """
 
     generations: int = 70
@@ -442,8 +444,8 @@ class LearnConfig:
             raise ValidationError("eval_episodes must be >= 100")
         if self.anneal_generations < 0:
             raise ValidationError("anneal_generations must be >= 0 (0: all generations)")
-        if self.stop_window < 1:
-            raise ValidationError("stop_window must be >= 1")
+        if self.stop_window < 2:
+            raise ValidationError("stop_window must be >= 2")
         if not self.stop_delta > 0:
             raise ValidationError("stop_delta must be > 0 (may be inf)")
         for eps in (self.epsilon_start, self.epsilon_end, self.eval_epsilon):

@@ -11,6 +11,8 @@ step and advances the forward and backward recursions together in one
 loop over the steps, as one stacked state.  It keeps only the first half
 of that history: the a-posteriori LLR at step t reads row t and row
 K - 1 - t, so each later row is paired with its partner as it is made.
+Each call allocates its own arrays: the result, the metric rows, the
+kept half of the history and buffers one run of steps long.
 Both recursions operate on a batch axis so independent blocks decode
 together; results are identical to decoding each block alone because
 blocks never mix.  For the same reason a large turbo simulation or EXIT
@@ -35,7 +37,7 @@ from .entropy import LLR_CLAMP, LlrBlock, _llr_information, _seed_sequence
 from .errors import NumericalContractError, ValidationError
 
 _NEG_INF = -np.inf
-# float64 elements of run buffers per set of rows in _bcjr_rows (512 KiB)
+# float64 elements of the run buffers of one _bcjr_batch call (512 KiB)
 _RUN_ELEMENTS = 65_536
 # (row, trellis step, state) elements of BCJR work each half of
 # _decode_in_halves must reach before its lower half is forked (see there)
@@ -82,7 +84,6 @@ class _Trellis:
     def __init__(self, code: RscCode):
         m = code.memory
         n = code.n_states
-        self.code = code
         self.next_state = np.zeros((2, n), dtype=np.intp)
         self.parity_bit = np.zeros((2, n), dtype=np.int8)
         self.term_bit = np.zeros(n, dtype=np.intp)  # input forcing a zero into the register
@@ -95,23 +96,23 @@ class _Trellis:
                     self.term_bit[s] = u
         # exactly two incoming edges per state for a binary trellis: edge j
         # into state t leaves state in_s[j, t] on input in_u[j, t]
-        self.in_u = np.zeros((2, n), dtype=np.intp)
-        self.in_s = np.zeros((2, n), dtype=np.intp)
+        in_u = np.zeros((2, n), dtype=np.intp)
+        in_s = np.zeros((2, n), dtype=np.intp)
         fill = np.zeros(n, dtype=np.intp)
         for s in range(n):
             for u in (0, 1):
                 t = self.next_state[u, s]
                 j = fill[t]
-                self.in_u[j, t] = u
-                self.in_s[j, t] = s
+                in_u[j, t] = u
+                in_s[j, t] = s
                 fill[t] += 1
         if not (fill == 2).all():
             raise ValidationError("degenerate trellis: states must have two incoming edges")
         # an edge with input u and parity p has metric (-1)^p gam[k, u != p]
-        # (see _bcjr_rows): the row and sign of the edges e into each state,
+        # (see _bcjr_batch): the row and sign of the edges e into each state,
         # and of the edges leaving each state on input e
-        parity_in = self.parity_bit[self.in_u, self.in_s]
-        self.metric_in = (self.in_u != parity_in).astype(np.intp)
+        parity_in = self.parity_bit[in_u, in_s]
+        self.metric_in = (in_u != parity_in).astype(np.intp)
         self.sign_in = (1.0 - 2.0 * parity_in)[:, :, None]
         self.metric_out = (np.arange(2)[:, None] != self.parity_bit).astype(np.intp)
         self.sign_out = (1.0 - 2.0 * self.parity_bit)[:, :, None]
@@ -119,7 +120,7 @@ class _Trellis:
         # values: [e, 0] is the origin of each state's incoming edge e,
         # [e, 1] the end of the edge leaving each state on input e
         self.beta_next = n + self.next_state
-        self.stacked_src = np.stack([self.in_s, self.beta_next], axis=1)
+        self.stacked_src = np.stack([in_s, self.beta_next], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -288,33 +289,8 @@ def transmit(symbols, channel: ChannelModel, seed) -> LlrBlock:
 
 
 def _run_steps(batch: int, n_states: int) -> int:
-    """Trellis steps per run of ``_bcjr_rows`` on ``batch`` rows."""
+    """Trellis steps per run of ``_bcjr_batch`` on ``batch`` rows."""
     return max(1, _RUN_ELEMENTS // (10 * n_states * batch))
-
-
-def _scratch_shapes(batch: int, k_total: int, n_states: int) -> tuple:
-    """The arrays ``_bcjr_rows`` carves from its scratch for ``batch`` rows
-    of ``k_total`` steps, in order: the metric rows, K // 2 + 1 rows of the
-    recursions, then the run buffers, whose size does not depend on K."""
-    run = _run_steps(batch, n_states)
-    return ((k_total, 2, batch), (k_total // 2 + 1, 2, n_states, batch),
-            (run + 1, 2, n_states, batch), (run, 2, 2, n_states, batch),
-            (2, run, 2, n_states, batch), (2, 2, n_states, batch), (2, 1, batch))
-
-
-def _scratch_elements(batch: int, k_total: int, n_states: int) -> int:
-    """float64 elements of scratch ``_bcjr_rows`` takes for ``batch`` rows
-    of ``k_total`` steps."""
-    return sum(math.prod(shape) for shape in _scratch_shapes(batch, k_total, n_states))
-
-
-def _carve(buf, *shapes):
-    """Consecutive views of the flat array ``buf`` with the given shapes."""
-    start = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        yield buf[start:start + size].reshape(shape)
-        start += size
 
 
 def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True):
@@ -323,28 +299,10 @@ def _bcjr_batch(ls, lp, la, code: RscCode, terminated: bool, exact: bool = True)
     ls, lp: (B, K) channel LLRs for systematic and parity streams, K
     counting tail steps when terminated; la: (B, N) a-priori LLRs on the
     information bits.  Returns (B, N) a-posteriori LLRs.  ``exact=False``
-    switches max* to a plain max (max-log approximation).
-
-    Every row is decoded in one pass of ``_bcjr_rows`` on the calling
-    thread, into ``app`` and one scratch array of ``_scratch_elements``
-    (metrics, recursion history and run buffers).  Rows never mix: every
-    operation of ``_bcjr_rows`` is elementwise along the batch axis or
-    reduces over states within one row, so each row's result does not
-    depend on the rest of the batch.
-    """
-    batch, k_total = ls.shape
-    # the result is allocated first and written in place: peak RSS depends
-    # on the order of the large allocations
-    app = np.empty((batch, la.shape[1]))
-    buf = np.empty(_scratch_elements(batch, k_total, code.n_states))
-    _bcjr_rows(ls, lp, la, code, terminated, exact, app, buf)
-    return app
-
-
-def _bcjr_rows(ls, lp, la, code: RscCode, terminated: bool, exact: bool, app, buf):
-    """The BCJR pass of ``_bcjr_batch`` on one set of rows, written into
-    ``app`` (B, N).  Every array used here is carved from ``buf``, which
-    holds ``_scratch_elements(B, K, S)`` float64 elements.
+    switches max* to a plain max (max-log approximation).  Rows never
+    mix: every operation is elementwise along the batch axis or reduces
+    over states within one row, so each row's result does not depend on
+    the rest of the batch.
 
     Metrics: with A = 0.5 (ls + la) (a-priori on the information steps
     only) and P = 0.5 lp, the edge with input bit u and parity bit p has
@@ -383,8 +341,17 @@ def _bcjr_rows(ls, lp, la, code: RscCode, terminated: bool, exact: bool, app, bu
     max_reduce = np.maximum.reduce
     run = _run_steps(batch, n_states)
     mid = k_total // 2
-    gam, hist, ring, edges, metric, step, peak = _carve(
-        buf, *_scratch_shapes(batch, k_total, n_states))
+    # the result is allocated first and written in place: peak RSS depends
+    # on the order of the large allocations.  The run buffers (ring to
+    # peak) do not grow with K.
+    app = np.empty((batch, n_info))
+    gam = np.empty((k_total, 2, batch))
+    hist = np.empty((mid + 1, 2, n_states, batch))
+    ring = np.empty((run + 1, 2, n_states, batch))
+    edges = np.empty((run, 2, 2, n_states, batch))
+    metric = np.empty((2, run, 2, n_states, batch))
+    step = np.empty((2, 2, n_states, batch))
+    peak = np.empty((2, 1, batch))
 
     # gam[k] = (A + P, P - A), a chunk of steps at a time, A in the
     # metric buffer
@@ -463,6 +430,7 @@ def _bcjr_rows(ls, lp, la, code: RscCode, terminated: bool, exact: bool, app, bu
         np.subtract(at_j[skip:, 0, 0], at_j[skip:, 1, 0],
                     out=app[:, k0:k0 + steps - skip][:, ::-1].T)
         ring[0] = ring[steps]
+    return app
 
 
 def bcjr_decode(

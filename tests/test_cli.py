@@ -83,7 +83,7 @@ FUZZ_VALUES = {
              "ia_grid": ("0.5,0.2", "0", "0,1", "-1,0.5"), "samples_per_point": (999, 0, -1),
              "feedback": ("0",), "feedforward": ("0",), "memory": (1, 0, -1)},
     "selfplay": dict(_BOARD_VALUES, generations=(2, 0, -1), episodes_per_generation=(1, 0, -1),
-                     eval_episodes=(99, 0), stop_window=(0, -1), stop_delta=(0, -1, "inf"),
+                     eval_episodes=(99, 0), stop_window=(1, 0, -1), stop_delta=(0, -1, "inf"),
                      step_size=(1, 0, 2, -1), step_size_end=(1, -1, 2),
                      epsilon_start=(0, 1, -1, 2), epsilon_end=(0, -1, 2),
                      anneal_generations=(1, 0, -1), eval_epsilon=(1, -1, 2, "inf")),

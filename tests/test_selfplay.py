@@ -468,6 +468,12 @@ class TestLearn:
             LearnConfig(**{field: value})
         LearnConfig(step_size=1.0, step_size_end=0.0)  # both range ends are valid
 
+    def test_stop_window_needs_two_generations(self):
+        # one generation holds no change, so the rule would fire at once
+        with pytest.raises(ValidationError, match="stop_window must be >= 2"):
+            LearnConfig(stop_window=1)
+        LearnConfig(stop_window=2)
+
     def test_negative_anneal_generations_rejected(self):
         with pytest.raises(ValidationError, match="anneal_generations"):
             LearnConfig(anneal_generations=-1)

@@ -366,6 +366,20 @@ class TestBcjrKernel:
             tracemalloc.stop()
         assert peak <= 13 * 2**20
 
+    def test_traced_peak_of_one_long_block(self):
+        # one terminated 4096-bit block (4098 steps) takes 0.91 MiB; keeping
+        # all 4099 recursion rows in place of the first half took 1.04 MiB
+        rng = np.random.default_rng(4)
+        ls, lp = rng.normal(2.0, 4.0, (2, 1, 4098))
+        la = rng.normal(0.0, 8.0, (1, 4096))
+        tracemalloc.start()
+        try:
+            turbo._bcjr_batch(ls, lp, la, CODE75, terminated=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
 
 def transmit_turbo_blocks(n_info, ebn0_db, n_blocks, seed):
     root = np.random.SeedSequence(seed)
