@@ -36,6 +36,9 @@ EXIT_BLOCK_LEN = 1000  # bits per BCJR block in a curve measurement
 SVG_SIZE = 480
 SVG_MARGIN = 48
 
+# a label is written bare into CSV rows and SVG text, so it may hold none of these
+_LABEL_BREAKERS = frozenset(',"<>&\n\r')
+
 OPEN = "open"
 PINCHED = "pinched"
 
@@ -72,6 +75,9 @@ class ExitCurve:
     mc_samples: int = 0
 
     def __post_init__(self):
+        if not _LABEL_BREAKERS.isdisjoint(self.label):
+            raise ValidationError(f"curve label {self.label!r} must hold none of "
+                                  "the CSV and XML specials , \" < > & or a line break")
         pts = tuple((float(a), float(e)) for a, e in self.points)
         if len(pts) < 2:
             raise ValidationError("an EXIT curve needs at least two points")

@@ -47,6 +47,11 @@ class GameSpec:
     k: int | None = 3
 
     def __post_init__(self):
+        for name in ("rows", "cols", "k"):
+            size = getattr(self, name)
+            # a bool is an int, but no board size
+            if not (type(size) is int or (name == "k" and size is None)):
+                raise ValidationError(f"{name} must be an int, got {size!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("board must have at least one cell")
         if self.win_condition not in (K_IN_A_ROW, BOARD_FULL_SCORING):

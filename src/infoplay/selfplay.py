@@ -121,21 +121,6 @@ class AgentModel:
             raise ValidationError(f"role must be 'A' or 'B', got {self.role!r}")
 
 
-class _Seat:
-    """One agent's tables on a pass's ``_Match``, as lists by state id:
-    afterstate values (0.0 when unset), whether the pass has updated each
-    value (an updated value may be 0.0, and snapshots still write it) and
-    opponent-count rows (None for a state never observed)."""
-
-    __slots__ = ("agent", "value", "updated", "counts")
-
-    def __init__(self, agent: AgentModel):
-        self.agent = agent
-        self.value: list[float] = []
-        self.updated: list[bool] = []
-        self.counts: list[list[int] | None] = []
-
-
 class _Match:
     """Agents A and B seated on the states of one self-play pass.
 
@@ -144,20 +129,32 @@ class _Match:
     id the match keeps the key, status, legal moves (empty cells in row-major
     order; none iff terminal) and child ids (None until ``children`` expands
     the state).  A child is won when the mover's mask covers a mask of
-    ``line_masks`` through the move.  The key also reads the agents' dicts
-    as the state's entry is appended to both seats, and names it at
-    ``write_back``.  A moves first, so ply ``n`` is A's iff ``n`` is even.
+    ``line_masks`` through the move.
+
+    Seat 0 is A, who moves first, so at the even plies; seat 1 is B.  Each
+    agent sits by its role, whatever the argument order.  Per seat the
+    match keeps the agent's tables as lists by state id: ``value``
+    (afterstate values, 0.0 when unset), ``updated`` (whether the pass has
+    updated each value; an updated value may be 0.0, and snapshots still
+    write it) and ``counts`` (opponent-count rows, None for a state never
+    observed).  The key reads the agents' dicts as a state's entries are
+    appended, and names it at ``write_back``.
     """
 
-    __slots__ = ("game", "positions", "status", "moves", "child_ids", "_ids", "_full", "a", "b")
+    __slots__ = ("game", "positions", "status", "moves", "child_ids", "_ids", "_full",
+                 "agents", "value", "updated", "counts")
 
     def __init__(self, agent_a: AgentModel, agent_b: AgentModel, game: GameSpec):
+        by_role = {agent_a.role: agent_a, agent_b.role: agent_b}
+        if by_role.keys() != {PLAYER_A, PLAYER_B}:
+            raise ValidationError("a match seats one agent of role A and one of role B")
+        self.agents = (by_role[PLAYER_A], by_role[PLAYER_B])
+        self.value, self.updated, self.counts = ([], []), ([], []), ([], [])
         self.game = game
         self.positions, self.status, self.moves, self.child_ids = [], [], [], []
         self._ids: dict[int, int] = {}
         # a full board is drawn unless scored: A's stones are one more on an odd board
         self._full = DRAW if game.win_condition == K_IN_A_ROW or game.cells % 2 == 0 else A_WINS
-        self.a, self.b = _Seat(agent_a), _Seat(agent_b)
         self._intern(0, ONGOING, tuple(range(game.cells)))
 
     def _intern(self, position: int, status: str, moves: tuple) -> int:
@@ -166,10 +163,11 @@ class _Match:
         self.status.append(status)
         self.moves.append(moves)
         self.child_ids.append(None)
-        for seat in (self.a, self.b):
-            seat.value.append(seat.agent.value.get(position, 0.0))
-            seat.updated.append(False)
-            seat.counts.append(seat.agent.opponent_counts.get(position))
+        for agent, value, updated, counts in zip(self.agents, self.value, self.updated,
+                                                 self.counts):
+            value.append(agent.value.get(position, 0.0))
+            updated.append(False)
+            counts.append(agent.opponent_counts.get(position))
         return sid
 
     def children(self, sid: int) -> tuple:
@@ -195,12 +193,13 @@ class _Match:
         return kids
 
     def write_back(self):
-        """Store both seats' updated values and count rows into their
-        agents' dicts."""
-        for seat in (self.a, self.b):
-            value, counts = seat.agent.value, seat.agent.opponent_counts
-            for key, v, updated, row in zip(self.positions, seat.value, seat.updated, seat.counts):
-                if updated:
+        """Store each seat's updated values and count rows into its agent's
+        dicts."""
+        for agent, values, updated, rows in zip(self.agents, self.value, self.updated,
+                                                self.counts):
+            value, counts = agent.value, agent.opponent_counts
+            for key, v, is_updated, row in zip(self.positions, values, updated, rows):
+                if is_updated:
                     value[key] = v
                 if row is not None:
                     counts[key] = row
@@ -227,7 +226,7 @@ def _play_episode(match: _Match, rng, epsilon: float,
     both."""
     random, integers = rng.random, rng.integers
     legal, known = match.moves, match.child_ids
-    value, other_value = match.a.value, match.b.value
+    value, other_value = match.value
     sid = 0  # the root
     sids, moves = [sid], []
     while options := legal[sid]:
@@ -255,7 +254,7 @@ def _play_episode(match: _Match, rng, epsilon: float,
     return sids, moves
 
 
-# each outcome's reward to (A, B)
+# each outcome's reward to the seats (A, B)
 _REWARDS = {A_WINS: (1.0, -1.0), B_WINS: (-1.0, 1.0), DRAW: (0.0, 0.0)}
 
 
@@ -273,22 +272,19 @@ def _training_episode(match: _Match, rng, epsilon: float, step: float,
     sids, moves = _play_episode(match, rng, epsilon, memo)
     cells = match.game.cells
     outcome = match.status[sids[-1]]
-    reward_a, reward_b = _REWARDS[outcome]
-    # A decides at even plies and B at odd ones; each agent observes the
-    # other's moves
-    for ply, seat, observer, reward in ((0, match.a, match.b, reward_a),
-                                        (1, match.b, match.a, reward_b)):
-        afters = sids[ply + 1::2]
+    # each seat decides at the plies of its parity and observes the other's moves
+    for seat, reward in enumerate(_REWARDS[outcome]):
+        afters = sids[seat + 1::2]
         if not afters:
             continue
-        value, updated = seat.value, seat.updated
+        value, updated = match.value[seat], match.updated[seat]
         # in play order, so each target is read before its own update
         for i, after in enumerate(afters, 1):
             target = value[afters[i]] if i < len(afters) else reward
             value[after] += step * (target - value[after])
             updated[after] = True
-        observed = observer.counts
-        for sid, move in zip(sids[ply::2], moves[ply::2]):
+        observed = match.counts[1 - seat]
+        for sid, move in zip(sids[seat::2], moves[seat::2]):
             row = observed[sid]
             if row is None:
                 row = observed[sid] = [0] * cells
@@ -325,20 +321,18 @@ def _evaluate(match: _Match, episodes: int, rng, epsilon: float) -> EvaluationRe
     frozen for the pass, so each state's greedy and prediction ties are
     worked out once."""
     status, cells = match.status, match.game.cells
-    counts_a, counts_b = match.a.counts, match.b.counts
+    observers = match.counts[::-1]  # each seat's moves are predicted from the other's rows
     choice_ties, prediction_ties = {}, {}
-    outcomes, pred_b, act_b, pred_a, act_a = [], [], [], [], []
+    outcomes, predicted, actual = [], ([], []), ([], [])
     for _ in range(episodes):
         sids, moves = _play_episode(match, rng, epsilon, choice_ties)
         outcomes.append(status[sids[-1]])
         for ply, (sid, move) in enumerate(zip(sids, moves)):
-            if ply & 1:
-                pred_b.append(_predict(counts_a, sid, cells, rng, prediction_ties))
-                act_b.append(move)
-            else:
-                pred_a.append(_predict(counts_b, sid, cells, rng, prediction_ties))
-                act_a.append(move)
-    return EvaluationResult(*map(tuple, (outcomes, pred_b, act_b, pred_a, act_a)))
+            seat = ply & 1
+            predicted[seat].append(_predict(observers[seat], sid, cells, rng, prediction_ties))
+            actual[seat].append(move)
+    return EvaluationResult(*map(tuple, (outcomes, predicted[1], actual[1],
+                                         predicted[0], actual[0])))
 
 
 @dataclass(frozen=True)
@@ -536,14 +530,9 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
         raise ValidationError("ia_grid must be sorted and within [0, 1]")
     if episodes < 100:
         raise ValidationError("episodes must be >= 100")
-    if agent.role == opponent.role:
-        raise ValidationError("agent and opponent must play different roles")
-    if agent.role == PLAYER_A:
-        match = _Match(agent, opponent, game)
-        counts, opponent_plies = match.a.counts, 1
-    else:
-        match = _Match(opponent, agent, game)
-        counts, opponent_plies = match.b.counts, 0
+    match = _Match(agent, opponent, game)
+    seat = match.agents.index(agent)
+    counts, opponent_plies = match.counts[seat], 1 - seat
     # both agents are frozen for the whole curve
     choice_ties, prediction_ties = {}, {}
     root = _seed_sequence(seed)

@@ -57,6 +57,11 @@ class TestExitCurveType:
         with pytest.raises(ValidationError):
             ExitCurve(points=((0.0, 0.1), (0.5, 1.2)))
 
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a<b", "a>b", "a&b", "a\nb", "a\rb"])
+    def test_label_that_breaks_the_output_files_rejected(self, label):
+        with pytest.raises(ValidationError):
+            ExitCurve(points=((0.0, 0.1), (1.0, 0.9)), label=label)
+
     def test_small_dips_are_repaired(self):
         curve = ExitCurve(points=((0.0, 0.30), (0.5, 0.29), (1.0, 0.60)))
         ie = curve.monotone_ie()

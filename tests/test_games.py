@@ -129,3 +129,15 @@ class TestSpecValidation:
     def test_empty_board_rejected(self):
         with pytest.raises(ValidationError):
             GameSpec(rows=0, cols=3)
+
+    @pytest.mark.parametrize("sizes", [
+        dict(rows=3, cols=3, k=2.5),
+        dict(rows=3.0, cols=3, k=3),
+        dict(rows=3, cols=3.0, k=3),
+        dict(rows=3, cols=3, k=True),
+        dict(rows=True, cols=3, k=1),
+        dict(rows=3, cols=3, k="3"),
+    ], ids=repr)
+    def test_non_integer_sizes_rejected(self, sizes):
+        with pytest.raises(ValidationError):
+            GameSpec(**sizes)

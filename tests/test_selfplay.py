@@ -270,16 +270,42 @@ class TestMatchInterning:
         match = _Match(agent_a, agent_b, GAME)
         for sid in range(200):  # children() interns as the walk goes
             match.children(sid)
-        for seat in (match.a, match.b):
-            agent = seat.agent
-            assert len(seat.value) == len(seat.updated) == len(seat.counts)
-            assert len(seat.value) == len(match.positions)
-            assert seat.value == [agent.value.get(p, 0.0) for p in match.positions]
-            assert seat.counts == [agent.opponent_counts.get(p) for p in match.positions]
-            assert not any(seat.updated)
-        assert any(match.a.value) and any(match.b.value)
-        assert any(row is not None for row in match.a.counts)
-        assert any(row is not None for row in match.b.counts)
+        assert match.agents[0] is agent_a and match.agents[1] is agent_b
+        for agent, value, updated, counts in zip(match.agents, match.value, match.updated,
+                                                 match.counts):
+            assert len(value) == len(updated) == len(counts)
+            assert len(value) == len(match.positions)
+            assert value == [agent.value.get(p, 0.0) for p in match.positions]
+            assert counts == [agent.opponent_counts.get(p) for p in match.positions]
+            assert not any(updated)
+            assert any(value)
+            assert any(row is not None for row in counts)
+
+    @pytest.mark.parametrize("role", ["A", "B"])
+    def test_two_agents_of_one_role_are_rejected(self, role):
+        with pytest.raises(ValidationError):
+            _Match(AgentModel(role=role), AgentModel(role=role), GAME)
+
+    def test_agents_sit_by_role_in_either_argument_order(self):
+        runs = []
+        for swapped in (False, True):
+            agent_a, agent_b, _ = fixed_line_agents([0, 4, 8, 1, 7, 2, 6])
+            match = _Match(*((agent_b, agent_a) if swapped else (agent_a, agent_b)), GAME)
+            assert match.agents[0] is agent_a and match.agents[1] is agent_b
+            path = _play_episode(match, np.random.default_rng(7), 0.3)
+            rng = np.random.default_rng(8)
+            for _ in range(20):
+                _training_episode(match, rng, 0.3, 0.5)
+            match.write_back()
+            # each agent's dicts hold only its own afterstates (A's: one
+            # more A stone than B's; B's: equal counts), which are also the
+            # states where the other agent's moves are observed
+            for agent, surplus in ((agent_a, 1), (agent_b, 0)):
+                for position in agent.value.keys() | agent.opponent_counts.keys():
+                    n_b = (position >> GAME.cells).bit_count()
+                    assert (position & (1 << GAME.cells) - 1).bit_count() - n_b == surplus
+            runs.append((path, agent_a, agent_b))
+        assert runs[0] == runs[1]
 
 
 def play(match, seed, epsilon):
