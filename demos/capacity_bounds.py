@@ -6,9 +6,8 @@ How much information can a game's board carry?  Two upper bounds and,
 for small games, the exact answer by exhaustive enumeration.
 """
 
-from infoplay import GameSpec, capacity_bounds, dominance_check, log2_factorial, tic_tac_toe
+from infoplay import GameSpec, capacity_bounds, log2_factorial, tic_tac_toe
 from infoplay.capacity import capacity_csv
-from infoplay.entropy import MutualInfo
 
 # The 19x19 board: 361! move orderings is the classic back-of-envelope
 # bound, about 2552 bits.  Exact enumeration is hopeless at this size, so
@@ -26,10 +25,3 @@ print(capacity_csv([ttt]))
 # 23.2 bits, against 16*log2(3) = 25.4 bits from labelings and
 # log2(16!) = 44.3 bits from orderings.
 print(capacity_csv([capacity_bounds(GameSpec(rows=4, cols=4, k=4))]))
-
-# The dominance test compares how much information each agent decodes
-# about the other; the verdict flips sign when the arguments swap.
-i_ba = MutualInfo(0.62, "normalized")
-i_ab = MutualInfo(0.55, "normalized")
-verdict = dominance_check(i_ba, i_ab, tolerance=0.01)
-print(f"I_BA={i_ba.value}, I_AB={i_ab.value} -> {verdict.verdict}")

@@ -31,7 +31,7 @@ records, agent_a, agent_b = learn(game, config, seed=3)
 
 print("gen   I_BA    I_AB    draws  A wins  Elo(A)")
 for r in records:
-    print(f"{r.generation:3d}  {r.i_ba.value:.3f}   {r.i_ab.value:.3f}   "
+    print(f"{r.generation:3d}  {r.i_ba:.3f}   {r.i_ab:.3f}   "
           f"{r.draw_rate:5.2f}  {r.a_win_rate:5.2f}  {r.elo_a:7.1f}")
 stopped = len(records) < config.generations
 print(f"\nstopping rule {'fired at generation ' + str(len(records)) if stopped else 'did not fire'}")

@@ -6,16 +6,12 @@ instrumented tabular self-play harness evaluated with the same tools.
 
 from .capacity import (
     CapacityBound,
-    Dominance,
     capacity_bounds,
-    dominance_check,
     enumerate_reachable_states,
     log2_factorial,
 )
 from .entropy import (
-    JointCounts,
     LlrBlock,
-    MutualInfo,
     binary_entropy,
     j_function,
     j_inverse,

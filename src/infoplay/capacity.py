@@ -1,5 +1,5 @@
-"""Capacity bounds for placement games: log-factorial move-ordering bounds,
-exhaustive reachable-state enumeration, and the information-dominance test.
+"""Capacity bounds for placement games: log-factorial move-ordering bounds
+and exhaustive reachable-state enumeration.
 
 Enumeration is one layer pass, ``_layers``: it yields each ply's sorted
 position keys and won mask, built from the previous ply's ongoing keys in
@@ -17,17 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import MutualInfo
 from .errors import ResourceCapError, ValidationError
 from .games import GameSpec, K_IN_A_ROW, line_masks
 
 DEFAULT_STATE_CAP = 100_000_000
 # children built, canonicalised and sorted at once by _layers
 _CHUNK_CHILDREN = 1 << 20
-
-A_DOMINATES = "A_dominates"
-B_DOMINATES = "B_dominates"
-BALANCED = "balanced"
 
 
 @dataclass(frozen=True)
@@ -49,14 +44,6 @@ class CapacityBound:
     upper_cell_labelings: float
     exact_log2_states: float | None = None
     exact_states: int | None = None
-
-
-@dataclass(frozen=True)
-class Dominance:
-    verdict: str
-    i_ba: MutualInfo
-    i_ab: MutualInfo
-    tolerance: float
 
 
 def log2_factorial(n: int) -> float:
@@ -250,25 +237,6 @@ def capacity_bounds(game: GameSpec, max_states: int = DEFAULT_STATE_CAP) -> Capa
         exact_log2_states=exact_bits,
         exact_states=exact_states,
     )
-
-
-def dominance_check(i_ba: MutualInfo, i_ab: MutualInfo, tolerance: float = 1e-3) -> Dominance:
-    """Which agent decodes more of its opponent: A dominates iff
-    I_{B-A} - I_{A-B} exceeds the tolerance, symmetrically for B."""
-    if i_ba.unit != i_ab.unit:
-        raise ValidationError(
-            f"MI unit mismatch: {i_ba.unit!r} vs {i_ab.unit!r}"
-        )
-    if tolerance < 0:
-        raise ValidationError("tolerance must be >= 0")
-    diff = i_ba.value - i_ab.value
-    if diff > tolerance:
-        verdict = A_DOMINATES
-    elif diff < -tolerance:
-        verdict = B_DOMINATES
-    else:
-        verdict = BALANCED
-    return Dominance(verdict=verdict, i_ba=i_ba, i_ab=i_ab, tolerance=tolerance)
 
 
 def capacity_csv(entries, seed: int | None = None) -> str:

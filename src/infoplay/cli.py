@@ -138,7 +138,8 @@ def load_config(path) -> ResolvedConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # values are literal: a "%" in a name or path is kept as written
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:

@@ -43,40 +43,6 @@ def _as_bits(x) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class JointCounts:
-    """Empirical co-occurrence counts of two discrete variables.
-
-    Rows index the first variable, columns the second.  Counts are stored
-    as int64, so each count and their total must lie below 2**63.
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        if c.ndim != 2 or c.size == 0:
-            raise ValidationError("counts must be a non-empty 2-D table")
-        if c.dtype.kind == "f":
-            c = c.astype(np.float64)
-            if not (np.isfinite(c) & (c == np.rint(c))).all():
-                raise ValidationError("counts must be integers")
-        elif c.dtype.kind not in "biu":
-            raise ValidationError(f"counts must be integers, got dtype {c.dtype}")
-        if (c < 0).any():
-            raise ValidationError("counts must be non-negative")
-        if c.dtype.kind in "uf" and (c >= 2**63).any():
-            raise ValidationError("counts must be below 2**63 to fit int64")
-        c = c.astype(np.int64)
-        if c.sum(dtype=object) >= 2**63:
-            raise ValidationError("the total count must be below 2**63 to fit int64")
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True, eq=False)
 class LlrBlock:
     """A block of LLRs together with the ground-truth bits they refer to.
 
@@ -104,27 +70,6 @@ class LlrBlock:
         return self.llrs.size
 
 
-@dataclass(frozen=True)
-class MutualInfo:
-    """A mutual-information value tagged with its unit.
-
-    ``bits`` is unbounded above (by the alphabet), ``normalized`` lives in
-    [0, 1].  Downstream comparisons require matching units.
-    """
-
-    value: float
-    unit: str
-
-    def __post_init__(self):
-        if self.unit not in ("bits", "normalized"):
-            raise ValidationError(f"unknown MI unit {self.unit!r}")
-        if not np.isfinite(self.value) or self.value < -1e-12:
-            raise ValidationError("MI value must be finite and non-negative")
-        if self.unit == "normalized" and self.value > 1.0 + 1e-12:
-            raise ValidationError("normalized MI must not exceed 1")
-        object.__setattr__(self, "value", float(max(self.value, 0.0)))
-
-
 def binary_entropy(p: float) -> float:
     """H_b(p) in bits; symmetric around p = 1/2."""
     if not (0.0 <= p <= 1.0):
@@ -134,22 +79,41 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
-def mutual_information_plugin(joint) -> MutualInfo:
-    """Plug-in (maximum-likelihood) mutual information of a count table, in
-    bits, uncorrected, so results stay comparable to closed forms at large
-    sample sizes."""
-    if not isinstance(joint, JointCounts):
-        joint = JointCounts(np.asarray(joint))
-    n = joint.total
+def mutual_information_plugin(counts) -> float:
+    """Plug-in (maximum-likelihood) mutual information of a 2-D count table,
+    in bits, uncorrected, so results stay comparable to closed forms at
+    large sample sizes.
+
+    Rows index the first variable, columns the second.  Counts are taken
+    as int64, so each count and their total must lie below 2**63, and the
+    total must be at least 1.
+    """
+    c = np.asarray(counts)
+    if c.ndim != 2 or c.size == 0:
+        raise ValidationError("counts must be a non-empty 2-D table")
+    if c.dtype.kind == "f":
+        c = c.astype(np.float64)
+        if not (np.isfinite(c) & (c == np.rint(c))).all():
+            raise ValidationError("counts must be integers")
+    elif c.dtype.kind not in "biu":
+        raise ValidationError(f"counts must be integers, got dtype {c.dtype}")
+    if (c < 0).any():
+        raise ValidationError("counts must be non-negative")
+    if c.dtype.kind in "uf" and (c >= 2**63).any():
+        raise ValidationError("counts must be below 2**63 to fit int64")
+    c = c.astype(np.int64)
+    n = int(c.sum(dtype=object))  # exact: an int64 sum could wrap
+    if n >= 2**63:
+        raise ValidationError("the total count must be below 2**63 to fit int64")
     if n < 1:
         raise ValidationError("joint counts are empty: total count must be >= 1")
-    p = joint.counts / n
+    p = c / n
     px = p.sum(axis=1)
     py = p.sum(axis=0)
     nz = p > 0
     outer = np.outer(px, py)
     info = float((p[nz] * np.log2(p[nz] / outer[nz])).sum())
-    return MutualInfo(max(info, 0.0), "bits")
+    return max(info, 0.0)
 
 
 def _llr_information(llrs: np.ndarray, truth: np.ndarray) -> float | list[float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import JointCounts, MutualInfo, _seed_sequence, mutual_information_plugin
+from .entropy import _seed_sequence, mutual_information_plugin
 from .errors import EstimationError, ValidationError
 from .exit_chart import ExitCurve
 from .games import (
@@ -337,19 +337,21 @@ def _evaluate(match: _Match, episodes: int, rng, epsilon: float) -> EvaluationRe
 
 @dataclass(frozen=True)
 class CrossMi:
-    i_ba: MutualInfo
-    i_ab: MutualInfo
+    i_ba: float  # normalised by log2(cells)
+    i_ab: float
     bits_ba_per_game: float
     bits_ab_per_game: float
 
 
 def _paired_mi(predicted, actual, cells: int) -> tuple[float, float]:
+    """The plug-in MI between predicted and actual moves, in bits and
+    normalised by log2(cells)."""
     if cells < 2:
         raise EstimationError("on a one-cell board a move carries no information "
                               "to normalise by log2(cells)")
     counts = np.zeros((cells, cells), dtype=np.int64)
     np.add.at(counts, (np.asarray(predicted), np.asarray(actual)), 1)
-    bits = mutual_information_plugin(JointCounts(counts)).value
+    bits = mutual_information_plugin(counts)
     return bits, bits / math.log2(cells)
 
 
@@ -362,8 +364,7 @@ def cross_mi_from_evaluation(ev: EvaluationResult, game: GameSpec) -> CrossMi:
     bits_ba, norm_ba = _paired_mi(ev.predicted_b, ev.actual_b, game.cells)
     bits_ab, norm_ab = _paired_mi(ev.predicted_a, ev.actual_a, game.cells)
     return CrossMi(
-        i_ba=MutualInfo(norm_ba, "normalized"),
-        i_ab=MutualInfo(norm_ab, "normalized"),
+        norm_ba, norm_ab,
         bits_ba_per_game=bits_ba * len(ev.actual_b) / len(ev.outcomes),
         bits_ab_per_game=bits_ab * len(ev.actual_a) / len(ev.outcomes),
     )
@@ -391,8 +392,8 @@ def elo_update(e_a: float, e_b: float, outcome: str, k_factor: float = 16.0,
 @dataclass(frozen=True)
 class GenerationRecord:
     generation: int
-    i_ba: MutualInfo
-    i_ab: MutualInfo
+    i_ba: float  # normalised by log2(cells)
+    i_ab: float
     elo_a: float
     elo_b: float
     draw_rate: float
@@ -505,8 +506,8 @@ def learn(game: GameSpec, config: LearnConfig, seed):
             gen, cross.i_ba, cross.i_ab, elo_a, elo_b, ev.outcomes.count(DRAW) / n,
             ev.outcomes.count(A_WINS) / n, ev.outcomes.count(B_WINS) / n,
             cross.bits_ba_per_game, cross.bits_ab_per_game))
-        series_ba.append(cross.i_ba.value)
-        series_ab.append(cross.i_ab.value)
+        series_ba.append(cross.i_ba)
+        series_ab.append(cross.i_ab)
         if _stop_rule_fires(series_ba, series_ab, config.stop_window, config.stop_delta):
             break
     match.write_back()
@@ -565,7 +566,7 @@ def generation_csv(records, seed: int | None = None) -> str:
     lines.append("generation,i_ba,i_ab,elo_a,elo_b,draw_rate,a_win_rate")
     for r in records:
         lines.append(
-            f"{r.generation},{r.i_ba.value:.10g},{r.i_ab.value:.10g},"
+            f"{r.generation},{r.i_ba:.10g},{r.i_ab:.10g},"
             f"{r.elo_a:.10g},{r.elo_b:.10g},{r.draw_rate:.10g},{r.a_win_rate:.10g}"
         )
     return "\n".join(lines) + "\n"

@@ -42,6 +42,9 @@ _RUN_ELEMENTS = 65_536
 # (row, trellis step, state) elements of BCJR work each half of
 # _decode_in_halves must reach before its lower half is forked (see there)
 _FORK_BREAK_EVEN = 100_000
+# largest RscCode.memory: _Trellis loops in Python over 2**memory states,
+# a fraction of a second at 16 and about four times longer per two more
+MAX_MEMORY = 16
 
 
 def _parity(x: int) -> int:
@@ -50,7 +53,8 @@ def _parity(x: int) -> int:
 
 @dataclass(frozen=True)
 class RscCode:
-    """A rate-1/2 recursive systematic convolutional component code."""
+    """A rate-1/2 recursive systematic convolutional component code of
+    ``memory`` 1 to ``MAX_MEMORY``."""
 
     feedback_poly: int = 0o7
     feedforward_poly: int = 0o5
@@ -58,8 +62,8 @@ class RscCode:
 
     def __post_init__(self):
         m = self.memory
-        if m < 1:
-            raise ValidationError("memory must be >= 1")
+        if not 1 <= m <= MAX_MEMORY:
+            raise ValidationError(f"memory must lie in 1 .. {MAX_MEMORY}, got {m}")
         if not (1 << m) <= self.feedback_poly < (1 << (m + 1)):
             raise ValidationError(
                 "feedback polynomial must have degree <= memory and a nonzero constant term"

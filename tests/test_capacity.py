@@ -1,4 +1,4 @@
-"""Capacity bounds, state enumeration, and the dominance test."""
+"""Capacity bounds and state enumeration."""
 
 import math
 import time
@@ -13,17 +13,12 @@ from oracles import ref_count_positions
 
 from infoplay import capacity
 from infoplay.capacity import (
-    A_DOMINATES,
-    B_DOMINATES,
-    BALANCED,
     CapacityBound,
     capacity_bounds,
     capacity_csv,
-    dominance_check,
     enumerate_reachable_states,
     log2_factorial,
 )
-from infoplay.entropy import MutualInfo
 from infoplay.errors import ResourceCapError, ValidationError
 from infoplay.games import BOARD_FULL_SCORING, GameSpec, tic_tac_toe
 
@@ -281,35 +276,6 @@ class TestCapacityBounds:
                      GameSpec(rows=3, cols=3, win_condition=BOARD_FULL_SCORING, k=None)):
             bound = capacity_bounds(game)
             assert bound.exact_log2_states <= bound.upper_cell_labelings + 1e-9
-
-
-class TestDominance:
-    def n(self, v):
-        return MutualInfo(v, "normalized")
-
-    def test_a_dominates(self):
-        assert dominance_check(self.n(0.6), self.n(0.4), 0.01).verdict == A_DOMINATES
-
-    def test_balanced(self):
-        assert dominance_check(self.n(0.5), self.n(0.5), 0.01).verdict == BALANCED
-
-    def test_b_dominates(self):
-        assert dominance_check(self.n(0.40), self.n(0.41), 0.001).verdict == B_DOMINATES
-
-    def test_antisymmetric(self):
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        swap = {A_DOMINATES: B_DOMINATES, B_DOMINATES: A_DOMINATES, BALANCED: BALANCED}
-        for _ in range(200):
-            a, b = rng.random(2)
-            fwd = dominance_check(self.n(a), self.n(b), 0.01).verdict
-            rev = dominance_check(self.n(b), self.n(a), 0.01).verdict
-            assert rev == swap[fwd]
-
-    def test_unit_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            dominance_check(MutualInfo(0.5, "bits"), self.n(0.4), 0.01)
 
 
 class TestCsv:

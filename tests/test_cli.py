@@ -40,6 +40,8 @@ def write_config(path: Path, kind: str, params: dict, seed=42, name=None) -> Pat
     return path
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
 CAPACITY_PARAMS = {"rows": 3, "cols": 3, "k": 3}
 TURBO_PARAMS = {"n_info": 64, "blocks": 2, "iterations": 2}
 EXIT_PARAMS = {"ia_grid": "0,0.4,0.8", "samples_per_point": 1000}
@@ -71,8 +73,8 @@ SMALL_PARAMS = {
 
 _BOARD_VALUES = {"rows": (1, 2, 0, -1), "cols": (1, 2, 0, -1), "k": (1, 2, 0, -2)}
 
-# per kind, values each param is fuzzed with besides "nan" and "x": zero,
-# negatives and edge values, every size kept small
+# per kind, values each param is fuzzed with besides "nan", "x" and "2%":
+# zero, negatives and edge values, every size kept small
 FUZZ_VALUES = {
     "capacity": dict(_BOARD_VALUES, win=("board_full_scoring", "x"),
                      max_states=(10, 0, -1), require_exact=(1, -1)),
@@ -97,7 +99,7 @@ def fuzzed_overrides(kind: str):
     """``(kind, overrides)`` with up to three params of ``kind`` set to
     fuzz values, to be laid over its small params."""
     pairs = [(name, value) for name, values in FUZZ_VALUES[kind].items()
-             for value in (*values, "nan", "x")]
+             for value in (*values, "nan", "x", "2%")]
     return st.tuples(st.just(kind), st.lists(st.sampled_from(pairs), max_size=3).map(dict))
 
 
@@ -114,9 +116,22 @@ def run_main(kind: str, params: dict) -> int:
             return main(["run", str(cfg), "--output-dir", str(tmp / "out")])
 
 
+def run_demo_copy(tmp_path: Path, demo: str) -> str:
+    """Run a copy of ``demos/<demo>`` in ``tmp_path`` and return its
+    stdout; a demo writes into output/ next to itself, so the copy writes
+    nothing into the repository."""
+    script = tmp_path / demo
+    script.write_bytes((ROOT / "demos" / demo).read_bytes())
+    src = str(ROOT / "src")
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True, timeout=600).stdout
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency: importing the package must not load it
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     probe = "import sys, infoplay; print('scipy' in sys.modules)"
@@ -176,15 +191,14 @@ class TestRun:
     def test_demo_runs_regenerate_committed_out(self, tmp_path):
         # the selfplay demo, then the agent-exit demo on its fresh snapshots,
         # reproduce the committed out/ artifacts byte for byte
-        root = Path(__file__).resolve().parent.parent
-        configs = root / "demos" / "configs"
+        configs = ROOT / "demos" / "configs"
         agent_exit = (configs / "agent_exit.ini").read_text()
         agent_exit = agent_exit.replace("../../out/ttt_selfplay/", "ttt_selfplay/")
         assert agent_exit.count("= ttt_selfplay/") == 2
         (tmp_path / "agent_exit.ini").write_text(agent_exit)
         for cfg in (configs / "selfplay.ini", tmp_path / "agent_exit.ini"):
             outdir = run(cfg, output_dir=tmp_path)
-            committed = root / "out" / outdir.name
+            committed = ROOT / "out" / outdir.name
             expected = json.loads((committed / "manifest.json").read_text())["artifacts"]
             manifest = json.loads((outdir / "manifest.json").read_text())
             assert manifest["artifacts"] == expected, outdir.name
@@ -196,19 +210,19 @@ class TestRun:
         ("exit_tunnel.py", ("exit_+0.8dB.svg", "exit_-4.0dB.svg")),
     ])
     def test_demo_scripts_regenerate_committed_output(self, tmp_path, demo, outputs):
-        # a demo writes into output/ next to itself, so a copy of it in
-        # tmp_path writes nothing into the repository
-        root = Path(__file__).resolve().parent.parent
-        script = tmp_path / demo
-        script.write_bytes((root / "demos" / demo).read_bytes())
-        src = str(root / "src")
-        path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                       capture_output=True, check=True, timeout=600)
+        run_demo_copy(tmp_path, demo)
         for name in outputs:
-            committed = root / "demos" / "output" / name
+            committed = ROOT / "demos" / "output" / name
             assert (tmp_path / "output" / name).read_bytes() == committed.read_bytes(), name
+
+    @pytest.mark.parametrize("demo,rows", [
+        ("capacity_bounds.py", ("3x3-k3,5478,", "4x4-k4,9722011,")),
+        ("turbo_waterfall.py", ()),
+    ])
+    def test_print_only_demo_scripts_run(self, tmp_path, demo, rows):
+        lines = run_demo_copy(tmp_path, demo).splitlines()
+        for row in rows:
+            assert any(line.startswith(row) for line in lines), row
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "turbo", TURBO_PARAMS, seed=10)
@@ -390,6 +404,33 @@ class TestMainEntry:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
         row = (tmp_path / "out" / "capacity" / "capacity.csv").read_text().splitlines()[-1]
         assert row.startswith("100000x100000-k3,,,")
+
+    def test_percent_is_read_literally(self, tmp_path):
+        # no interpolation: a bad value holding "%" exits 2, and a name and
+        # snapshot paths holding one are kept as written
+        assert run_main("capacity", dict(SMALL_PARAMS["capacity"], rows="2%")) == EXIT_CONFIG
+        snapshots = tmp_path / "runs" / "50%"
+        snapshots.mkdir(parents=True)
+        (snapshots / "a.txt").write_text(SNAPSHOT.format(role="A"))
+        (snapshots / "b.txt").write_text(SNAPSHOT.format(role="B"))
+        params = dict(SMALL_PARAMS["agent-exit"], agent_a="runs/50%/a.txt",
+                      agent_b="runs/50%/b.txt")
+        cfg = write_config(tmp_path / "c.ini", "agent-exit", params, name="x%y")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "x%y" / "manifest.json").read_text())
+        assert manifest["name"] == "x%y"
+        assert manifest["params"]["agent_a"] == str(snapshots / "a.txt")
+
+    def test_memory_beyond_cap_exit_code(self, tmp_path, monkeypatch):
+        # memory 17 with polynomials valid for it is refused before any
+        # trellis over its 2**17 states is built
+        def no_trellis(code):
+            raise AssertionError(f"trellis built for memory {code.memory}")
+
+        monkeypatch.setattr(turbo, "_Trellis", no_trellis)
+        cfg = write_config(tmp_path / "t.ini", "turbo",
+                           dict(TURBO_PARAMS, feedback="400001", memory=17))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_out_of_memory_exit_code(self, tmp_path, capsys):
         # the first large array, the (blocks, n_info) bits, needs 8.9 PiB:

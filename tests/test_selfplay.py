@@ -378,25 +378,36 @@ def cross_mi(agent_a, agent_b, game, episodes, seed):
     return cross_mi_from_evaluation(ev, game)
 
 
+@st.composite
+def paired_moves(draw):
+    """``(cells, predicted, actual)``: a board of 2 to 16 cells and equally
+    long, non-empty move lists on it."""
+    cells = draw(st.integers(2, 16))
+    move = st.integers(0, cells - 1)
+    pairs = draw(st.lists(st.tuples(move, move), min_size=1, max_size=200))
+    predicted, actual = zip(*pairs)
+    return cells, predicted, actual
+
+
 class TestMeasureCrossMi:
     def test_unpredictable_opponent_gives_no_information(self):
         a, b = AgentModel(role="A"), AgentModel(role="B")  # both untrained: uniform play
         cross = cross_mi(a, b, GAME, episodes=10_000, seed=1)
-        assert cross.i_ba.value <= 0.05
-        assert cross.i_ab.value <= 0.05
+        assert cross.i_ba <= 0.05
+        assert cross.i_ab <= 0.05
 
     def test_perfect_prediction_reaches_move_entropy(self):
         agent_a, agent_b, final = fixed_line_agents([0, 4, 8, 1, 7, 2, 6])
         assert final.status == A_WINS
         cross = cross_mi(agent_a, agent_b, GAME, episodes=100, seed=2)
         # B's pooled move distribution is uniform over its 3 distinct moves
-        assert cross.i_ba.value == pytest.approx(math.log2(3) / math.log2(9), abs=1e-9)
+        assert cross.i_ba == pytest.approx(math.log2(3) / math.log2(9), abs=1e-9)
 
     def test_partially_trained_fixture(self):
         records, fa, fb = learn(GAME, QUICK_CONFIG, seed=424242)
         cross = cross_mi(fa, fb, GAME, episodes=300, seed=777)
-        assert cross.i_ba.value == pytest.approx(0.5258825257923885, abs=1e-12)
-        assert cross.i_ab.value == pytest.approx(0.7829829740474211, abs=1e-12)
+        assert cross.i_ba == pytest.approx(0.5258825257923885, abs=1e-12)
+        assert cross.i_ab == pytest.approx(0.7829829740474211, abs=1e-12)
 
     def test_decoded_bits_per_game_below_state_capacity(self):
         # the information decoded about the opponent in one game cannot
@@ -428,6 +439,18 @@ class TestMeasureCrossMi:
         with pytest.raises(EstimationError):
             cross_mi(a, b, game, episodes=100, seed=1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=paired_moves())
+    @example(case=(16, tuple(range(16)), tuple(range(16))))  # all of log2(cells)
+    @example(case=(2, (0,), (1,)))
+    def test_paired_mi_bounds_property(self, case):
+        # moves on a board of n cells carry at most log2(n) bits, so the
+        # normalised value stays within [0, 1]
+        cells, predicted, actual = case
+        bits, normalised = _paired_mi(predicted, actual, cells)
+        assert 0.0 <= bits <= math.log2(cells) + 1e-12
+        assert 0.0 <= normalised <= 1.0 + 1e-12
+
 
 class TestLearn:
     def test_infinite_delta_stops_after_window(self):
@@ -455,8 +478,8 @@ class TestLearn:
 
     def test_stopping_rule_matches_reference_scan(self):
         records, _, _ = learn(GAME, QUICK_CONFIG, seed=424242)
-        i_ba = [r.i_ba.value for r in records]
-        i_ab = [r.i_ab.value for r in records]
+        i_ba = [r.i_ba for r in records]
+        i_ab = [r.i_ab for r in records]
         cfg = QUICK_CONFIG
         fired_at = None
         for g in range(1, len(records) + 1):
@@ -845,8 +868,8 @@ def ref_learn(game, config, seed):
             draw_rate=ev.outcomes.count(DRAW) / n, a_win_rate=ev.outcomes.count(A_WINS) / n,
             b_win_rate=ev.outcomes.count(B_WINS) / n,
             bits_ba_per_game=cross.bits_ba_per_game, bits_ab_per_game=cross.bits_ab_per_game))
-        series_ba.append(cross.i_ba.value)
-        series_ab.append(cross.i_ab.value)
+        series_ba.append(cross.i_ba)
+        series_ab.append(cross.i_ab)
         if _stop_rule_fires(series_ba, series_ab, config.stop_window, config.stop_delta):
             break
     return records, agent_a, agent_b

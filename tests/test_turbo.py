@@ -93,6 +93,14 @@ class TestRscEncode:
         with pytest.raises(ValidationError):
             RscCode(feedback_poly=0o17, feedforward_poly=0o5, memory=2)  # degree > memory
 
+    @pytest.mark.parametrize("memory", [17, 26])
+    def test_memory_beyond_cap_rejected(self, memory):
+        # only validation runs here: RscCode builds no trellis
+        assert turbo.MAX_MEMORY == 16
+        RscCode(feedback_poly=(1 << 16) | 1, feedforward_poly=1, memory=16)
+        with pytest.raises(ValidationError, match="memory"):
+            RscCode(feedback_poly=(1 << memory) | 1, feedforward_poly=1, memory=memory)
+
 
 class TestInterleaver:
     def test_round_trip(self):
