@@ -56,6 +56,10 @@ class Param:
 
 _BOARD_PARAMS = [Param("rows", "int", 3), Param("cols", "int", 3), Param("k", "int", 3)]
 
+# the component code of the turbo and exit kinds
+_CODE_PARAMS = [Param("feedback", "octal", "7"), Param("feedforward", "octal", "5"),
+                Param("memory", "int", 2)]
+
 # one param per LearnConfig field, typed by its default
 _LEARN_PARAMS = [
     Param(f.name, "int" if isinstance(f.default, int) else "float", f.default)
@@ -77,18 +81,14 @@ SCHEMAS: dict[str, list[Param]] = {
         Param("blocks", "int", 10),
         Param("iterations", "int", 8),
         Param("interleaver", "str", "uniform", help="uniform or s_random"),
-        Param("feedback", "octal", "7"),
-        Param("feedforward", "octal", "5"),
-        Param("memory", "int", 2),
+        *_CODE_PARAMS,
     ],
     "exit": [
         Param("ebn0_db", "float", 0.8),
         Param("rate", "float", 1.0 / 3.0, help="code rate used for the noise variance"),
         Param("ia_grid", "floats", "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"),
         Param("samples_per_point", "int", 10000),
-        Param("feedback", "octal", "7"),
-        Param("feedforward", "octal", "5"),
-        Param("memory", "int", 2),
+        *_CODE_PARAMS,
     ],
     "selfplay": _BOARD_PARAMS + _LEARN_PARAMS,
     "agent-exit": [
@@ -188,6 +188,10 @@ def _game_from_params(params) -> GameSpec:
     return GameSpec(rows=params["rows"], cols=params["cols"], win_condition=win, k=k)
 
 
+def _code_from_params(params) -> turbo_mod.RscCode:
+    return turbo_mod.RscCode(params["feedback"], params["feedforward"], params["memory"])
+
+
 def _run_capacity(rc: ResolvedConfig, outdir: Path) -> dict:
     game = _game_from_params(rc.params)
     max_states = rc.params["max_states"]
@@ -203,10 +207,9 @@ def _run_capacity(rc: ResolvedConfig, outdir: Path) -> dict:
 
 def _run_turbo(rc: ResolvedConfig, outdir: Path) -> dict:
     p = rc.params
-    code = turbo_mod.RscCode(p["feedback"], p["feedforward"], p["memory"])
     trace = turbo_mod.simulate_turbo(
         n_info=p["n_info"], ebn0_db=p["ebn0_db"], n_blocks=p["blocks"],
-        max_iters=p["iterations"], seed=rc.seed, code=code,
+        max_iters=p["iterations"], seed=rc.seed, code=_code_from_params(p),
         interleaver_kind=p["interleaver"],
     )
     (outdir / "turbo_trace.csv").write_text(turbo_mod.trace_csv(trace, seed=rc.seed))
@@ -216,10 +219,9 @@ def _run_turbo(rc: ResolvedConfig, outdir: Path) -> dict:
 
 def _run_exit(rc: ResolvedConfig, outdir: Path) -> dict:
     p = rc.params
-    code = turbo_mod.RscCode(p["feedback"], p["feedforward"], p["memory"])
     channel = turbo_mod.ChannelModel(p["ebn0_db"], rate=p["rate"])
     curve = exit_mod.measure_exit_curve(
-        code, channel, p["ia_grid"], p["samples_per_point"], seed=rc.seed,
+        _code_from_params(p), channel, p["ia_grid"], p["samples_per_point"], seed=rc.seed,
         label=f"bcjr@{p['ebn0_db']}dB",
     )
     report = exit_mod.tunnel_analysis(curve, curve)

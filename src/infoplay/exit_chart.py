@@ -12,18 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (
-    LLR_CLAMP,
-    _llr_information,
-    _seed_sequence,
-    sample_consistent_gaussian_apriori,
-)
+from .entropy import _llr_information, _seed_sequence, sample_consistent_gaussian_apriori
 from .errors import NumericalContractError, ValidationError
 from .turbo import (
     ChannelModel,
     RscCode,
     _bcjr_batch,
     _decode_in_halves,
+    _extrinsic,
     rsc_encode,
     transmit,
 )
@@ -185,13 +181,15 @@ def measure_exit_curve(
         raise ValidationError("samples_per_point must be >= 1000")
     n_blocks = (samples_per_point + EXIT_BLOCK_LEN - 1) // EXIT_BLOCK_LEN
     k = EXIT_BLOCK_LEN + code.memory
-    seeds = _seed_sequence(seed).spawn(len(grid))
+    # each point's bits, channel and a-priori streams, spawned once so that
+    # every decode of a point draws the same numbers
+    point_streams = [ss.spawn(3) for ss in _seed_sequence(seed).spawn(len(grid))]
 
     def decode(points):
         """I_E at the grid points in the slice ``points``: one decoder pass
         over the blocks of those points, each point filling its rows;
         blocks never mix."""
-        streams = [ss.spawn(3) for ss in seeds[points]]
+        streams = point_streams[points]
         bits = np.empty((len(streams), n_blocks * EXIT_BLOCK_LEN), dtype=np.int8)
         for point_bits, (ss_bits, _, _) in zip(bits, streams):
             point_bits[:] = np.random.default_rng(ss_bits).integers(0, 2, point_bits.size)
@@ -205,10 +203,7 @@ def measure_exit_curve(
             la[rows] = sample_consistent_gaussian_apriori(
                 bits[point], float(ia), ss_apriori).llrs.reshape(n_blocks, EXIT_BLOCK_LEN)
         del sys_bits, par_bits  # not needed by the decoder
-        ext = _bcjr_batch(ls, lp, la, code, terminated=True)
-        ext -= la
-        ext -= ls[:, :EXIT_BLOCK_LEN]
-        np.clip(ext, -LLR_CLAMP, LLR_CLAMP, out=ext)
+        ext = _extrinsic(_bcjr_batch(ls, lp, la, code, terminated=True), la, ls)
         ext = ext.reshape(bits.shape)
         return np.array([_llr_information(point_ext[:samples_per_point],
                                           point_bits[:samples_per_point])

@@ -335,14 +335,6 @@ def _evaluate(match: _Match, episodes: int, rng, epsilon: float) -> EvaluationRe
                                          predicted[0], actual[0])))
 
 
-@dataclass(frozen=True)
-class CrossMi:
-    i_ba: float  # normalised by log2(cells)
-    i_ab: float
-    bits_ba_per_game: float
-    bits_ab_per_game: float
-
-
 def _paired_mi(predicted, actual, cells: int) -> tuple[float, float]:
     """The plug-in MI between predicted and actual moves, in bits and
     normalised by log2(cells)."""
@@ -353,21 +345,6 @@ def _paired_mi(predicted, actual, cells: int) -> tuple[float, float]:
     np.add.at(counts, (np.asarray(predicted), np.asarray(actual)), 1)
     bits = mutual_information_plugin(counts)
     return bits, bits / math.log2(cells)
-
-
-def cross_mi_from_evaluation(ev: EvaluationResult, game: GameSpec) -> CrossMi:
-    if min(len(ev.actual_b), len(ev.actual_a)) < 30:
-        raise EstimationError(
-            f"too few decision points pooled ({len(ev.actual_b)} for B, "
-            f"{len(ev.actual_a)} for A); need at least 30 per direction"
-        )
-    bits_ba, norm_ba = _paired_mi(ev.predicted_b, ev.actual_b, game.cells)
-    bits_ab, norm_ab = _paired_mi(ev.predicted_a, ev.actual_a, game.cells)
-    return CrossMi(
-        norm_ba, norm_ab,
-        bits_ba_per_game=bits_ba * len(ev.actual_b) / len(ev.outcomes),
-        bits_ab_per_game=bits_ab * len(ev.actual_a) / len(ev.outcomes),
-    )
 
 
 def elo_win_prob(e_a: float, e_b: float, c_elo: float = 1.0 / 400.0) -> float:
@@ -398,13 +375,29 @@ class GenerationRecord:
     elo_b: float
     draw_rate: float
     a_win_rate: float
-    b_win_rate: float
     bits_ba_per_game: float
     bits_ab_per_game: float
 
-    def __post_init__(self):
-        if abs(self.a_win_rate + self.b_win_rate + self.draw_rate - 1.0) > 1e-9:
-            raise ValidationError("win/draw rates must sum to 1")
+
+def _generation_record(generation: int, ev: EvaluationResult, game: GameSpec,
+                       elo_a: float, elo_b: float) -> GenerationRecord:
+    """One generation's record from its evaluation pass ``ev``: cross MI
+    each way over the pooled decision points, the ratings ``elo_a`` and
+    ``elo_b`` updated by each game in play order, and the outcome rates."""
+    if min(len(ev.actual_b), len(ev.actual_a)) < 30:
+        raise EstimationError(
+            f"too few decision points pooled ({len(ev.actual_b)} for B, "
+            f"{len(ev.actual_a)} for A); need at least 30 per direction"
+        )
+    bits_ba, i_ba = _paired_mi(ev.predicted_b, ev.actual_b, game.cells)
+    bits_ab, i_ab = _paired_mi(ev.predicted_a, ev.actual_a, game.cells)
+    for outcome in ev.outcomes:
+        elo_a, elo_b = elo_update(elo_a, elo_b, outcome)
+    n = len(ev.outcomes)
+    return GenerationRecord(
+        generation, i_ba, i_ab, elo_a, elo_b, ev.outcomes.count(DRAW) / n,
+        ev.outcomes.count(A_WINS) / n,
+        bits_ba * len(ev.actual_b) / n, bits_ab * len(ev.actual_a) / n)
 
 
 @dataclass(frozen=True)
@@ -433,6 +426,10 @@ class LearnConfig:
     eval_epsilon: float = 0.0
 
     def __post_init__(self):
+        for name in ("generations", "episodes_per_generation", "eval_episodes",
+                     "stop_window", "anneal_generations"):
+            if type(count := getattr(self, name)) is not int:  # a bool is an int, but no count
+                raise ValidationError(f"{name} must be an int, got {count!r}")
         if self.generations < 1 or self.episodes_per_generation < 1:
             raise ValidationError("generation and episode counts must be >= 1")
         if self.eval_episodes < 100:
@@ -452,16 +449,17 @@ class LearnConfig:
             raise ValidationError("step_size_end must lie in [0, 1] (0 freezes the tables)")
 
 
-def _stop_rule_fires(i_ba: list, i_ab: list, window: int, delta: float) -> bool:
+def _stop_rule_fires(records: list, window: int, delta: float) -> bool:
     """The learning process stops once the exchanged information no longer
-    increases: every consecutive change among the last ``window`` recorded
-    generations stays below ``delta`` in magnitude, for both directions.
+    increases: every consecutive change among the last ``window`` generation
+    records stays below ``delta`` in magnitude, for both directions.
     (Magnitudes, so a transient dip-and-recovery cannot sneak through the
     gate and the stopped window is genuinely flat.)"""
-    if len(i_ba) < window:
+    if len(records) < window:
         return False
-    recent = [series[-window:] for series in (i_ba, i_ab)]
-    return all(abs(b - a) < delta for r in recent for a, b in zip(r, r[1:]))
+    recent = records[-window:]
+    return all(abs(b.i_ba - a.i_ba) < delta and abs(b.i_ab - a.i_ab) < delta
+               for a, b in zip(recent, recent[1:]))
 
 
 def learn(game: GameSpec, config: LearnConfig, seed):
@@ -484,8 +482,7 @@ def learn(game: GameSpec, config: LearnConfig, seed):
     match = _Match(agent_a, agent_b, game)
     root = _seed_sequence(seed)
     anneal = config.anneal_generations or config.generations
-    elo_a = elo_b = ELO_INITIAL
-    records, series_ba, series_ab = [], [], []  # generation records, I_B->A and I_A->B
+    records = []
     for gen in range(1, config.generations + 1):
         frac = 0.0 if anneal <= 1 else min(1.0, (gen - 1) / (anneal - 1))
         epsilon = config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start)
@@ -498,17 +495,10 @@ def learn(game: GameSpec, config: LearnConfig, seed):
             _training_episode(match, train_rng, epsilon, step, memo)
         memo = None  # dropped before the evaluation pass builds its own
         ev = _evaluate(match, config.eval_episodes, _Draws(ss_eval), config.eval_epsilon)
-        cross = cross_mi_from_evaluation(ev, game)
-        for outcome in ev.outcomes:
-            elo_a, elo_b = elo_update(elo_a, elo_b, outcome)
-        n = len(ev.outcomes)
-        records.append(GenerationRecord(
-            gen, cross.i_ba, cross.i_ab, elo_a, elo_b, ev.outcomes.count(DRAW) / n,
-            ev.outcomes.count(A_WINS) / n, ev.outcomes.count(B_WINS) / n,
-            cross.bits_ba_per_game, cross.bits_ab_per_game))
-        series_ba.append(cross.i_ba)
-        series_ab.append(cross.i_ab)
-        if _stop_rule_fires(series_ba, series_ab, config.stop_window, config.stop_delta):
+        # the ratings carry over from the previous generation's record
+        elo = (records[-1].elo_a, records[-1].elo_b) if records else (ELO_INITIAL,) * 2
+        records.append(_generation_record(gen, ev, game, *elo))
+        if _stop_rule_fires(records, config.stop_window, config.stop_delta):
             break
     match.write_back()
     return records, agent_a, agent_b

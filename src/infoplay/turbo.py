@@ -563,6 +563,16 @@ def turbo_encode(bits, code: RscCode, interleaver: Interleaver) -> np.ndarray:
     return np.concatenate([sys1, par1, par2], axis=-1)
 
 
+def _extrinsic(app, la, ls):
+    """A component decoder's extrinsic LLRs, formed in place in its (B, N)
+    a-posteriori result ``app``: minus the a-priori ``la`` and the
+    systematic channel LLRs (the first N columns of ``ls``), clipped to
+    +-LLR_CLAMP."""
+    app -= la
+    app -= ls[:, :app.shape[1]]
+    return np.clip(app, -LLR_CLAMP, LLR_CLAMP, out=app)
+
+
 def _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters) -> TurboTrace:
     """The turbo loop over a batch of blocks: (B, ·) channel LLRs of the
     three streams and the (B, N) information bits they carry.
@@ -577,21 +587,16 @@ def _turbo_iterations(ls, lp1, lp2, truth, interleaver, code, max_iters) -> Turb
     la1 = np.zeros((batch, n))
     trace = TurboTrace(*np.empty((3, batch, max_iters)))
     for it in range(max_iters):
-        ext1 = _bcjr_batch(ls, lp1, la1, code, terminated=True)
-        ext1 -= la1
+        ext1 = _extrinsic(_bcjr_batch(ls, lp1, la1, code, terminated=True), la1, ls)
         del la1
-        ext1 -= ls[:, :n]
-        np.clip(ext1, -LLR_CLAMP, LLR_CLAMP, out=ext1)
         trace.i_e_dec1[:, it] = _llr_information(ext1, truth)
         la2 = interleaver.interleave(ext1)
         del ext1
         ext2 = _bcjr_batch(ls_inner, lp2, la2, code, terminated=False)
         # decisions on the second decoder's a-posteriori LLRs, in its order
         trace.ber[:, it] = ((ext2 < 0) != truth_inner).mean(axis=1)
-        ext2 -= la2
+        _extrinsic(ext2, la2, ls_inner)
         del la2
-        ext2 -= ls_inner
-        np.clip(ext2, -LLR_CLAMP, LLR_CLAMP, out=ext2)
         trace.i_e_dec2[:, it] = _llr_information(ext2, truth_inner)
         la1 = interleaver.deinterleave(ext2)
         del ext2

@@ -201,6 +201,19 @@ class TestMeasuredCurves:
         b = measure_exit_curve(**kwargs)
         assert a.points == b.points
 
+    def test_decode_is_repeatable(self, monkeypatch):
+        # a second decode of the same points, as the fallback after a failed
+        # fork child makes, must draw the same streams as the first
+        results = []
+
+        def decode_twice(decode, shape, axis, row_work):
+            results.extend(decode(slice(None)) for _ in range(2))
+            return results[0]
+
+        monkeypatch.setattr(exit_chart, "_decode_in_halves", decode_twice)
+        measure_exit_curve(CODE75, ChannelModel(0.8, rate=0.5), [0.0, 0.5], 1000, seed=3)
+        np.testing.assert_array_equal(results[0], results[1])
+
     def test_waterfall_curve_monotone_within_tolerance(self):
         curve = measure_exit_curve(
             CODE75,
