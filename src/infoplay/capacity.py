@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import csv_text
 from .errors import ResourceCapError, ValidationError
 from .games import GameSpec, K_IN_A_ROW, line_masks
 
@@ -241,15 +242,7 @@ def capacity_bounds(game: GameSpec, max_states: int = DEFAULT_STATE_CAP) -> Capa
 
 def capacity_csv(entries, seed: int | None = None) -> str:
     """CSV report over (CapacityBound) entries with the standard columns."""
-    lines = []
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append("game_id,states,log2_states,bound_orderings_bits,bound_labelings_bits")
-    for bound in entries:
-        states = "" if bound.exact_states is None else str(bound.exact_states)
-        log2s = "" if bound.exact_log2_states is None else f"{bound.exact_log2_states:.10g}"
-        lines.append(
-            f"{bound.game_id},{states},{log2s},"
-            f"{bound.upper_move_orderings:.10g},{bound.upper_cell_labelings:.10g}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ("game_id", "states", "log2_states", "bound_orderings_bits", "bound_labelings_bits")
+    rows = ((b.game_id, b.exact_states, b.exact_log2_states, b.upper_move_orderings,
+             b.upper_cell_labelings) for b in entries)
+    return csv_text(header, rows, seed)

@@ -9,6 +9,14 @@ class ValidationError(InfoplayError, ValueError):
     """An input violates a documented precondition or invariant."""
 
 
+def require_ints(**counts) -> None:
+    """Raise ValidationError naming the first of ``counts`` that is not a
+    Python int.  A bool is an int, but no count."""
+    for name, count in counts.items():
+        if type(count) is not int:
+            raise ValidationError(f"{name} must be an int, got {count!r}")
+
+
 class ConfigError(InfoplayError, ValueError):
     """An experiment config file is malformed or fails its schema."""
 

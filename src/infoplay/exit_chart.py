@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import csv_text
 from .entropy import _llr_information, _seed_sequence, sample_consistent_gaussian_apriori
-from .errors import NumericalContractError, ValidationError
+from .errors import NumericalContractError, ValidationError, require_ints
 from .turbo import (
     ChannelModel,
     RscCode,
@@ -172,6 +173,7 @@ def measure_exit_curve(
     process (see ``turbo._decode_in_halves``).  Grid points use
     independently derived seeds, so the curve is reproducible bit for bit.
     """
+    require_ints(samples_per_point=samples_per_point)
     grid = np.asarray(ia_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("ia_grid must hold at least two points")
@@ -312,15 +314,9 @@ def decoding_trajectory(curve_a: ExitCurve, curve_b: ExitCurve) -> Trajectory:
 
 
 def exit_curve_csv(curves, seed: int | None = None) -> str:
-    lines = []
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append("label,i_a,i_e,mc_samples,seed")
-    seed_field = "" if seed is None else str(seed)
-    for curve in curves:
-        for ia, ie in curve.points:
-            lines.append(f"{curve.label},{ia:.10g},{ie:.10g},{curve.mc_samples},{seed_field}")
-    return "\n".join(lines) + "\n"
+    rows = ((curve.label, ia, ie, curve.mc_samples, seed)
+            for curve in curves for ia, ie in curve.points)
+    return csv_text(("label", "i_a", "i_e", "mc_samples", "seed"), rows, seed)
 
 
 def _svg_xy(ia: float, ie: float) -> tuple:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import ValidationError, require_ints
 
 K_IN_A_ROW = "k_in_a_row"
 BOARD_FULL_SCORING = "board_full_scoring"
@@ -47,11 +47,9 @@ class GameSpec:
     k: int | None = 3
 
     def __post_init__(self):
-        for name in ("rows", "cols", "k"):
-            size = getattr(self, name)
-            # a bool is an int, but no board size
-            if not (type(size) is int or (name == "k" and size is None)):
-                raise ValidationError(f"{name} must be an int, got {size!r}")
+        require_ints(rows=self.rows, cols=self.cols)
+        if self.k is not None:
+            require_ints(k=self.k)
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("board must have at least one cell")
         if self.win_condition not in (K_IN_A_ROW, BOARD_FULL_SCORING):

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import csv_text
 from .entropy import _seed_sequence, mutual_information_plugin
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, require_ints
 from .exit_chart import ExitCurve
 from .games import (
     A_WINS,
@@ -426,10 +427,10 @@ class LearnConfig:
     eval_epsilon: float = 0.0
 
     def __post_init__(self):
-        for name in ("generations", "episodes_per_generation", "eval_episodes",
-                     "stop_window", "anneal_generations"):
-            if type(count := getattr(self, name)) is not int:  # a bool is an int, but no count
-                raise ValidationError(f"{name} must be an int, got {count!r}")
+        require_ints(generations=self.generations,
+                     episodes_per_generation=self.episodes_per_generation,
+                     eval_episodes=self.eval_episodes, stop_window=self.stop_window,
+                     anneal_generations=self.anneal_generations)
         if self.generations < 1 or self.episodes_per_generation < 1:
             raise ValidationError("generation and episode counts must be >= 1")
         if self.eval_episodes < 100:
@@ -514,6 +515,7 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
     normalized plug-in MI between the resulting predictions and the
     opponent's actual moves over fresh frozen evaluation games.
     """
+    require_ints(episodes=episodes)
     grid = np.asarray(ia_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("ia_grid must hold at least two points")
@@ -550,16 +552,10 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
 
 
 def generation_csv(records, seed: int | None = None) -> str:
-    lines = []
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append("generation,i_ba,i_ab,elo_a,elo_b,draw_rate,a_win_rate")
-    for r in records:
-        lines.append(
-            f"{r.generation},{r.i_ba:.10g},{r.i_ab:.10g},"
-            f"{r.elo_a:.10g},{r.elo_b:.10g},{r.draw_rate:.10g},{r.a_win_rate:.10g}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ("generation", "i_ba", "i_ab", "elo_a", "elo_b", "draw_rate", "a_win_rate")
+    rows = ((r.generation, r.i_ba, r.i_ab, r.elo_a, r.elo_b, r.draw_rate, r.a_win_rate)
+            for r in records)
+    return csv_text(header, rows, seed)
 
 
 # -- snapshot format -----------------------------------------------------

@@ -33,8 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._table import csv_text
 from .entropy import LLR_CLAMP, LlrBlock, _llr_information, _seed_sequence
-from .errors import NumericalContractError, ValidationError
+from .errors import NumericalContractError, ValidationError, require_ints
 
 _NEG_INF = -np.inf
 # float64 elements of the run buffers of one _bcjr_batch call (512 KiB)
@@ -45,6 +46,8 @@ _FORK_BREAK_EVEN = 100_000
 # largest RscCode.memory: _Trellis loops in Python over 2**memory states,
 # a fraction of a second at 16 and about four times longer per two more
 MAX_MEMORY = 16
+# greedy placement attempts before s_random_interleaver gives up
+_S_RANDOM_TRIES = 1000
 
 
 def _parity(x: int) -> int:
@@ -61,6 +64,8 @@ class RscCode:
     memory: int = 2
 
     def __post_init__(self):
+        require_ints(feedback_poly=self.feedback_poly,
+                     feedforward_poly=self.feedforward_poly, memory=self.memory)
         m = self.memory
         if not 1 <= m <= MAX_MEMORY:
             raise ValidationError(f"memory must lie in 1 .. {MAX_MEMORY}, got {m}")
@@ -206,7 +211,7 @@ def random_interleaver(n: int, seed) -> Interleaver:
     return Interleaver(np.random.default_rng(seed).permutation(n))
 
 
-def s_random_interleaver(n: int, seed, s: int | None = None, max_tries: int = 1000) -> Interleaver:
+def s_random_interleaver(n: int, seed, s: int | None = None) -> Interleaver:
     """Spread interleaver: positions within distance s map at least s apart.
 
     Default spread is floor(sqrt(n/2)).  Seeded greedy placement: each
@@ -219,7 +224,7 @@ def s_random_interleaver(n: int, seed, s: int | None = None, max_tries: int = 10
         s = int(np.sqrt(n / 2))
     rng = np.random.default_rng(seed)
     vector = list(rng.permutation(n))
-    for _ in range(max_tries):
+    for _ in range(_S_RANDOM_TRIES):
         order = np.array(vector, dtype=np.intp)
         position = np.empty(n, dtype=np.intp)  # of each value in the candidate order
         position[order] = np.arange(n)
@@ -442,17 +447,17 @@ def bcjr_decode(
     channel_par: LlrBlock,
     apriori: LlrBlock,
     code: RscCode,
-    terminated: bool = True,
     exact: bool = True,
 ):
-    """One soft-in/soft-out component decoding pass.
+    """One soft-in/soft-out component decoding pass over a terminated
+    block: both channel streams carry the ``code.memory`` tail steps.
 
     Returns (aposteriori, extrinsic) LlrBlocks over the information bits.
     The decomposition L_app = L_ch_sys + L_apriori + L_extrinsic holds per
     bit, which also makes extrinsic[n] independent of apriori[n].
     """
     n_info = len(apriori)
-    expected = n_info + (code.memory if terminated else 0)
+    expected = n_info + code.memory
     if len(channel_sys) != expected or len(channel_par) != expected:
         raise ValidationError(
             f"channel streams must have length {expected} "
@@ -463,8 +468,8 @@ def bcjr_decode(
         channel_par.llrs[None, :],
         apriori.llrs[None, :],
         code,
-        terminated,
-        exact,
+        terminated=True,
+        exact=exact,
     )[0]
     truth = channel_sys.truth[:n_info]
     extrinsic = app - apriori.llrs - channel_sys.llrs[:n_info]
@@ -618,6 +623,7 @@ def simulate_turbo(
     (``_decode_in_halves``) from the bits and noise seeds drawn here.  Row
     b of the trace is block b, identical to decoding that block alone.
     """
+    require_ints(n_info=n_info, n_blocks=n_blocks, max_iters=max_iters)
     if min(n_info, n_blocks, max_iters) < 1:
         raise ValidationError("n_info, n_blocks and max_iters must each be >= 1")
     root = _seed_sequence(seed)
@@ -654,14 +660,8 @@ def simulate_turbo(
 
 
 def trace_csv(trace: TurboTrace, seed: int | None = None) -> str:
-    lines = []
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append("block,iteration,i_e_dec1,i_e_dec2,ber")
-    i_e_dec1, i_e_dec2, ber = (values.tolist() for values in trace)
-    for b, row in enumerate(ber):
-        for it in range(len(row)):
-            lines.append(
-                f"{b},{it + 1},{i_e_dec1[b][it]:.10g},{i_e_dec2[b][it]:.10g},{row[it]:.10g}"
-            )
-    return "\n".join(lines) + "\n"
+    # per block, the three series' rows; per iteration, their three values
+    blocks = zip(*(values.tolist() for values in trace))
+    rows = ((b, it, *values) for b, block in enumerate(blocks)
+            for it, values in enumerate(zip(*block), start=1))
+    return csv_text(("block", "iteration", "i_e_dec1", "i_e_dec2", "ber"), rows, seed)

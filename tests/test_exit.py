@@ -265,6 +265,10 @@ class TestMeasuredCurves:
                 CODE75, ChannelModel(1.0), [0.0, 0.5], 10, seed=1
             )
 
+    def test_samples_per_point_must_be_an_int(self):
+        with pytest.raises(ValidationError, match="samples_per_point must be an int"):
+            measure_exit_curve(CODE75, ChannelModel(1.0), [0.0, 0.5], 2000.0, seed=1)
+
 
 class TestExports:
     def test_csv_format(self):

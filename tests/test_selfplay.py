@@ -431,6 +431,12 @@ class TestMeasureCrossMi:
         with pytest.raises(ValidationError, match="episodes"):
             agent_exit_curve(a, b, GAME, [0.0, 1.0], episodes=50, seed=1)
 
+    @pytest.mark.parametrize("episodes", [150.0, True])
+    def test_agent_exit_episodes_must_be_an_int(self, episodes):
+        a, b = AgentModel(role="A"), AgentModel(role="B")
+        with pytest.raises(ValidationError, match="episodes must be an int"):
+            agent_exit_curve(a, b, GAME, [0.0, 1.0], episodes=episodes, seed=1)
+
     def test_too_few_decision_points_rejected(self):
         # in the 1x1 game B never gets to move, so I_{B-A} has no data
         game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)

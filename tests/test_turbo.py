@@ -93,6 +93,14 @@ class TestRscEncode:
         with pytest.raises(ValidationError):
             RscCode(feedback_poly=0o17, feedforward_poly=0o5, memory=2)  # degree > memory
 
+    @pytest.mark.parametrize("field", ["feedback_poly", "feedforward_poly", "memory"])
+    @pytest.mark.parametrize("value", [7.0, True])
+    def test_polynomials_and_memory_must_be_ints(self, field, value):
+        # a float fails later in the trellis, and True would read as 1
+        fields = {"feedback_poly": 0o7, "feedforward_poly": 0o5, "memory": 2, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an int"):
+            RscCode(**fields)
+
     @pytest.mark.parametrize("memory", [17, 26])
     def test_memory_beyond_cap_rejected(self, memory):
         # only validation runs here: RscCode builds no trellis
@@ -141,7 +149,7 @@ class TestInterleaver:
         assert ref_s_random_permutation(4, 6, s=3, max_tries=5) is None
         with pytest.raises(ValidationError, match="could not build an S-random interleaver "
                            "with s=3 for n=4"):
-            s_random_interleaver(4, 6, s=3, max_tries=5)
+            s_random_interleaver(4, 6, s=3)
 
     def test_non_bijection_rejected(self):
         with pytest.raises(ValidationError):
@@ -414,6 +422,13 @@ def decode_blocks(blocks, interleaver, max_iters):
 
 
 class TestTurboDecode:
+    @pytest.mark.parametrize("field", ["n_info", "n_blocks", "max_iters"])
+    @pytest.mark.parametrize("value", [8.0, True])
+    def test_counts_must_be_ints(self, field, value):
+        counts = {"n_info": 8, "n_blocks": 1, "max_iters": 1, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an int"):
+            simulate_turbo(ebn0_db=1.0, seed=1, **counts)
+
     def test_noiseless_zero_ber_every_iteration(self):
         interleaver, blocks = transmit_turbo_blocks(128, 40.0, 1, seed=21)
         trace = decode_blocks(blocks, interleaver, max_iters=2)
