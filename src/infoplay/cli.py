@@ -112,6 +112,8 @@ def _parse_value(param: Param, raw: str, config_dir: Path):
         if param.kind == "floats":
             return tuple(float(x) for x in raw.split(","))
         if param.kind == "path":
+            if "\0" in raw:
+                raise ValueError("a path holds no NUL byte")
             p = Path(raw)
             return p if p.is_absolute() else config_dir / p
         return raw
@@ -141,8 +143,8 @@ def load_config(path) -> ResolvedConfig:
     # values are literal: a "%" in a name or path is kept as written
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
@@ -153,7 +155,7 @@ def load_config(path) -> ResolvedConfig:
             f"experiment.kind must be one of {sorted(SCHEMAS)}, got {kind!r}"
         )
     name = exp.get("name", kind)
-    if name in ("", ".", "..") or Path(name).name != name:
+    if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
         # run() replaces <output-dir>/<name> wholesale
         raise ConfigError(f"experiment.name must be a plain directory name, got {name!r}")
     if "seed" in exp:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all infoplay modules."""
 
+import sys
+
 
 class InfoplayError(Exception):
     """Base class for all errors raised by this package."""
@@ -15,6 +17,15 @@ def require_ints(**counts) -> None:
     for name, count in counts.items():
         if type(count) is not int:
             raise ValidationError(f"{name} must be an int, got {count!r}")
+
+
+def require_addressable(**counts) -> None:
+    """Raise MemoryError naming the first of ``counts``, each the element
+    count of one array, whose 8-byte elements would overrun the address
+    space, so that nothing of that size is built, mapped or forked for."""
+    for name, count in counts.items():
+        if count > sys.maxsize // 8:
+            raise MemoryError(f"{name} of {count} elements exceeds the address space")
 
 
 class ConfigError(InfoplayError, ValueError):

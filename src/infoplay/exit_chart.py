@@ -14,7 +14,8 @@ import numpy as np
 
 from ._table import csv_text
 from .entropy import _llr_information, _seed_sequence, sample_consistent_gaussian_apriori
-from .errors import NumericalContractError, ValidationError, require_ints
+from .errors import (NumericalContractError, ValidationError, require_addressable,
+                     require_ints)
 from .turbo import (
     ChannelModel,
     RscCode,
@@ -42,57 +43,62 @@ PINCHED = "pinched"
 
 def _isotonic(values: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators fit to a non-decreasing sequence (uniform
-    weights)."""
-    level = list(values.astype(float))
-    weight = [1.0] * len(level)
-    i = 0
-    while i < len(level) - 1:
-        if level[i] > level[i + 1] + 1e-15:
-            merged = (level[i] * weight[i] + level[i + 1] * weight[i + 1]) / (
-                weight[i] + weight[i + 1]
-            )
-            level[i:i + 2] = [merged]
-            weight[i:i + 2] = [weight[i] + weight[i + 1]]
-            if i > 0:
-                i -= 1
-        else:
-            i += 1
-    out = []
-    for lv, w in zip(level, weight):
-        out.extend([lv] * int(w))
-    return np.array(out)
+    weights): each value opens a pool, and while the pool before it lies
+    higher the two merge into their weighted mean."""
+    pools = []  # (level, weight)
+    for level in np.asarray(values, dtype=float).tolist():
+        weight = 1
+        while pools and pools[-1][0] > level + 1e-15:
+            l0, w0 = pools.pop()
+            level, weight = (l0 * w0 + level * weight) / (w0 + weight), w0 + weight
+        pools.append((level, weight))
+    return np.repeat(*zip(*pools))
+
+
+def _check_label(label: str) -> None:
+    if not _LABEL_BREAKERS.isdisjoint(label):
+        raise ValidationError(f"curve label {label!r} must hold none of "
+                              "the CSV and XML specials , \" < > & or a line break")
+
+
+def _check_ia_grid(ia_grid) -> np.ndarray:
+    """``ia_grid`` as a float array: at least two a-priori information
+    values, strictly increasing within [0, 1]."""
+    grid = np.asarray(ia_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValidationError("ia_grid must hold at least two points")
+    if not ((0.0 <= grid).all() and (grid <= 1.0).all() and (np.diff(grid) > 0).all()):
+        raise ValidationError("ia_grid must be sorted and within [0, 1]")
+    return grid
 
 
 @dataclass(frozen=True)
 class ExitCurve:
-    """Sampled (I_A, I_E) transfer function of one component decoder."""
+    """Sampled (I_A, I_E) transfer function of a component decoder or of an
+    agent.  Construction keeps the grid ``ia``, the samples ``ie`` and their
+    isotonic fit as read-only float arrays, so no read recomputes them."""
 
     points: tuple
     label: str = ""
     mc_samples: int = 0
 
     def __post_init__(self):
-        if not _LABEL_BREAKERS.isdisjoint(self.label):
-            raise ValidationError(f"curve label {self.label!r} must hold none of "
-                                  "the CSV and XML specials , \" < > & or a line break")
+        _check_label(self.label)
         pts = tuple((float(a), float(e)) for a, e in self.points)
         if len(pts) < 2:
             raise ValidationError("an EXIT curve needs at least two points")
-        ia = np.array([p[0] for p in pts])
-        ie = np.array([p[1] for p in pts])
+        ia, ie = np.array(pts).T.copy()
         if not ((0.0 <= ia).all() and (ia <= 1.0).all() and (0.0 <= ie).all() and (ie <= 1.0).all()):
             raise ValidationError("curve coordinates must lie in the unit square")
         if not (np.diff(ia) > 0).all():
             raise ValidationError("I_A grid must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def ia(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    @property
-    def ie(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
+        fit = _isotonic(ie)
+        for array in (ia, ie, fit):
+            array.flags.writeable = False
+        # the repair is checked where the fit is read, so a noisy curve can still be written
+        kept = dict(points=pts, ia=ia, ie=ie, _fit=fit, _repair=float(np.max(np.abs(fit - ie))))
+        for name, value in kept.items():
+            object.__setattr__(self, name, value)
 
     def monotone_ie(self) -> np.ndarray:
         """I_E values after isotonic repair of Monte Carlo dips.
@@ -100,15 +106,12 @@ class ExitCurve:
         Dips beyond MONOTONE_DIP_TOLERANCE are a numerical-contract
         violation, not estimation noise.
         """
-        ie = self.ie
-        iso = _isotonic(ie)
-        worst = float(np.max(np.abs(iso - ie)))
-        if worst > MONOTONE_DIP_TOLERANCE:
+        if self._repair > MONOTONE_DIP_TOLERANCE:
             raise NumericalContractError(
                 f"curve {self.label!r} is non-monotone beyond tolerance "
-                f"({worst:.4f} > {MONOTONE_DIP_TOLERANCE})"
+                f"({self._repair:.4f} > {MONOTONE_DIP_TOLERANCE})"
             )
-        return iso
+        return self._fit
 
     def evaluate(self, x) -> np.ndarray:
         """Monotone piecewise-linear interpolation of I_E at I_A = x,
@@ -122,8 +125,7 @@ class ExitCurve:
         Values below the curve's minimum output map to -inf; values above
         its maximum output are unreachable and map to +inf.
         """
-        ia = self.ia
-        ie = self.monotone_ie()
+        ia, ie = self.ia, self.monotone_ie()
         y = np.atleast_1d(np.asarray(y, dtype=float))
         idx = np.searchsorted(ie, y, side="right")
         safe = np.clip(idx, 1, len(ie) - 1)
@@ -173,16 +175,17 @@ def measure_exit_curve(
     process (see ``turbo._decode_in_halves``).  Grid points use
     independently derived seeds, so the curve is reproducible bit for bit.
     """
+    _check_label(label)
+    grid = _check_ia_grid(ia_grid)
+    # a Gaussian a-priori channel never reaches I_A = 1: j_inverse(1) is unbounded
+    if grid[-1] >= 1.0:
+        raise ValidationError("ia_grid must lie below 1 for a Gaussian a-priori channel")
     require_ints(samples_per_point=samples_per_point)
-    grid = np.asarray(ia_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValidationError("ia_grid must hold at least two points")
-    if not ((0.0 <= grid).all() and (grid < 1.0).all() and (np.diff(grid) > 0).all()):
-        raise ValidationError("ia_grid must be sorted and within [0, 1)")
-    if samples_per_point < 1000:
-        raise ValidationError("samples_per_point must be >= 1000")
     n_blocks = (samples_per_point + EXIT_BLOCK_LEN - 1) // EXIT_BLOCK_LEN
     k = EXIT_BLOCK_LEN + code.memory
+    require_addressable(trellis=len(grid) * n_blocks * k * code.n_states)
+    if samples_per_point < 1000:
+        raise ValidationError("samples_per_point must be >= 1000")
     # each point's bits, channel and a-priori streams, spawned once so that
     # every decode of a point draws the same numbers
     point_streams = [ss.spawn(3) for ss in _seed_sequence(seed).spawn(len(grid))]
@@ -206,10 +209,8 @@ def measure_exit_curve(
                 bits[point], float(ia), ss_apriori).llrs.reshape(n_blocks, EXIT_BLOCK_LEN)
         del sys_bits, par_bits  # not needed by the decoder
         ext = _extrinsic(_bcjr_batch(ls, lp, la, code, terminated=True), la, ls)
-        ext = ext.reshape(bits.shape)
-        return np.array([_llr_information(point_ext[:samples_per_point],
-                                          point_bits[:samples_per_point])
-                         for point_ext, point_bits in zip(ext, bits)])
+        ext = ext.reshape(bits.shape)[:, :samples_per_point]
+        return np.array(_llr_information(ext, bits[:, :samples_per_point]))
 
     i_e = _decode_in_halves(decode, grid.shape, 0, n_blocks * k * code.n_states)
     points = zip(grid.tolist(), i_e.tolist())

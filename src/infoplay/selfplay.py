@@ -23,8 +23,8 @@ import numpy as np
 
 from ._table import csv_text
 from .entropy import _seed_sequence, mutual_information_plugin
-from .errors import EstimationError, ValidationError, require_ints
-from .exit_chart import ExitCurve
+from .errors import EstimationError, ValidationError, require_addressable, require_ints
+from .exit_chart import ExitCurve, _check_ia_grid
 from .games import (
     A_WINS,
     B_WINS,
@@ -146,6 +146,7 @@ class _Match:
                  "agents", "value", "updated", "counts")
 
     def __init__(self, agent_a: AgentModel, agent_b: AgentModel, game: GameSpec):
+        require_addressable(board=game.cells)
         by_role = {agent_a.role: agent_a, agent_b.role: agent_b}
         if by_role.keys() != {PLAYER_A, PLAYER_B}:
             raise ValidationError("a match seats one agent of role A and one of role B")
@@ -516,11 +517,7 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
     opponent's actual moves over fresh frozen evaluation games.
     """
     require_ints(episodes=episodes)
-    grid = np.asarray(ia_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValidationError("ia_grid must hold at least two points")
-    if not ((0.0 <= grid).all() and (grid <= 1.0).all() and (np.diff(grid) > 0).all()):
-        raise ValidationError("ia_grid must be sorted and within [0, 1]")
+    grid = _check_ia_grid(ia_grid)
     if episodes < 100:
         raise ValidationError("episodes must be >= 100")
     match = _Match(agent, opponent, game)

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._table import csv_text
 from .entropy import LLR_CLAMP, LlrBlock, _llr_information, _seed_sequence
-from .errors import NumericalContractError, ValidationError, require_ints
+from .errors import NumericalContractError, ValidationError, require_addressable, require_ints
 
 _NEG_INF = -np.inf
 # float64 elements of the run buffers of one _bcjr_batch call (512 KiB)
@@ -626,6 +626,8 @@ def simulate_turbo(
     require_ints(n_info=n_info, n_blocks=n_blocks, max_iters=max_iters)
     if min(n_info, n_blocks, max_iters) < 1:
         raise ValidationError("n_info, n_blocks and max_iters must each be >= 1")
+    require_addressable(trellis=n_blocks * (n_info + code.memory) * code.n_states,
+                        trace=3 * n_blocks * max_iters)
     root = _seed_sequence(seed)
     ss_perm, ss_bits, ss_noise = root.spawn(3)
     if interleaver_kind == "uniform":

@@ -294,3 +294,27 @@ def ref_count_positions(rows, cols, k=None, symmetry=False):
 
     visit((0,) * n, "A", False)
     return len(seen)
+
+
+def ref_isotonic(values: np.ndarray) -> np.ndarray:
+    """Pool-adjacent-violators fit to a non-decreasing sequence (uniform
+    weights)."""
+    level = list(values.astype(float))
+    weight = [1.0] * len(level)
+    i = 0
+    while i < len(level) - 1:
+        if level[i] > level[i + 1] + 1e-15:
+            merged = (level[i] * weight[i] + level[i + 1] * weight[i + 1]) / (
+                weight[i] + weight[i + 1]
+            )
+            level[i:i + 2] = [merged]
+            weight[i:i + 2] = [weight[i] + weight[i + 1]]
+            if i > 0:
+                i -= 1
+        else:
+            i += 1
+    out = []
+    for lv, w in zip(level, weight):
+        out.extend([lv] * int(w))
+    return np.array(out)
+

@@ -24,7 +24,7 @@ from infoplay.cli import (
     main,
     run,
 )
-from infoplay import turbo
+from infoplay import exit_chart, selfplay, turbo
 from infoplay.errors import ConfigError
 from infoplay.games import tic_tac_toe
 from infoplay.selfplay import agent_from_text
@@ -89,7 +89,8 @@ FUZZ_VALUES = {
                      step_size=(1, 0, 2, -1), step_size_end=(1, -1, 2),
                      epsilon_start=(0, 1, -1, 2), epsilon_end=(0, -1, 2),
                      anneal_generations=(1, 0, -1), eval_epsilon=(1, -1, 2, "inf")),
-    "agent-exit": dict(_BOARD_VALUES, agent_a=("b.txt", "missing.txt", "junk.txt", "."),
+    "agent-exit": dict(_BOARD_VALUES,
+                       agent_a=("b.txt", "missing.txt", "junk.txt", ".", "a\0.txt"),
                        agent_b=("a.txt", "missing.txt"), ia_grid=("1,0", "0", "-1,2"),
                        episodes=(99, 0, -1)),
 }
@@ -444,6 +445,42 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("kind,overrides", [
+        ("turbo", {"blocks": 10**20}),
+        ("turbo", {"n_info": 2**62}),
+        ("turbo", {"iterations": 10**20}),
+        ("exit", {"samples_per_point": 10**20}),
+        ("selfplay", {"rows": 10**20}),
+    ], ids=["turbo-blocks", "turbo-n-info", "turbo-iterations", "exit-samples", "selfplay-rows"])
+    def test_size_past_the_address_space_exit_code(self, tmp_path, capfd, monkeypatch,
+                                                   kind, overrides):
+        # refused before the interleaver, any decode (mmap or fork) or the
+        # match's first state is built
+        def allocated(*args):
+            raise AssertionError("built before the size was refused")
+
+        monkeypatch.setattr(turbo, "random_interleaver", allocated)
+        monkeypatch.setattr(exit_chart, "_decode_in_halves", allocated)
+        monkeypatch.setattr(selfplay._Match, "_intern", allocated)
+        cfg = write_config(tmp_path / "c.ini", kind, overrides)
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_RESOURCE
+        out, err = capfd.readouterr()
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert "exceeds the address space" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("text", [
+        b"[experiment]\nkind = selfplay\n[params]\nrows = \xff\xfe\n",
+        b"[experiment]\nkind = agent-exit\n[params]\nagent_a = a\0.txt\nagent_b = b.txt\n",
+    ], ids=["not-utf-8", "nul-in-path"])
+    def test_malformed_config_bytes_exit_code(self, tmp_path, capfd, text):
+        (tmp_path / "c.ini").write_bytes(text)
+        assert main(["run", str(tmp_path / "c.ini"), "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+        out, err = capfd.readouterr()
+        assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ini"]
+
     def test_out_of_memory_in_the_forked_half_exit_code(self, tmp_path, capfd, monkeypatch):
         # five blocks split as two in a forked child and three in the caller;
         # decoding the child's two fails, in the child and again when the
@@ -501,8 +538,8 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", None],
-                             ids=["empty", "dot", "dotdot", "nested", "absolute"])
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\0b", None],
+                             ids=["empty", "dot", "dotdot", "nested", "nul", "absolute"])
     def test_unsafe_name_exit_code(self, tmp_path, name):
         name = str(tmp_path / "elsewhere") if name is None else name
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 """EXIT curves, tunnel analysis, and the staircase decoding trajectory."""
 
+import dataclasses
 import hashlib
 from unittest import mock
 
@@ -21,6 +22,7 @@ from infoplay.exit_chart import (
     tunnel_analysis,
 )
 from infoplay.turbo import ChannelModel, RscCode
+from oracles import ref_isotonic
 
 CODE75 = RscCode()
 
@@ -72,6 +74,22 @@ class TestExitCurveType:
         with pytest.raises(NumericalContractError):
             curve.monotone_ie()
 
+    def test_arrays_and_fit_are_read_only(self):
+        curve = ExitCurve(points=((0.0, 0.30), (0.5, 0.29), (1.0, 0.60)))
+        for array in (curve.ia, curve.ie, curve.monotone_ie()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        for name in ("ia", "ie"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(curve, name, np.zeros(3))
+        np.testing.assert_array_equal(curve.monotone_ie(), [0.295, 0.295, 0.60])
+
+    def test_noisy_curve_is_still_written_and_plotted(self):
+        # the dip is refused where the fit is read, not at construction
+        curve = ExitCurve(points=((0.0, 0.50), (0.5, 0.40), (1.0, 0.60)), label="noisy")
+        assert "noisy,0.5,0.4,0," in exit_curve_csv([curve], seed=1)
+        assert render_exit_chart(curve, curve).count("<polyline") == 2
+
     def test_interpolation_and_inverse(self):
         a, _ = open_pair()
         assert a.evaluate(0.1) == pytest.approx(0.3, abs=1e-12)
@@ -84,6 +102,35 @@ class TestExitCurveType:
         assert capped.inverse(0.8) == 1.0
         raised = curve_from(lambda x: 0.2 + 0.8 * x, np.linspace(0, 1, 5))
         assert raised.inverse(0.1) == -np.inf
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]),
+                          st.floats(0.0, 1.0).map(lambda v: round(v, 2)),
+                          st.floats(0.0, 1.0)),
+                min_size=2, max_size=20))
+def test_isotonic_matches_the_reference_fit(values):
+    # ties and two-decimal values make the 1e-15 margin and equal pools decide
+    values = np.array(values)
+    assert np.array_equal(exit_chart._isotonic(values), ref_isotonic(values))
+
+
+def test_analysis_runs_no_fit_on_built_curves(monkeypatch):
+    calls = []
+    real = exit_chart._isotonic
+    curves = (*open_pair(), *crossing_pair(),
+              ExitCurve(points=((0.0, 0.30), (0.5, 0.29), (1.0, 0.60))))
+
+    def counting(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(exit_chart, "_isotonic", counting)
+    for a in curves:
+        for b in curves:
+            tunnel_analysis(a, b)
+            decoding_trajectory(a, b)
+    assert calls == []
 
 
 class TestTunnelAnalysis:
@@ -264,6 +311,17 @@ class TestMeasuredCurves:
             measure_exit_curve(
                 CODE75, ChannelModel(1.0), [0.0, 0.5], 10, seed=1
             )
+        # a Gaussian a-priori channel cannot reach I_A = 1
+        with pytest.raises(ValidationError, match="below 1"):
+            measure_exit_curve(CODE75, ChannelModel(1.0), [0.0, 1.0], 1000, seed=1)
+
+    def test_bad_label_rejected_before_any_decode(self, monkeypatch):
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded before the label was checked")
+
+        monkeypatch.setattr(exit_chart, "_bcjr_batch", no_decode)
+        with pytest.raises(ValidationError, match="curve label"):
+            measure_exit_curve(CODE75, ChannelModel(1.0), [0.0, 0.5], 1000, seed=1, label="a,b")
 
     def test_samples_per_point_must_be_an_int(self):
         with pytest.raises(ValidationError, match="samples_per_point must be an int"):
