@@ -101,12 +101,14 @@ class AgentModel:
     """One tabular self-play agent: its role and its two tables.
 
     Both tables are keyed by position, the key a ``_Match`` interns.
-    ``value`` maps afterstates to expected outcome in [-1, 1] from this
-    agent's perspective.  ``opponent_counts`` maps decision states to
-    observed opponent move counts, a list of one int per cell; the binned
-    prediction used for MI measurement is the count argmax (an unvisited
-    state yields an uninformed guess over the whole board, since a fresh
-    internal channel carries no information, not even cell occupancy).
+    ``value`` maps this agent's afterstates, the positions it moves into,
+    to expected outcome in [-1, 1] from its perspective.
+    ``opponent_counts`` maps the states where its opponent moves, which
+    are the same positions, to observed opponent move counts, a list of
+    one int per cell; the binned prediction used for MI measurement is the
+    count argmax (an unvisited state yields an uninformed guess over the
+    whole board, since a fresh internal channel carries no information,
+    not even cell occupancy).
     These dicts are the agent's durable form: a self-play pass reads them
     into lists by state id and works on those, and only a snapshot writes
     their keys as text.  The exploration rate and step size belong to the
@@ -133,13 +135,15 @@ class _Match:
     ``line_masks`` through the move.
 
     Seat 0 is A, who moves first, so at the even plies; seat 1 is B.  Each
-    agent sits by its role, whatever the argument order.  Per seat the
-    match keeps the agent's tables as lists by state id: ``value``
-    (afterstate values, 0.0 when unset), ``updated`` (whether the pass has
-    updated each value; an updated value may be 0.0, and snapshots still
-    write it) and ``counts`` (opponent-count rows, None for a state never
-    observed).  The key reads the agents' dicts as a state's entries are
-    appended, and names it at ``write_back``.
+    agent sits by its role, whatever the argument order.  A state of s
+    stones belongs to seat (s - 1) & 1, the player who made move s (B for
+    the empty board): it is that player's afterstate, and that player
+    observes the next move made there.  So each table is one list by state
+    id, read from the owner's dicts as the state is interned and stored
+    back into them at ``write_back``: ``value`` (afterstate values, 0.0
+    when unset), ``updated`` (whether the pass has updated each value; an
+    updated value may be 0.0, and snapshots still write it) and ``counts``
+    (opponent-count rows, None for a state never observed).
     """
 
     __slots__ = ("game", "positions", "status", "moves", "child_ids", "_ids", "_full",
@@ -151,7 +155,7 @@ class _Match:
         if by_role.keys() != {PLAYER_A, PLAYER_B}:
             raise ValidationError("a match seats one agent of role A and one of role B")
         self.agents = (by_role[PLAYER_A], by_role[PLAYER_B])
-        self.value, self.updated, self.counts = ([], []), ([], []), ([], [])
+        self.value, self.updated, self.counts = [], [], []
         self.game = game
         self.positions, self.status, self.moves, self.child_ids = [], [], [], []
         self._ids: dict[int, int] = {}
@@ -165,11 +169,10 @@ class _Match:
         self.status.append(status)
         self.moves.append(moves)
         self.child_ids.append(None)
-        for agent, value, updated, counts in zip(self.agents, self.value, self.updated,
-                                                 self.counts):
-            value.append(agent.value.get(position, 0.0))
-            updated.append(False)
-            counts.append(agent.opponent_counts.get(position))
+        owner = self.agents[(position.bit_count() - 1) & 1]
+        self.value.append(owner.value.get(position, 0.0))
+        self.updated.append(False)
+        self.counts.append(owner.opponent_counts.get(position))
         return sid
 
     def children(self, sid: int) -> tuple:
@@ -195,16 +198,15 @@ class _Match:
         return kids
 
     def write_back(self):
-        """Store each seat's updated values and count rows into its agent's
+        """Store each updated value and each count row into its owner's
         dicts."""
-        for agent, values, updated, rows in zip(self.agents, self.value, self.updated,
-                                                self.counts):
-            value, counts = agent.value, agent.opponent_counts
-            for key, v, is_updated, row in zip(self.positions, values, updated, rows):
-                if is_updated:
-                    value[key] = v
-                if row is not None:
-                    counts[key] = row
+        for key, v, is_updated, row in zip(self.positions, self.value, self.updated,
+                                           self.counts):
+            owner = self.agents[(key.bit_count() - 1) & 1]
+            if is_updated:
+                owner.value[key] = v
+            if row is not None:
+                owner.opponent_counts[key] = row
 
 
 def _play_episode(match: _Match, rng, epsilon: float,
@@ -227,8 +229,7 @@ def _play_episode(match: _Match, rng, epsilon: float,
     out once; the state fixes the player to move, so one dict serves
     both."""
     random, integers = rng.random, rng.integers
-    legal, known = match.moves, match.child_ids
-    value, other_value = match.value
+    legal, known, value = match.moves, match.child_ids, match.value
     sid = 0  # the root
     sids, moves = [sid], []
     while options := legal[sid]:
@@ -252,7 +253,6 @@ def _play_episode(match: _Match, rng, epsilon: float,
         moves.append(options[i])
         sid = kids[i]
         sids.append(sid)
-        value, other_value = other_value, value
     return sids, moves
 
 
@@ -264,33 +264,30 @@ def _training_episode(match: _Match, rng, epsilon: float, step: float,
                       memo: dict | None = None) -> str:
     """One self-play game at exploration rate ``epsilon``, then TD(0)
     afterstate updates of step size ``step`` and opponent-model
-    observation for both agents along its path, in place on the seats'
+    observation for both agents along its path, in place on the match's
     lists.  Playing first reads the same values as updating online: an
     update only touches an afterstate with fewer stones than any value the
-    rest of the game reads.  Each agent's afterstates are updated in play
-    order, each toward the next one's value before that is updated, the
-    last toward the reward.  ``memo`` is handed to ``_play_episode`` and
-    must be None unless ``step`` is 0, which leaves every value as it is."""
+    rest of the game reads.  The state at ply j is the afterstate of seat
+    (j - 1) & 1, and each agent's afterstates are updated in play order,
+    each toward the value two plies on before that is updated, the last
+    toward the agent's reward.  The count row at each decision state is
+    the observer's, the agent that moved into it.  ``memo`` is handed to
+    ``_play_episode`` and must be None unless ``step`` is 0, which leaves
+    every value as it is."""
     sids, moves = _play_episode(match, rng, epsilon, memo)
-    cells = match.game.cells
+    value, updated, counts = match.value, match.updated, match.counts
     outcome = match.status[sids[-1]]
-    # each seat decides at the plies of its parity and observes the other's moves
-    for seat, reward in enumerate(_REWARDS[outcome]):
-        afters = sids[seat + 1::2]
-        if not afters:
-            continue
-        value, updated = match.value[seat], match.updated[seat]
-        # in play order, so each target is read before its own update
-        for i, after in enumerate(afters, 1):
-            target = value[afters[i]] if i < len(afters) else reward
-            value[after] += step * (target - value[after])
-            updated[after] = True
-        observed = match.counts[1 - seat]
-        for sid, move in zip(sids[seat::2], moves[seat::2]):
-            row = observed[sid]
-            if row is None:
-                row = observed[sid] = [0] * cells
-            row[move] += 1
+    rewards, end = _REWARDS[outcome], len(sids)
+    for j in range(1, end):
+        after = sids[j]
+        target = value[sids[j + 2]] if j + 2 < end else rewards[(j - 1) & 1]
+        value[after] += step * (target - value[after])
+        updated[after] = True
+    for sid, move in zip(sids, moves):
+        row = counts[sid]
+        if row is None:
+            row = counts[sid] = [0] * match.game.cells
+        row[move] += 1
     return outcome
 
 
@@ -322,8 +319,7 @@ def _evaluate(match: _Match, episodes: int, rng, epsilon: float) -> EvaluationRe
     played out before its decision points are predicted.  Both agents stay
     frozen for the pass, so each state's greedy and prediction ties are
     worked out once."""
-    status, cells = match.status, match.game.cells
-    observers = match.counts[::-1]  # each seat's moves are predicted from the other's rows
+    status, counts, cells = match.status, match.counts, match.game.cells
     choice_ties, prediction_ties = {}, {}
     outcomes, predicted, actual = [], ([], []), ([], [])
     for _ in range(episodes):
@@ -331,7 +327,7 @@ def _evaluate(match: _Match, episodes: int, rng, epsilon: float) -> EvaluationRe
         outcomes.append(status[sids[-1]])
         for ply, (sid, move) in enumerate(zip(sids, moves)):
             seat = ply & 1
-            predicted[seat].append(_predict(observers[seat], sid, cells, rng, prediction_ties))
+            predicted[seat].append(_predict(counts, sid, cells, rng, prediction_ties))
             actual[seat].append(move)
     return EvaluationResult(*map(tuple, (outcomes, predicted[1], actual[1],
                                          predicted[0], actual[0])))
@@ -521,8 +517,7 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
     if episodes < 100:
         raise ValidationError("episodes must be >= 100")
     match = _Match(agent, opponent, game)
-    seat = match.agents.index(agent)
-    counts, opponent_plies = match.counts[seat], 1 - seat
+    counts, opponent_plies = match.counts, 1 - match.agents.index(agent)
     # both agents are frozen for the whole curve
     choice_ties, prediction_ties = {}, {}
     root = _seed_sequence(seed)

@@ -494,9 +494,10 @@ def _decode_in_halves(decode, shape: tuple, axis: int, row_work: int) -> np.ndar
     The child writes its rows' float64 result into an anonymous shared
     mapping and leaves with ``os._exit``; the caller reaps it on every
     path, killing it first when the caller's half raises or is
-    interrupted.  If the child cannot be made or fails, the caller decodes
-    the lower half itself, so the same exception comes out as from an
-    unsplit decode.  Rows never mix, so the result is bit-identical to
+    interrupted.  If the mapping or the child cannot be made, every row
+    is decoded here; if the child fails, the caller decodes the lower half
+    itself.  Either way the same exception comes out as from an unsplit
+    decode.  Rows never mix, so the result is bit-identical to
     ``decode(slice(None))``.
 
     The break-even was measured with ``simulate_turbo`` and the (7,5) code
@@ -520,7 +521,11 @@ def _decode_in_halves(decode, shape: tuple, axis: int, row_work: int) -> np.ndar
     import signal
 
     lower_shape = shape[:axis] + (half,) + shape[axis + 1:]
-    with mmap.mmap(-1, 8 * math.prod(lower_shape)) as shared:
+    try:
+        shared = mmap.mmap(-1, 8 * math.prod(lower_shape))
+    except OSError:  # no memory to share
+        return decode(slice(None))
+    with shared:
         try:
             pid = os.fork()
         except OSError:  # no process to spare

@@ -445,6 +445,19 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_refused_shared_mapping_exit_code(self, tmp_path, capfd, monkeypatch):
+        # split as on two CPUs: the lower half's 5 x 10**15 x 3 results need
+        # a 107 PiB mapping and the whole trace 213 PiB, both beyond a
+        # 128 TiB address space, so each is refused at once with nothing
+        # mapped, forked or touched
+        monkeypatch.setattr(turbo.os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = write_config(tmp_path / "t.ini", "turbo", {"iterations": 10**15})
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_RESOURCE
+        out, err = capfd.readouterr()
+        assert out == "" and err.startswith("out of memory: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("kind,overrides", [
         ("turbo", {"blocks": 10**20}),
         ("turbo", {"n_info": 2**62}),

@@ -263,22 +263,32 @@ class TestMatchInterning:
         assert match.children(0) == tuple(range(1, 10))
         assert len(match.positions) == 10
 
-    def test_every_interned_state_is_seated_from_its_agents_dicts(self):
-        agent_a, agent_b, _ = fixed_line_agents([0, 4, 8, 1, 7, 2, 6])
-        agent_b.opponent_counts[1 | 1 << 1 + 9] = [0, 0, 3] + [0] * 6  # A on 0, B on 1
-        match = _Match(agent_a, agent_b, GAME)
-        for sid in range(200):  # children() interns as the walk goes
-            match.children(sid)
+    @pytest.mark.parametrize("game", TABLE_GAMES, ids=lambda game: game.game_id)
+    def test_every_interned_state_is_seated_from_its_agents_dicts(self, game):
+        # both agents hold entries, distinct from each other, at most of the
+        # first 200 states, so an entry read from the wrong agent shows; a
+        # state belongs to A when A has one more stone than B, else to B
+        cells, agent_a, agent_b = game.cells, AgentModel(role="A"), AgentModel(role="B")
+        for i, p in enumerate(walk(seated(game), 200).positions):
+            if i % 3:
+                agent_a.value[p], agent_b.value[p] = float(i), -float(i)
+            if i % 4:
+                agent_a.opponent_counts[p] = [i] + [0] * (cells - 1)
+                agent_b.opponent_counts[p] = [0] * (cells - 1) + [i + 1]
+        match = walk(_Match(agent_a, agent_b, game), 200)  # children() interns as it goes
         assert match.agents[0] is agent_a and match.agents[1] is agent_b
-        for agent, value, updated, counts in zip(match.agents, match.value, match.updated,
-                                                 match.counts):
-            assert len(value) == len(updated) == len(counts)
-            assert len(value) == len(match.positions)
-            assert value == [agent.value.get(p, 0.0) for p in match.positions]
-            assert counts == [agent.opponent_counts.get(p) for p in match.positions]
-            assert not any(updated)
-            assert any(value)
-            assert any(row is not None for row in counts)
+        assert len(match.value) == len(match.updated) == len(match.counts)
+        assert len(match.value) == len(match.positions)
+        assert not any(match.updated)
+        owners = [agent_a if (p & (1 << cells) - 1).bit_count() > (p >> cells).bit_count()
+                  else agent_b for p in match.positions]
+        assert match.value == [o.value.get(p, 0.0) for o, p in zip(owners, match.positions)]
+        assert match.counts == [o.opponent_counts.get(p)
+                                for o, p in zip(owners, match.positions)]
+        for agent in match.agents:
+            owned = [i for i, owner in enumerate(owners) if owner is agent]
+            assert any(match.value[i] for i in owned)
+            assert any(match.counts[i] is not None for i in owned)
 
     @pytest.mark.parametrize("role", ["A", "B"])
     def test_two_agents_of_one_role_are_rejected(self, role):
@@ -850,6 +860,36 @@ class TestTrainingEpisode:
             assert agent.value == ref.value
             assert agent.opponent_counts == ref.opponent_counts
 
+    def test_entries_at_states_an_agent_does_not_own_are_left_alone(self):
+        # A's greedy first move (cell 0) leads to A's afterstate, where B
+        # moves next; B's greedy reply (cell 4) leads to B's.  Each agent is
+        # given a value and a count row at the other's state, which no pass
+        # reads or writes: read in place of the owner's, the value -1 would
+        # turn the greedy line away
+        a_state, b_state = 1, 1 | 1 << 4 + GAME.cells
+        runs = []
+        for foreign in ({}, {"A": b_state, "B": a_state}):
+            agent_a, agent_b, _ = fixed_line_agents([0, 4, 8, 1, 7, 2, 6])
+            agents = {"A": agent_a, "B": agent_b}
+            for role, position in foreign.items():
+                agents[role].value[position] = -1.0
+                agents[role].opponent_counts[position] = [7] * GAME.cells
+            planted = copy.deepcopy(agents)
+            match = _Match(agent_a, agent_b, GAME)
+            path = _play_episode(match, np.random.default_rng(7), 0.0)
+            assert path[0][:3] == [0, match._ids[a_state], match._ids[b_state]]
+            rng = np.random.default_rng(8)
+            for _ in range(20):
+                _training_episode(match, rng, 0.3, 0.5)
+            match.write_back()
+            for role, position in foreign.items():
+                agent = agents[role]
+                assert agent.value.pop(position) == planted[role].value[position]
+                assert (agent.opponent_counts.pop(position)
+                        == planted[role].opponent_counts[position])
+            runs.append((path, agent_a, agent_b))
+        assert runs[0] == runs[1]
+
 
 def ref_learn(game, config, seed):
     """``learn``'s generation loop on the reference loops above, which keep
@@ -885,7 +925,9 @@ class TestLearnMatchesReference:
     the test names)."""
 
     @pytest.mark.parametrize("game", [GameSpec(rows=1, cols=4, k=2),
-                                      GameSpec(rows=2, cols=2, k=2), _SMALL_GAME],
+                                      GameSpec(rows=2, cols=2, k=2), _SMALL_GAME,
+                                      GameSpec(rows=2, cols=3, win_condition=BOARD_FULL_SCORING,
+                                               k=None)],
                              ids=lambda game: game.game_id)
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), generations=st.integers(2, 4),

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import math
+import mmap
 import os
 import signal
 import threading
@@ -620,8 +621,9 @@ class TestForkedHalves:
         for got_field, expected_field in zip(got, expected):
             assert np.array_equal(got_field, expected_field)
 
-    @pytest.mark.parametrize("condition", ["no-fork", "fork-fails", "no-affinity", "one-cpu",
-                                           "second-thread", "below-break-even"])
+    @pytest.mark.parametrize("condition", ["no-fork", "fork-fails", "mmap-refused",
+                                           "no-affinity", "one-cpu", "second-thread",
+                                           "below-break-even"])
     def test_in_process_fallback(self, condition, monkeypatch):
         # 4 blocks of 16 bits with 2 iterations stay below the break-even
         expected = simulate_turbo(16, 1.0, 4, 2, seed=6)
@@ -632,12 +634,17 @@ class TestForkedHalves:
         def failing_fork():
             raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
+        def refused_mmap(*args):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
         _split_forced(monkeypatch, [])
         monkeypatch.setattr(turbo.os, "fork", no_fork)
         if condition == "no-fork":
             monkeypatch.delattr(turbo.os, "fork")
         elif condition == "fork-fails":
             monkeypatch.setattr(turbo.os, "fork", failing_fork)
+        elif condition == "mmap-refused":
+            monkeypatch.setattr(mmap, "mmap", refused_mmap)
         elif condition == "no-affinity":
             monkeypatch.delattr(turbo.os, "sched_getaffinity")
         elif condition == "one-cpu":
