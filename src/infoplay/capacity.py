@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import csv_text
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, require_ints
 from .games import GameSpec, K_IN_A_ROW, line_masks
 
 DEFAULT_STATE_CAP = 100_000_000
@@ -97,10 +97,13 @@ def enumerate_reachable_states(
     ``_layers``.
 
     Symmetry reduction quotients by the board symmetry group and is off by
-    default.  ``max_states`` bounds memory as well as the count, and
-    ``ResourceCapError`` is raised exactly when the full count exceeds it
-    (see ``_layers``).
+    default.  ``max_states``, an int of at least 1, bounds memory as well
+    as the count, and ``ResourceCapError`` is raised exactly when the full
+    count exceeds it (see ``_layers``).
     """
+    require_ints(max_states=max_states)
+    if max_states < 1:  # the empty board alone is one state
+        raise ValidationError(f"max_states must be at least 1, got {max_states}")
     layers = _layers(game, max_states, symmetry_reduction)
     count = 1 + sum(layer.size for layer, _ in layers)
     return EnumerationResult(count=count, log2_count=math.log2(count))

@@ -142,7 +142,7 @@ class TestEnumeration:
         else:
             game = GameSpec(rows=rows, cols=cols, k=k)
         count = _reference_count(rows, cols, k, symmetry)
-        cap = data.draw(st.integers(0, 2 * count))
+        cap = data.draw(st.integers(1, 2 * count))
         if cap < count:
             with pytest.raises(ResourceCapError, match=f"cap of {cap} states"):
                 enumerate_reachable_states(game, max_states=cap, symmetry_reduction=symmetry)
@@ -190,7 +190,7 @@ class TestEnumeration:
         # key merges many chunks, and the cap is checked after each of them
         game = _game(*spec)
         count = _reference_count(*spec, symmetry)
-        cap = count - 1 if data is None else data.draw(st.integers(0, 2 * count))
+        cap = count - 1 if data is None else data.draw(st.integers(1, 2 * count))
         with mock.patch.object(capacity, "_CHUNK_CHILDREN", 64):
             assert enumerate_reachable_states(game, symmetry_reduction=symmetry).count == count
             if cap < count:
@@ -243,6 +243,13 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError, match=f"cap of {count - 1} states"):
             enumerate_reachable_states(game, max_states=count - 1,
                                        symmetry_reduction=symmetry)
+
+    @pytest.mark.parametrize("cap", [-1, 0, 2.5, math.nan, True])
+    def test_malformed_cap_rejected(self, cap):
+        # a cap below 1 fits not even the empty board; NaN compares false
+        # everywhere, so it would disable the cap
+        with pytest.raises(ValidationError, match="max_states"):
+            enumerate_reachable_states(tic_tac_toe(), max_states=cap)
 
 
 class TestCapacityBounds:

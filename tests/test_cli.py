@@ -320,6 +320,16 @@ class TestMainEntry:
         assert "100 states" in capsys.readouterr().err
         assert not (tmp_path / "out" / "capacity").exists()
 
+    @pytest.mark.parametrize("require_exact", [0, 1])
+    @pytest.mark.parametrize("max_states", [-5, 0])
+    def test_malformed_state_cap_exit_code(self, tmp_path, capsys, max_states, require_exact):
+        cfg = write_config(tmp_path / "cap.ini", "capacity",
+                           dict(CAPACITY_PARAMS, max_states=max_states,
+                                require_exact=require_exact))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: max_states must be at least 1, got {max_states}\n"
+
     def test_numerical_contract_exit_code(self, tmp_path, monkeypatch, capsys):
         import infoplay.cli as cli_mod
         from infoplay.errors import NumericalContractError

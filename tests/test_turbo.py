@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -32,7 +32,13 @@ from infoplay.turbo import (
     turbo_encode,
 )
 
-from oracles import brute_force_map, ref_bcjr_batch, ref_encode_75, ref_s_random_permutation
+from oracles import (
+    _ref_trellis,
+    brute_force_map,
+    ref_bcjr_batch,
+    ref_encode_75,
+    ref_s_random_permutation,
+)
 
 CODE75 = RscCode(feedback_poly=0o7, feedforward_poly=0o5, memory=2)
 CODE_MEMORY3 = RscCode(0o13, 0o15, memory=3)
@@ -293,11 +299,30 @@ class TestBcjr:
 
 
 @st.composite
-def _component_codes(draw):
-    memory = draw(st.integers(1, 3))
+def _component_codes(draw, max_memory=3):
+    memory = draw(st.integers(1, max_memory))
     feedback = draw(st.integers(1 << memory, (1 << (memory + 1)) - 1))
     feedforward = draw(st.integers(1, (1 << (memory + 1)) - 1))
     return RscCode(feedback_poly=feedback, feedforward_poly=feedforward, memory=memory)
+
+
+class TestTrellis:
+    @settings(max_examples=10, deadline=None)
+    @given(code=_component_codes(turbo.MAX_MEMORY))
+    @example(code=RscCode(feedback_poly=(1 << 16) | 0o23, feedforward_poly=0o377, memory=16))
+    def test_closed_form_matches_reference(self, code):
+        # the library derives the tables in closed form from the feedback's
+        # constant term; the oracle scans every (state, input) pair
+        tr = turbo._Trellis(code)
+        next_state, parity_sym, term_bit, in_u, in_s = _ref_trellis(code)
+        np.testing.assert_array_equal(tr.next_state, next_state)
+        np.testing.assert_array_equal(1.0 - 2.0 * tr.parity_bit, parity_sym)
+        np.testing.assert_array_equal(tr.term_bit, term_bit)
+        # the oracle's edges are (state, edge), the library's (edge, state)
+        np.testing.assert_array_equal(tr.stacked_src[:, 0], in_s.T)
+        parity_in = parity_sym[in_u, in_s].T
+        np.testing.assert_array_equal(tr.metric_in, in_u.T != (parity_in < 0))
+        np.testing.assert_array_equal(tr.sign_in[:, :, 0], parity_in)
 
 
 _LLRS = st.one_of(
