@@ -11,6 +11,9 @@ Config files are INI-style with exactly one nesting level:
     [params]
     rows = 3                 ; kind-specific, see `infoplay list`
 
+Any other section or ``[experiment]`` key, and any param the kind does
+not list, is a config error.
+
 Artifacts are assembled in a temporary directory and renamed into place
 only on success, so a failed run leaves nothing behind.  Identical
 resolved config and seed produce byte-identical artifacts.
@@ -29,12 +32,11 @@ import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import capacity as cap
 from . import exit_chart as exit_mod
 from . import selfplay as sp
 from . import turbo as turbo_mod
+from .entropy import _seed_sequence
 from .errors import (ConfigError, EstimationError, NumericalContractError, ResourceCapError,
                      ValidationError)
 from .games import BOARD_FULL_SCORING, GameSpec, K_IN_A_ROW, PLAYER_A, PLAYER_B
@@ -114,8 +116,7 @@ def _parse_value(param: Param, raw: str, config_dir: Path):
         if param.kind == "path":
             if "\0" in raw:
                 raise ValueError("a path holds no NUL byte")
-            p = Path(raw)
-            return p if p.is_absolute() else config_dir / p
+            return str(config_dir / raw)  # an absolute raw path replaces config_dir
         return raw
     except ValueError as exc:
         raise ConfigError(f"params.{param.name}: cannot parse {raw!r} as {param.kind}") from exc
@@ -140,15 +141,23 @@ def load_config(path) -> ResolvedConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    # values are literal: a "%" in a name or path is kept as written
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    # values are literal: a "%" in a name or path is kept as written; no
+    # header names the empty default section, so [DEFAULT] is a section like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None,
+                                       default_section="")
     try:
         parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    unknown = set(parser.sections()) - {"experiment", "params"}
+    if unknown:
+        raise ConfigError(f"unknown sections: {sorted(unknown)}")
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
     exp = parser["experiment"]
+    unknown = set(exp) - {"kind", "name", "seed"}
+    if unknown:
+        raise ConfigError(f"unknown [experiment] keys: {sorted(unknown)}")
     kind = exp.get("kind", "")
     if kind not in SCHEMAS:
         raise ConfigError(
@@ -263,8 +272,7 @@ def _run_agent_exit(rc: ResolvedConfig, outdir: Path) -> dict:
     if (agent_a.role, agent_b.role) != (PLAYER_A, PLAYER_B):
         raise ConfigError(f"agent_a and agent_b hold roles {agent_a.role} and "
                           f"{agent_b.role}; they must hold A and B")
-    root = np.random.SeedSequence(rc.seed)
-    seed_a, seed_b = root.spawn(2)
+    seed_a, seed_b = _seed_sequence(rc.seed).spawn(2)
     curve_a = sp.agent_exit_curve(agent_a, agent_b, game, p["ia_grid"], p["episodes"], seed_a)
     curve_b = sp.agent_exit_curve(agent_b, agent_a, game, p["ia_grid"], p["episodes"], seed_b)
     report = exit_mod.tunnel_analysis(curve_a, curve_b)
@@ -302,7 +310,7 @@ def run(config_path, output_dir=None, seed=None) -> Path:
             "kind": rc.kind,
             "name": rc.name,
             "seed": rc.seed,
-            "params": {k: _manifest_value(v) for k, v in rc.params.items()},
+            "params": rc.params,
             "artifacts": {
                 f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                 for f in sorted(tmp_dir.iterdir())
@@ -319,14 +327,6 @@ def run(config_path, output_dir=None, seed=None) -> Path:
         shutil.rmtree(tmp_dir, ignore_errors=True)
         raise
     return final_dir
-
-
-def _manifest_value(v):
-    if isinstance(v, Path):
-        return str(v)
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def list_experiments() -> str:

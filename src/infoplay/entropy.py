@@ -27,9 +27,13 @@ _LN2 = np.log(2.0)
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
-    """Accept an int-like seed or a pre-spawned SeedSequence."""
+    """The root a routine spawns its streams from: ``SeedSequence(seed)`` for
+    an int-like seed, and for a ``SeedSequence`` a new one in the same state.
+    The caller's object is never advanced, so one seed gives one result."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size,
+                                      n_children_spawned=seed.n_children_spawned)
     return np.random.SeedSequence(seed)
 
 
@@ -116,13 +120,14 @@ def mutual_information_plugin(counts) -> float:
     return max(info, 0.0)
 
 
-def _llr_information(llrs: np.ndarray, truth: np.ndarray) -> float | list[float]:
+def _llr_information(llrs: np.ndarray, truth: np.ndarray) -> np.float64 | np.ndarray:
     """Normalized information of LLRs about their bits, averaged along the
-    last axis: a float for one block, a list of floats for a (B, N) batch."""
+    last axis and clipped to [0, 1]: a float64 for one block, a (B,) float64
+    array for a (B, N) batch."""
     # ergodic estimator: I = 1 - E[log2(1 + exp(-x*L))], x = +1 for bit 0
     x = 1.0 - 2.0 * truth
     terms = np.logaddexp(0.0, -x * llrs) / _LN2
-    return np.clip(1.0 - terms.mean(axis=-1), 0.0, 1.0).tolist()
+    return np.clip(1.0 - terms.mean(axis=-1), 0.0, 1.0)
 
 
 @lru_cache(maxsize=1)

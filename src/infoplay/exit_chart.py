@@ -210,7 +210,7 @@ def measure_exit_curve(
         del sys_bits, par_bits  # not needed by the decoder
         ext = _extrinsic(_bcjr_batch(ls, lp, la, code, terminated=True), la, ls)
         ext = ext.reshape(bits.shape)[:, :samples_per_point]
-        return np.array(_llr_information(ext, bits[:, :samples_per_point]))
+        return _llr_information(ext, bits[:, :samples_per_point])
 
     i_e = _decode_in_halves(decode, grid.shape, 0, n_blocks * k * code.n_states)
     points = zip(grid.tolist(), i_e.tolist())

@@ -468,10 +468,11 @@ def learn(game: GameSpec, config: LearnConfig, seed):
     frozen evaluation pass recording cross MI, Elo, and outcome rates.
     Stops early when the windowed stopping rule fires; the recorded MI
     need not reach 1.0, since learning may stop at a local optimum.
-    Deterministic given (game, config, seed).  Both agents start fresh;
-    their tables are written back from the match once, at the end.  A
-    generation whose step size is exactly 0 changes no value, so its
-    training episodes share one greedy-ties memo, dropped before its
+    Deterministic given (game, config, seed): a ``SeedSequence`` seed is
+    never advanced, so passing it again repeats the run.  Both agents
+    start fresh; their tables are written back from the match once, at the
+    end.  A generation whose step size is exactly 0 changes no value, so
+    its training episodes share one greedy-ties memo, dropped before its
     evaluation pass.  Returns (records, agent_a, agent_b).
     """
     if not isinstance(config, LearnConfig):

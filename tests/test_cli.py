@@ -561,6 +561,32 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "[experiment]\nkind = turbo\nseeed = 4\n[params]\nblocks = 2\n",
+        "[experiment]\nkind = turbo\nseed = 4\nnmae = x\n[params]\nblocks = 2\n",
+        "[experiment]\nkind = turbo\nseed = 4\n[parms]\nblocks = 2\n",
+        "[DEFAULT]\nseed = 4\n[experiment]\nkind = turbo\n",
+    ], ids=["seed", "name", "params", "default"])
+    def test_misspelled_config_exit_code(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        (out / "keep").mkdir(parents=True)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("config error: unknown ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["keep"]
+
+    def test_config_without_params_runs_on_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[experiment]\nkind = turbo\nseed = 4\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "turbo" / "manifest.json").read_text())
+        assert manifest["params"] == {
+            p.name: int(p.default, 8) if p.kind == "octal" else p.default
+            for p in SCHEMAS["turbo"]}
+
     @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\0b", None],
                              ids=["empty", "dot", "dotdot", "nested", "nul", "absolute"])
     def test_unsafe_name_exit_code(self, tmp_path, name):

@@ -13,6 +13,7 @@ from infoplay.entropy import (
     LLR_CLAMP,
     LlrBlock,
     _llr_information,
+    _seed_sequence,
     binary_entropy,
     j_function,
     j_inverse,
@@ -20,6 +21,10 @@ from infoplay.entropy import (
     sample_consistent_gaussian_apriori,
 )
 from infoplay.errors import ValidationError
+from infoplay.exit_chart import measure_exit_curve
+from infoplay.games import tic_tac_toe
+from infoplay.selfplay import AgentModel, LearnConfig, agent_to_text, agent_exit_curve, learn
+from infoplay.turbo import ChannelModel, RscCode, simulate_turbo
 
 
 def j_quadrature_oracle(sigma):
@@ -279,3 +284,62 @@ class TestConsistentGaussianApriori:
         a = sample_consistent_gaussian_apriori(truth, 0.6, seed=42)
         b = sample_consistent_gaussian_apriori(truth, 0.6, seed=42)
         np.testing.assert_array_equal(a.llrs, b.llrs)
+
+
+class TestLlrInformation:
+    def test_a_batch_gives_each_block_its_own_value(self):
+        rng = np.random.default_rng(7)
+        truth = rng.integers(0, 2, (3, 200))
+        llrs = rng.normal(2.0, 2.0, (3, 200)) * (1 - 2 * truth)
+        batch = _llr_information(llrs, truth)
+        assert batch.shape == (3,) and batch.dtype == np.float64
+        for row, value in zip(zip(llrs, truth), batch):
+            assert _llr_information(*row) == value
+
+
+def _learn_result(seed):
+    game = tic_tac_toe()
+    config = LearnConfig(generations=2, episodes_per_generation=20, eval_episodes=100)
+    records, agent_a, agent_b = learn(game, config, seed)
+    return records, agent_to_text(agent_a, game), agent_to_text(agent_b, game)
+
+
+# each seeded routine at a small size, mapped to a value that compares with ==
+SEEDED_ROUTINES = {
+    "simulate_turbo": lambda seed: np.stack(simulate_turbo(64, 1.0, 2, 2, seed)).tolist(),
+    "measure_exit_curve": lambda seed: measure_exit_curve(
+        RscCode(), ChannelModel(0.8, rate=0.5), [0.0, 0.5], 1000, seed).points,
+    "learn": _learn_result,
+    "agent_exit_curve": lambda seed: agent_exit_curve(
+        AgentModel(role="A"), AgentModel(role="B"), tic_tac_toe(), [0.0, 1.0], 100,
+        seed).points,
+}
+
+
+def test_a_seed_root_spawns_what_its_seed_would():
+    ss = np.random.SeedSequence(5, pool_size=8).spawn(1)[0]
+    ss.spawn(2)
+    root = _seed_sequence(ss)
+    assert root is not ss
+    assert ([child.generate_state(4).tolist() for child in root.spawn(2)]
+            == [child.generate_state(4).tolist() for child in ss.spawn(2)])
+
+
+@pytest.mark.parametrize("routine", SEEDED_ROUTINES.values(), ids=SEEDED_ROUTINES)
+class TestSeedSequenceSeeds:
+    """A routine spawns from its own copy of a ``SeedSequence`` seed, so the
+    caller's object is never advanced and one seed gives one result."""
+
+    def test_repeated_calls_match_the_int_seed(self, routine):
+        ss = np.random.SeedSequence(5)
+        first = routine(ss)
+        assert routine(ss) == first == routine(5)
+        assert ss.n_children_spawned == 0
+
+    def test_a_spawned_child_keeps_its_state(self, routine):
+        ss = np.random.SeedSequence(5, pool_size=8).spawn(1)[0]
+        ss.spawn(2)
+        same_state = np.random.SeedSequence(5, spawn_key=(0,), pool_size=8,
+                                            n_children_spawned=2)
+        assert routine(ss) == routine(same_state)
+        assert ss.n_children_spawned == 2
