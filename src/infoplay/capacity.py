@@ -22,7 +22,8 @@ from .errors import ResourceCapError, ValidationError, require_ints
 from .games import GameSpec, K_IN_A_ROW, line_masks
 
 DEFAULT_STATE_CAP = 100_000_000
-# children built, canonicalised and sorted at once by _layers
+# children built, deduplicated and canonicalised at once by _layers (a
+# chunk of 32-bit keys takes 4 MiB)
 _CHUNK_CHILDREN = 1 << 20
 
 
@@ -116,19 +117,23 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
     Every move adds one stone, so the positions after ply p come only from
     the ongoing positions after ply p - 1, and A places on the even plies.
     A position is one key, A's cell mask OR B's mask shifted up by the cell
-    count: a ``uint64`` when both masks fit in 64 bits, else a Python int
-    in an ``object`` array.  A key with s stones has n - s empty cells, so
-    n - s passes of ``low = -empty & empty`` (its lowest empty cell; uint64
+    count: a ``uint32`` when both masks fit in 32 bits (up to 16 cells), a
+    ``uint64`` when they fit in 64, else a Python int in an ``object``
+    array; every constant fits the key width, so numpy keeps the arithmetic
+    in it.  A key with s stones has n - s empty cells, so n - s passes of
+    ``low = -empty & empty`` (its lowest empty cell; unsigned negation
     wraps) give all its children.  The frontier is cut into chunks of at
-    most ``_CHUNK_CHILDREN`` children.  Each chunk is canonicalised (under
-    symmetry reduction, the least key among a child's images), sorted,
-    deduplicated and stripped of the keys already in the layer so far,
-    which is a stack of disjoint sorted runs: a run is merged into the one
-    below while that is under twice its size, and all after the last
-    chunk, so a key is copied O(log chunks) times.  Only the new stone can
-    complete a line, so a position is won when the mover's mask covers
-    one of the line masks of ``games.line_masks`` (the rules' table); the
-    other positions with an empty cell are the next frontier.
+    most ``_CHUNK_CHILDREN`` children.  Each chunk is sorted and
+    deduplicated; under symmetry reduction its distinct children are then
+    canonicalised (each to the least key among its images; equal keys have
+    equal images) and sorted and deduplicated again.  The chunk is then
+    stripped of the keys already in the layer so far, which is a stack of
+    disjoint sorted runs: a run is merged into the one below while that is
+    under twice its size, and all after the last chunk, so a key is copied
+    O(log chunks) times.  Only the new stone can complete a line, so a
+    position is won when the mover's mask covers one of the line masks of
+    ``games.line_masks`` (the rules' table); the other positions with an
+    empty cell are the next frontier.
 
     The cap bounds memory to a few layer-sized arrays and one chunk.
     Before ply 0 the closed-form ``_reachable_lower_bound`` refuses a board
@@ -144,7 +149,7 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
     exceeded = f"reachable-state enumeration exceeded the cap of {max_states} states"
     if _reachable_lower_bound(game, max_states * group) > max_states * group:
         raise ResourceCapError(exceeded)
-    dtype = np.uint64 if 2 * n <= 64 else object
+    dtype = np.uint32 if 2 * n <= 32 else np.uint64 if 2 * n <= 64 else object
     tables = _symmetry_tables(game, dtype) if symmetry_reduction else []
     lines = {line for through in line_masks(game) for line in through}
     frontier = np.zeros(1, dtype=dtype)
@@ -168,7 +173,7 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
                 low = -empty & empty
                 np.bitwise_or(keys, low << shift, out=row)
                 empty ^= low
-            children = children.ravel()
+            children = _distinct(children.ravel())
             if tables:
                 key_bytes = [(children >> c & 255).astype(np.uint8) for c in range(0, 2 * n, 8)]
                 for per_byte in tables:
@@ -176,8 +181,7 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
                     for table, byte in zip(per_byte[1:], key_bytes[1:]):
                         image |= table[byte]
                     np.minimum(children, image, out=children)
-            children.sort()
-            children = children[np.concatenate(([True], children[1:] != children[:-1]))]
+                children = _distinct(children)
             for run in runs:
                 at = np.searchsorted(run, children)
                 children = children[run[np.minimum(at, run.size - 1)] != children]
@@ -197,6 +201,12 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
             won |= (layer & mask) == mask
         yield layer, won
         frontier = layer[~won]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sort ``keys`` in place and return a copy without repeats."""
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _reachable_lower_bound(game: GameSpec, cap: int) -> int:

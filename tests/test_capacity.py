@@ -6,6 +6,7 @@ import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -158,7 +159,7 @@ class TestEnumeration:
 
     def test_cap_bounds_memory_as_well_as_the_count(self):
         # 5x5-k5 holds 614,726 positions up to ply 5 and 4,156,726 up to
-        # ply 6; building the 10,626,000 children of ply 6 takes 85 MB.
+        # ply 6; building the 10,626,000 children of ply 6 takes 42.5 MB.
         # Under symmetry reduction the 20,981,226 positions of plies 0 to 7
         # are more than a million orbits of at most 8 positions can hold
         tracemalloc.start()
@@ -171,7 +172,7 @@ class TestEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
             # 4x4-k3 passes the closed-form bound (12,857 positions), and its
             # 6,036,001 positions cross the cap inside a layer; building that
-            # layer in one piece peaks at 77.5 MiB traced
+            # layer in one piece peaks at 41.3 MiB traced, in chunks at 27.4
             tracemalloc.reset_peak()
             with pytest.raises(ResourceCapError, match="cap of 3000000 states"):
                 enumerate_reachable_states(GameSpec(rows=4, cols=4, k=3), max_states=3_000_000)
@@ -179,7 +180,7 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
-        assert layer_peak < 64 * 2**20
+        assert layer_peak < 40 * 2**20
 
     @settings(max_examples=20, deadline=None)
     @given(spec=_small_games(), symmetry=st.booleans(), data=st.data())
@@ -213,6 +214,51 @@ class TestEnumeration:
             sizes = [next(layers)[0].size for _ in range(3)]
         assert counts == [_reference_count(6, 6, 1, symmetry) for symmetry in (False, True)]
         assert sizes == [36, 36 * 35, math.comb(36, 2) * 34]
+
+    @pytest.mark.parametrize("chunk", [capacity._CHUNK_CHILDREN, 64])
+    @pytest.mark.parametrize("spec,dtype", [((4, 4, 4), np.uint32), ((3, 6, 3), np.uint64)])
+    def test_key_width_bands(self, spec, dtype, chunk):
+        # nobody can win before ply 5, so plies 1 to 4 hold every balanced
+        # placement; with small chunks the run merge and the searchsorted
+        # work in the key dtype too
+        game = _game(*spec)
+        n = game.cells
+        with mock.patch.object(capacity, "_CHUNK_CHILDREN", chunk):
+            layers = capacity._layers(game, 10**7, False)
+            plies = [next(layers) for _ in range(4)]
+        c = math.comb
+        assert [layer.size for layer, _ in plies] == [n, n * (n - 1), c(n, 2) * (n - 2),
+                                                      c(n, 2) * c(n - 2, 2)]
+        for layer, won in plies:
+            assert layer.dtype == dtype
+            assert (layer[1:] > layer[:-1]).all()
+            assert not won.any()
+        # a B stone on the last cell sets the key's top bit (bit 31 of a
+        # 4x4 key): the n - 1 such positions after ply 2 sort last
+        top = plies[1][0] >= 1 << 2 * n - 1
+        assert top.sum() == n - 1 and top[-(n - 1):].all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=_small_games())
+    def test_reduced_layers_are_least_images(self, spec):
+        # each reduced layer is the sorted distinct least images of the
+        # unreduced layer of its ply, and an orbit is won as a whole
+        game = _game(*spec)
+        n = game.cells
+        maps = capacity._symmetry_maps(game)
+        full = list(capacity._layers(game, 10**7, False))
+        reduced = list(capacity._layers(game, 10**7, True))
+        assert len(reduced) == len(full)
+        for (keys, won), (orbits, orbit_won) in zip(full, reduced):
+            least = None
+            for perm in maps:  # image cell i holds the stone of cell perm[i]
+                image = np.zeros_like(keys)
+                for i, j in enumerate(perm):
+                    for half in (0, n):
+                        image |= (keys >> int(j) + half & 1) << i + half
+                least = image if least is None else np.minimum(least, image)
+            assert np.array_equal(orbits, np.unique(least))
+            assert np.array_equal(orbit_won[np.searchsorted(orbits, least)], won)
 
     @pytest.mark.parametrize("symmetry", [False, True])
     @pytest.mark.parametrize("spec", [(3, 3, 3), (2, 4, 3), (2, 3, None)])
