@@ -19,7 +19,7 @@ import numpy as np
 
 from ._table import csv_text
 from .errors import ResourceCapError, ValidationError, require_ints
-from .games import GameSpec, K_IN_A_ROW, line_masks
+from .games import GameSpec, line_masks
 
 DEFAULT_STATE_CAP = 100_000_000
 # children built, deduplicated and canonicalised at once by _layers (a
@@ -51,9 +51,10 @@ class CapacityBound:
 def log2_factorial(n: int) -> float:
     """log2(n!) from the log-gamma function, in constant memory and to
     within a few ulp."""
-    if n < 0 or int(n) != n:
-        raise ValidationError(f"n must be a non-negative integer, got {n!r}")
-    return math.lgamma(int(n) + 1) / math.log(2)
+    require_ints(n=n)
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
+    return math.lgamma(n + 1) / math.log(2)
 
 
 def _symmetry_maps(game: GameSpec) -> list[tuple]:
@@ -214,11 +215,11 @@ def _reachable_lower_bound(game: GameSpec, cap: int) -> int:
     refuse enumeration that is certain to blow the cap; the sum stops as
     soon as it exceeds ``cap``.
 
-    No game can terminate before ply 2k-1 (k_in_a_row) or before the board
-    fills (board_full_scoring), so every balanced placement of p stones is
-    reachable for p below that horizon.
+    No game can terminate before ply 2k-1, or before the board fills when
+    ``k`` is None, so every balanced placement of p stones is reachable for
+    p below that horizon.
     """
-    if game.win_condition == K_IN_A_ROW:
+    if game.k is not None:
         horizon = min(2 * game.k - 2, game.cells)
     else:
         horizon = game.cells

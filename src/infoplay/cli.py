@@ -39,7 +39,7 @@ from . import turbo as turbo_mod
 from .entropy import _seed_sequence
 from .errors import (ConfigError, EstimationError, NumericalContractError, ResourceCapError,
                      ValidationError)
-from .games import BOARD_FULL_SCORING, GameSpec, K_IN_A_ROW, PLAYER_A, PLAYER_B
+from .games import GameSpec, PLAYER_A, PLAYER_B
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,7 +72,7 @@ SCHEMAS: dict[str, list[Param]] = {
     "capacity": [
         Param("rows", "int", required=True),
         Param("cols", "int", required=True),
-        Param("win", "str", K_IN_A_ROW, help=f"{K_IN_A_ROW} or {BOARD_FULL_SCORING}"),
+        Param("win", "str", "k_in_a_row", help="k_in_a_row or board_full_scoring"),
         Param("k", "int", 3),
         Param("max_states", "int", cap.DEFAULT_STATE_CAP),
         Param("require_exact", "int", 0, help="fail (exit 3) if enumeration blows the cap"),
@@ -194,9 +194,11 @@ def load_config(path) -> ResolvedConfig:
 
 
 def _game_from_params(params) -> GameSpec:
-    win = params.get("win", K_IN_A_ROW)
-    k = params["k"] if win == K_IN_A_ROW else None
-    return GameSpec(rows=params["rows"], cols=params["cols"], win_condition=win, k=k)
+    win = params.get("win", "k_in_a_row")
+    if win not in ("k_in_a_row", "board_full_scoring"):
+        raise ConfigError(f"params.win must be k_in_a_row or board_full_scoring, got {win!r}")
+    k = params["k"] if win == "k_in_a_row" else None
+    return GameSpec(rows=params["rows"], cols=params["cols"], k=k)
 
 
 def _code_from_params(params) -> turbo_mod.RscCode:

@@ -161,6 +161,8 @@ def j_function(sigma: float) -> float:
     """
     if sigma < 0:
         raise ValidationError(f"sigma must be >= 0, got {sigma!r}")
+    if not np.isfinite(sigma * sigma):  # NaN, inf, or past about 1.3e154
+        raise ValidationError(f"sigma must have a finite square, got {sigma!r}")
     if sigma == 0.0:
         return 0.0
     mu = sigma * sigma / 2.0

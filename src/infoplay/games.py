@@ -14,9 +14,6 @@ from functools import lru_cache
 
 from .errors import ValidationError, require_ints
 
-K_IN_A_ROW = "k_in_a_row"
-BOARD_FULL_SCORING = "board_full_scoring"
-
 PLAYER_A = "A"
 PLAYER_B = "B"
 
@@ -35,27 +32,22 @@ GameState = None
 class GameSpec:
     """A rows x cols placement game.
 
-    ``k_in_a_row`` games end when a player aligns ``k`` stones (or the
-    board fills: draw).  ``board_full_scoring`` games have no win rule;
-    when the board fills the player with more stones wins (A, on odd
-    boards) and equal counts draw.
+    A player who aligns ``k`` stones wins, and a full board is a draw.
+    With ``k`` None no line wins: when the board fills the player with
+    more stones wins (A, on odd boards) and equal counts draw.
     """
 
     rows: int
     cols: int
-    win_condition: str = K_IN_A_ROW
     k: int | None = 3
 
     def __post_init__(self):
         require_ints(rows=self.rows, cols=self.cols)
-        if self.k is not None:
-            require_ints(k=self.k)
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("board must have at least one cell")
-        if self.win_condition not in (K_IN_A_ROW, BOARD_FULL_SCORING):
-            raise ValidationError(f"unknown win condition {self.win_condition!r}")
-        if self.win_condition == K_IN_A_ROW:
-            if self.k is None or self.k < 1 or self.k > max(self.rows, self.cols):
+        if self.k is not None:
+            require_ints(k=self.k)
+            if not 1 <= self.k <= max(self.rows, self.cols):
                 raise ValidationError(
                     f"k must lie in [1, max(rows, cols)], got {self.k!r}"
                 )
@@ -66,21 +58,21 @@ class GameSpec:
 
     @property
     def game_id(self) -> str:
-        if self.win_condition == K_IN_A_ROW:
+        if self.k is not None:
             return f"{self.rows}x{self.cols}-k{self.k}"
         return f"{self.rows}x{self.cols}-full"
 
 
 def tic_tac_toe() -> GameSpec:
-    return GameSpec(rows=3, cols=3, win_condition=K_IN_A_ROW, k=3)
+    return GameSpec(rows=3, cols=3, k=3)
 
 
 @lru_cache(maxsize=None)
 def line_masks(game: GameSpec) -> tuple:
     """For each cell, the masks (bit i for cell i) of the k-in-a-row lines
     through it: a move at ``m`` wins iff the mover's cell mask covers one of
-    the masks at ``m``.  Every entry is empty for ``board_full_scoring``."""
-    if game.win_condition != K_IN_A_ROW:
+    the masks at ``m``.  Every entry is empty when ``k`` is None."""
+    if game.k is None:
         return ((),) * game.cells
     k, rows, cols = game.k, game.rows, game.cols
     # a single cell is a line in every direction: count it once

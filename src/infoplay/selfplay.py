@@ -30,7 +30,6 @@ from .games import (
     B_WINS,
     DRAW,
     GameSpec,
-    K_IN_A_ROW,
     ONGOING,
     PLAYER_A,
     PLAYER_B,
@@ -160,7 +159,7 @@ class _Match:
         self.positions, self.status, self.moves, self.child_ids = [], [], [], []
         self._ids: dict[int, int] = {}
         # a full board is drawn unless scored: A's stones are one more on an odd board
-        self._full = DRAW if game.win_condition == K_IN_A_ROW or game.cells % 2 == 0 else A_WINS
+        self._full = A_WINS if game.k is None and game.cells % 2 else DRAW
         self._intern(0, ONGOING, tuple(range(game.cells)))
 
     def _intern(self, position: int, status: str, moves: tuple) -> int:
@@ -347,16 +346,16 @@ def _paired_mi(predicted, actual, cells: int) -> tuple[float, float]:
 
 def elo_win_prob(e_a: float, e_b: float, c_elo: float = 1.0 / 400.0) -> float:
     """Logistic win probability 1 / (1 + 10^(c_elo (e_b - e_a)))."""
-    if c_elo <= 0:
-        raise ValidationError("c_elo must be > 0")
+    if not 0 < c_elo < math.inf:
+        raise ValidationError(f"c_elo must be positive and finite, got {c_elo!r}")
     return 1.0 / (1.0 + 10.0 ** (c_elo * (e_b - e_a)))
 
 
 def elo_update(e_a: float, e_b: float, outcome: str, k_factor: float = 16.0,
                c_elo: float = 1.0 / 400.0) -> tuple[float, float]:
     """Standard rating update; zero-sum, draws score one half."""
-    if k_factor <= 0:
-        raise ValidationError("k_factor must be > 0")
+    if not 0 < k_factor < math.inf:
+        raise ValidationError(f"k_factor must be positive and finite, got {k_factor!r}")
     scores = {A_WINS: 1.0, DRAW: 0.5, B_WINS: 0.0}
     if outcome not in scores:
         raise ValidationError(f"unknown outcome {outcome!r}")

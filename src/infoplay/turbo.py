@@ -202,7 +202,16 @@ class Interleaver:
         return np.asarray(x)[..., self._inverse]
 
 
+def _require_counts(**counts) -> None:
+    """``require_ints``, and refuse a count below 0."""
+    require_ints(**counts)
+    for name, count in counts.items():
+        if count < 0:
+            raise ValidationError(f"{name} must be >= 0, got {count}")
+
+
 def random_interleaver(n: int, seed) -> Interleaver:
+    _require_counts(n=n)
     return Interleaver(np.random.default_rng(seed).permutation(n))
 
 
@@ -215,8 +224,10 @@ def s_random_interleaver(n: int, seed, s: int | None = None) -> Interleaver:
     reshuffled to the front of the next attempt so the hard cases are
     placed first.  Deterministic for a fixed seed.
     """
+    _require_counts(n=n)
     if s is None:
         s = int(np.sqrt(n / 2))
+    _require_counts(s=s)
     rng = np.random.default_rng(seed)
     vector = list(rng.permutation(n))
     for _ in range(_S_RANDOM_TRIES):
@@ -465,10 +476,10 @@ def bcjr_decode(
         code,
         terminated=True,
         exact=exact,
-    )[0]
+    )
     truth = channel_sys.truth[:n_info]
-    extrinsic = app - apriori.llrs - channel_sys.llrs[:n_info]
-    return LlrBlock(app, truth), LlrBlock(extrinsic, truth)
+    extrinsic = _extrinsic(app.copy(), apriori.llrs[None, :], channel_sys.llrs[None, :])
+    return LlrBlock(app[0], truth), LlrBlock(extrinsic[0], truth)
 
 
 def _decode_in_halves(decode, shape: tuple, axis: int, row_work: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 Everything here is deliberately written from scratch (explicit registers,
 exhaustive enumeration, plain recursion) so it shares no code path with
 the library it checks: nothing is imported from ``infoplay``, and a game
-is read only through its ``rows``, ``cols``, ``k`` and ``win_condition``
-attributes.
+is read only through its ``rows``, ``cols`` and ``k`` attributes, and
+``k`` None is a scored game.
 """
 
 from typing import NamedTuple
@@ -222,7 +222,7 @@ def ref_move(state, move, game):
         raise ValueError(f"illegal move {move!r}")
     stone = 1 if state.to_move == "A" else 2
     cells = state.cells[:move] + (stone,) + state.cells[move + 1:]
-    scored = game.win_condition == "board_full_scoring"
+    scored = game.k is None
     if not scored and _makes_run(cells, game.rows, game.cols, move, game.k):
         status = A_WINS if stone == 1 else B_WINS
     elif 0 in cells:

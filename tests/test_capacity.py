@@ -21,7 +21,7 @@ from infoplay.capacity import (
     log2_factorial,
 )
 from infoplay.errors import ResourceCapError, ValidationError
-from infoplay.games import BOARD_FULL_SCORING, GameSpec, tic_tac_toe
+from infoplay.games import GameSpec, tic_tac_toe
 
 
 class TestLog2Factorial:
@@ -50,6 +50,11 @@ class TestLog2Factorial:
         with pytest.raises(ValidationError):
             log2_factorial(-1)
 
+    @pytest.mark.parametrize("n", [float("nan"), True, 3.0])
+    def test_non_int_rejected(self, n):
+        with pytest.raises(ValidationError, match="n must be an int"):
+            log2_factorial(n)
+
 
 @st.composite
 def _small_games(draw):
@@ -61,7 +66,7 @@ def _small_games(draw):
 
 def _game(rows, cols, k):
     if k is None:
-        return GameSpec(rows=rows, cols=cols, win_condition=BOARD_FULL_SCORING, k=None)
+        return GameSpec(rows=rows, cols=cols, k=None)
     return GameSpec(rows=rows, cols=cols, k=k)
 
 
@@ -84,14 +89,14 @@ class TestEnumeration:
         assert res.log2_count == pytest.approx(math.log2(5478), abs=1e-12)
 
     def test_degenerate_one_cell_game(self):
-        game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
+        game = GameSpec(rows=1, cols=1, k=None)
         assert enumerate_reachable_states(game).count == 2
 
     def test_pure_placement_3x3_closed_form(self):
         # oracle: every balanced placement is reachable when nothing terminates
         # early, so the count is sum_p C(9,p) * C(p, ceil(p/2))
         expected = sum(math.comb(9, p) * math.comb(p, (p + 1) // 2) for p in range(10))
-        game = GameSpec(rows=3, cols=3, win_condition=BOARD_FULL_SCORING, k=None)
+        game = GameSpec(rows=3, cols=3, k=None)
         res = enumerate_reachable_states(game)
         assert res.count == expected
         assert res.count <= 3**9
@@ -139,7 +144,7 @@ class TestEnumeration:
     def test_cap_raises_iff_count_exceeds_it(self, spec, symmetry, data):
         rows, cols, k = spec
         if k is None:
-            game = GameSpec(rows=rows, cols=cols, win_condition=BOARD_FULL_SCORING, k=None)
+            game = GameSpec(rows=rows, cols=cols, k=None)
         else:
             game = GameSpec(rows=rows, cols=cols, k=k)
         count = _reference_count(rows, cols, k, symmetry)
@@ -311,7 +316,7 @@ class TestCapacityBounds:
         assert bound.exact_states == 5478
 
     def test_one_cell_game(self):
-        game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
+        game = GameSpec(rows=1, cols=1, k=None)
         assert capacity_bounds(game).exact_log2_states == pytest.approx(1.0, abs=1e-12)
 
     def test_huge_board_bounds_in_constant_memory(self):
@@ -326,7 +331,7 @@ class TestCapacityBounds:
 
     def test_exact_below_labeling_bound(self):
         for game in (tic_tac_toe(), GameSpec(rows=2, cols=3, k=2),
-                     GameSpec(rows=3, cols=3, win_condition=BOARD_FULL_SCORING, k=None)):
+                     GameSpec(rows=3, cols=3, k=None)):
             bound = capacity_bounds(game)
             assert bound.exact_log2_states <= bound.upper_cell_labelings + 1e-9
 

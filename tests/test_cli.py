@@ -19,6 +19,7 @@ from infoplay.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     SCHEMAS,
+    _game_from_params,
     list_experiments,
     load_config,
     main,
@@ -26,7 +27,7 @@ from infoplay.cli import (
 )
 from infoplay import exit_chart, selfplay, turbo
 from infoplay.errors import ConfigError
-from infoplay.games import tic_tac_toe
+from infoplay.games import GameSpec, tic_tac_toe
 from infoplay.selfplay import agent_from_text
 
 
@@ -147,6 +148,18 @@ class TestConfigLoading:
         rc = load_config(cfg)
         assert rc.kind == "capacity" and rc.seed == 7
         assert rc.params["win"] == "k_in_a_row"  # default filled in
+
+    @pytest.mark.parametrize("win, k", [("k_in_a_row", 2), ("board_full_scoring", None)])
+    def test_win_sets_the_line_length(self, tmp_path, win, k):
+        # under board_full_scoring the k param is read by nothing
+        cfg = write_config(tmp_path / "c.ini", "capacity", {"rows": 2, "cols": 3, "win": win,
+                                                            "k": 2})
+        assert _game_from_params(load_config(cfg).params) == GameSpec(2, 3, k=k)
+
+    def test_unknown_win_rule(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", "capacity", dict(CAPACITY_PARAMS, win="full"))
+        with pytest.raises(ConfigError, match="params.win"):
+            _game_from_params(load_config(cfg).params)
 
     def test_missing_required_param(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "capacity", {"rows": 3})

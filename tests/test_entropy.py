@@ -236,6 +236,15 @@ class TestJFunction:
         with pytest.raises(ValidationError):
             j_function(-0.5)
 
+    # sigma squared overflows from about 1.34e154
+    @pytest.mark.parametrize("sigma", [float("nan"), math.inf, 1.4e154, 1e300])
+    def test_sigma_without_a_finite_square_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="sigma"):
+            j_function(sigma)
+
+    def test_largest_sigma_with_a_finite_square(self):
+        assert j_function(1.3e154) == 1.0
+
 
 class TestJInverse:
     @pytest.mark.parametrize("i", [0.0, 0.25, 0.5, 0.9])

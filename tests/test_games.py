@@ -5,13 +5,15 @@ through the children of a self-play ``_Match``, the library's live rule
 path; the two must agree on every position and status along the line.
 """
 
+import dataclasses
+import itertools
+
 import pytest
 
 from infoplay.errors import ValidationError
 from infoplay.games import (
     A_WINS,
     B_WINS,
-    BOARD_FULL_SCORING,
     DRAW,
     GameSpec,
     ONGOING,
@@ -72,12 +74,20 @@ class TestTermination:
         assert match.moves[sid] == ()
 
     def test_board_full_scoring_gives_majority_win(self):
-        game = GameSpec(rows=1, cols=3, win_condition=BOARD_FULL_SCORING, k=None)
+        game = GameSpec(rows=1, cols=3, k=None)
         state, _, _ = play([0, 1, 2], game)
         assert state.status == A_WINS  # 2 stones vs 1
 
+    @pytest.mark.parametrize("rows, cols", [(1, 3), (2, 2), (2, 3)])
+    def test_scored_game_plays_every_line_as_the_reference(self, rows, cols):
+        # k None is the scored game: no line wins, and only a full board ends it
+        game = GameSpec(rows, cols, k=None)
+        full = A_WINS if rows * cols % 2 else DRAW
+        for line in itertools.permutations(range(rows * cols)):
+            assert play(line, game)[0].status == full
+
     def test_one_by_one_game(self):
-        game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
+        game = GameSpec(rows=1, cols=1, k=None)
         state, match, sid = play([], game)
         assert ref_moves(state) == list(match.moves[sid]) == [0]
         assert play([0], game)[0].status == A_WINS
@@ -122,6 +132,18 @@ class TestInvariants:
 
 
 class TestSpecValidation:
+    def test_a_game_is_its_board_and_line_length(self):
+        assert [f.name for f in dataclasses.fields(GameSpec)] == ["rows", "cols", "k"]
+        assert GameSpec(1, 3, k=None).game_id == "1x3-full"
+        assert GameSpec(3, 4).game_id == "3x4-k3"
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 3), (3, 2), (4, 4)])
+    def test_k_is_none_or_a_line_on_the_board(self, rows, cols):
+        assert GameSpec(rows, cols, k=None).k is None
+        for k in (0, max(rows, cols) + 1, 2.5, True):
+            with pytest.raises(ValidationError, match="k must"):
+                GameSpec(rows, cols, k=k)
+
     def test_k_exceeding_board_rejected(self):
         with pytest.raises(ValidationError):
             GameSpec(rows=3, cols=3, k=4)

@@ -19,7 +19,6 @@ from infoplay.exit_chart import tunnel_analysis
 from infoplay.games import (
     A_WINS,
     B_WINS,
-    BOARD_FULL_SCORING,
     DRAW,
     GameSpec,
     ONGOING,
@@ -167,6 +166,11 @@ class TestEloWinProb:
         with pytest.raises(ValidationError):
             elo_win_prob(1500, 1500, 0.0)
 
+    @pytest.mark.parametrize("c_elo", [float("nan"), math.inf])
+    def test_scale_that_is_no_number_rejected(self, c_elo):
+        with pytest.raises(ValidationError, match="c_elo"):
+            elo_win_prob(1500, 1500, c_elo)
+
 
 class TestEloUpdate:
     def test_draw_between_equals_changes_nothing(self):
@@ -188,11 +192,16 @@ class TestEloUpdate:
         with pytest.raises(ValidationError):
             elo_update(1500, 1500, DRAW, k_factor=0)
 
+    @pytest.mark.parametrize("k_factor", [float("nan"), math.inf])
+    def test_k_that_is_no_number_rejected(self, k_factor):
+        with pytest.raises(ValidationError, match="k_factor"):
+            elo_update(0, 0, DRAW, k_factor=k_factor)
+
 
 TABLE_GAMES = (
     tic_tac_toe(),
     GameSpec(rows=3, cols=4, k=4),
-    GameSpec(rows=1, cols=3, win_condition=BOARD_FULL_SCORING, k=None),
+    GameSpec(rows=1, cols=3, k=None),
 )
 
 
@@ -208,7 +217,7 @@ def small_games(draw):
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     k = draw(st.one_of(st.none(), st.integers(1, max(rows, cols))))
     if k is None:
-        return GameSpec(rows, cols, win_condition=BOARD_FULL_SCORING, k=None)
+        return GameSpec(rows, cols, k=None)
     return GameSpec(rows, cols, k=k)
 
 
@@ -216,7 +225,7 @@ class TestMatchInterning:
     @settings(max_examples=40, deadline=None)
     @given(game=small_games())
     @example(game=GameSpec(1, 1, k=1))
-    @example(game=GameSpec(1, 1, win_condition=BOARD_FULL_SCORING, k=None))
+    @example(game=GameSpec(1, 1, k=None))
     @example(game=GameSpec(3, 4, k=3))
     def test_walk_agrees_with_the_rules(self, game):
         # the 3 x 4 boards of k >= 2 hold 10,562 to 143,365 states; a walk
@@ -356,7 +365,7 @@ class TestSelfPlayEpisode:
         assert losses == 0
 
     def test_one_cell_game_single_move(self):
-        game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
+        game = GameSpec(rows=1, cols=1, k=None)
         moves, final = play(_Match(AgentModel(role="A"), AgentModel(role="B"), game), 1, 0.1)
         assert len(moves) == 1 and final == A_WINS
 
@@ -449,7 +458,7 @@ class TestMeasureCrossMi:
 
     def test_too_few_decision_points_rejected(self):
         # in the 1x1 game B never gets to move, so I_{B-A} has no data
-        game = GameSpec(rows=1, cols=1, win_condition=BOARD_FULL_SCORING, k=None)
+        game = GameSpec(rows=1, cols=1, k=None)
         a, b = AgentModel(role="A"), AgentModel(role="B")
         with pytest.raises(EstimationError):
             cross_mi(a, b, game, episodes=100, seed=1)
@@ -926,8 +935,7 @@ class TestLearnMatchesReference:
 
     @pytest.mark.parametrize("game", [GameSpec(rows=1, cols=4, k=2),
                                       GameSpec(rows=2, cols=2, k=2), _SMALL_GAME,
-                                      GameSpec(rows=2, cols=3, win_condition=BOARD_FULL_SCORING,
-                                               k=None)],
+                                      GameSpec(rows=2, cols=3, k=None)],
                              ids=lambda game: game.game_id)
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), generations=st.integers(2, 4),

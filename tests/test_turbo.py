@@ -158,6 +158,17 @@ class TestInterleaver:
                            "with s=3 for n=4"):
             s_random_interleaver(4, 6, s=3)
 
+    @pytest.mark.parametrize("n", [2.5, -1, True])
+    def test_length_that_is_no_count_rejected(self, n):
+        for build in (random_interleaver, s_random_interleaver):
+            with pytest.raises(ValidationError, match="n must be"):
+                build(n, 1)
+
+    @pytest.mark.parametrize("s", [2.5, -1, True])
+    def test_spread_that_is_no_count_rejected(self, s):
+        with pytest.raises(ValidationError, match="s must be"):
+            s_random_interleaver(10, 1, s=s)
+
     def test_non_bijection_rejected(self):
         with pytest.raises(ValidationError):
             Interleaver(np.array([0, 0, 2]))
@@ -279,6 +290,26 @@ class TestBcjr:
             la_mod[n] += 3.0
             _, ext_mod = bcjr_decode(rx_sys, rx_par, LlrBlock(la_mod, bits), CODE75)
             assert abs(ext_mod.llrs[n] - ext_base.llrs[n]) <= 1e-9
+
+    @pytest.mark.parametrize("code", [CODE75, CODE_MEMORY3, RscCode(0o23, 0o35, memory=4)],
+                             ids=repr)
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_extrinsic_is_app_minus_inputs_clipped(self, code, exact):
+        # L_e = L_app - L_a - L_ch of the unclipped a-posteriori LLRs, then
+        # clipped, to the bit; inputs reach the clamp, and so do the outputs
+        rng = np.random.default_rng(code.memory + 10 * exact)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            scale = rng.uniform(0.5, LLR_CLAMP)
+            ls, lp = rng.normal(0, scale, (2, n + code.memory))
+            la = rng.normal(0, scale, n)
+            bits = rng.integers(0, 2, n + code.memory)
+            _, ext = bcjr_decode(LlrBlock(ls, bits), LlrBlock(lp, bits), LlrBlock(la, bits[:n]),
+                                 code, exact=exact)
+            sys_in, par_in, la_in = (np.clip(x, -LLR_CLAMP, LLR_CLAMP)[None] for x in (ls, lp, la))
+            app = turbo._bcjr_batch(sys_in, par_in, la_in, code, terminated=True, exact=exact)[0]
+            expected = np.clip(app - la_in[0] - sys_in[0, :n], -LLR_CLAMP, LLR_CLAMP)
+            np.testing.assert_array_equal(ext.llrs, expected)
 
     def test_length_mismatch_rejected(self):
         bits, rx_sys, rx_par, apriori = noisy_component_block(8, seed=15)
