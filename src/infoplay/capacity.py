@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import csv_text
-from .errors import ResourceCapError, ValidationError, require_ints
+from .errors import ResourceCapError, require_ints
 from .games import GameSpec, line_masks
 
 DEFAULT_STATE_CAP = 100_000_000
@@ -51,9 +51,7 @@ class CapacityBound:
 def log2_factorial(n: int) -> float:
     """log2(n!) from the log-gamma function, in constant memory and to
     within a few ulp."""
-    require_ints(n=n)
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
+    require_ints(0, n=n)
     return math.lgamma(n + 1) / math.log(2)
 
 
@@ -103,9 +101,7 @@ def enumerate_reachable_states(
     as the count, and ``ResourceCapError`` is raised exactly when the full
     count exceeds it (see ``_layers``).
     """
-    require_ints(max_states=max_states)
-    if max_states < 1:  # the empty board alone is one state
-        raise ValidationError(f"max_states must be at least 1, got {max_states}")
+    require_ints(1, max_states=max_states)  # the empty board alone is one state
     layers = _layers(game, max_states, symmetry_reduction)
     count = 1 + sum(layer.size for layer, _ in layers)
     return EnumerationResult(count=count, log2_count=math.log2(count))

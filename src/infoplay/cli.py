@@ -50,13 +50,14 @@ EXIT_NUMERICAL = 4
 @dataclass(frozen=True)
 class Param:
     name: str
-    kind: str  # int | float | str | octal | floats | path
+    kind: str  # int | int_or_full | float | str | octal | floats | path
     default: object = None
     required: bool = False
     help: str = ""
 
 
-_BOARD_PARAMS = [Param("rows", "int", 3), Param("cols", "int", 3), Param("k", "int", 3)]
+_K_PARAM = Param("k", "int_or_full", 3, help="line length, or full for board-full scoring")
+_BOARD_PARAMS = [Param("rows", "int", 3), Param("cols", "int", 3), _K_PARAM]
 
 # the component code of the turbo and exit kinds
 _CODE_PARAMS = [Param("feedback", "octal", "7"), Param("feedforward", "octal", "5"),
@@ -72,8 +73,7 @@ SCHEMAS: dict[str, list[Param]] = {
     "capacity": [
         Param("rows", "int", required=True),
         Param("cols", "int", required=True),
-        Param("win", "str", "k_in_a_row", help="k_in_a_row or board_full_scoring"),
-        Param("k", "int", 3),
+        _K_PARAM,
         Param("max_states", "int", cap.DEFAULT_STATE_CAP),
         Param("require_exact", "int", 0, help="fail (exit 3) if enumeration blows the cap"),
     ],
@@ -107,6 +107,8 @@ def _parse_value(param: Param, raw: str, config_dir: Path):
     try:
         if param.kind == "int":
             return int(raw)
+        if param.kind == "int_or_full":
+            return None if raw == "full" else int(raw)
         if param.kind == "float":
             return float(raw)
         if param.kind == "octal":
@@ -194,11 +196,7 @@ def load_config(path) -> ResolvedConfig:
 
 
 def _game_from_params(params) -> GameSpec:
-    win = params.get("win", "k_in_a_row")
-    if win not in ("k_in_a_row", "board_full_scoring"):
-        raise ConfigError(f"params.win must be k_in_a_row or board_full_scoring, got {win!r}")
-    k = params["k"] if win == "k_in_a_row" else None
-    return GameSpec(rows=params["rows"], cols=params["cols"], k=k)
+    return GameSpec(params["rows"], params["cols"], params["k"])
 
 
 def _code_from_params(params) -> turbo_mod.RscCode:

@@ -11,12 +11,15 @@ class ValidationError(InfoplayError, ValueError):
     """An input violates a documented precondition or invariant."""
 
 
-def require_ints(**counts) -> None:
+def require_ints(least=None, /, **counts) -> None:
     """Raise ValidationError naming the first of ``counts`` that is not a
-    Python int.  A bool is an int, but no count."""
+    Python int, or that is below ``least`` when that is given.  A bool is
+    an int, but no count."""
     for name, count in counts.items():
         if type(count) is not int:
             raise ValidationError(f"{name} must be an int, got {count!r}")
+        if least is not None and count < least:
+            raise ValidationError(f"{name} must be at least {least}, got {count}")
 
 
 def require_addressable(**counts) -> None:

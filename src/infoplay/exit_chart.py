@@ -85,13 +85,10 @@ class ExitCurve:
     def __post_init__(self):
         _check_label(self.label)
         pts = tuple((float(a), float(e)) for a, e in self.points)
-        if len(pts) < 2:
-            raise ValidationError("an EXIT curve needs at least two points")
-        ia, ie = np.array(pts).T.copy()
-        if not ((0.0 <= ia).all() and (ia <= 1.0).all() and (0.0 <= ie).all() and (ie <= 1.0).all()):
-            raise ValidationError("curve coordinates must lie in the unit square")
-        if not (np.diff(ia) > 0).all():
-            raise ValidationError("I_A grid must be strictly increasing")
+        ia = _check_ia_grid([a for a, _ in pts])
+        ie = np.array([e for _, e in pts])
+        if not ((0.0 <= ie).all() and (ie <= 1.0).all()):
+            raise ValidationError("I_E must lie within [0, 1]")
         fit = _isotonic(ie)
         for array in (ia, ie, fit):
             array.flags.writeable = False
@@ -180,12 +177,10 @@ def measure_exit_curve(
     # a Gaussian a-priori channel never reaches I_A = 1: j_inverse(1) is unbounded
     if grid[-1] >= 1.0:
         raise ValidationError("ia_grid must lie below 1 for a Gaussian a-priori channel")
-    require_ints(samples_per_point=samples_per_point)
+    require_ints(1000, samples_per_point=samples_per_point)
     n_blocks = (samples_per_point + EXIT_BLOCK_LEN - 1) // EXIT_BLOCK_LEN
     k = EXIT_BLOCK_LEN + code.memory
     require_addressable(trellis=len(grid) * n_blocks * k * code.n_states)
-    if samples_per_point < 1000:
-        raise ValidationError("samples_per_point must be >= 1000")
     # each point's bits, channel and a-priori streams, spawned once so that
     # every decode of a point draws the same numbers
     point_streams = [ss.spawn(3) for ss in _seed_sequence(seed).spawn(len(grid))]

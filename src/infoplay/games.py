@@ -42,9 +42,7 @@ class GameSpec:
     k: int | None = 3
 
     def __post_init__(self):
-        require_ints(rows=self.rows, cols=self.cols)
-        if self.rows < 1 or self.cols < 1:
-            raise ValidationError("board must have at least one cell")
+        require_ints(1, rows=self.rows, cols=self.cols)
         if self.k is not None:
             require_ints(k=self.k)
             if not 1 <= self.k <= max(self.rows, self.cols):

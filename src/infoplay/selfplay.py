@@ -423,18 +423,11 @@ class LearnConfig:
     eval_epsilon: float = 0.0
 
     def __post_init__(self):
-        require_ints(generations=self.generations,
-                     episodes_per_generation=self.episodes_per_generation,
-                     eval_episodes=self.eval_episodes, stop_window=self.stop_window,
-                     anneal_generations=self.anneal_generations)
-        if self.generations < 1 or self.episodes_per_generation < 1:
-            raise ValidationError("generation and episode counts must be >= 1")
-        if self.eval_episodes < 100:
-            raise ValidationError("eval_episodes must be >= 100")
-        if self.anneal_generations < 0:
-            raise ValidationError("anneal_generations must be >= 0 (0: all generations)")
-        if self.stop_window < 2:
-            raise ValidationError("stop_window must be >= 2")
+        require_ints(1, generations=self.generations,
+                     episodes_per_generation=self.episodes_per_generation)
+        require_ints(100, eval_episodes=self.eval_episodes)
+        require_ints(0, anneal_generations=self.anneal_generations)
+        require_ints(2, stop_window=self.stop_window)
         if not self.stop_delta > 0:
             raise ValidationError("stop_delta must be > 0 (may be inf)")
         for eps in (self.epsilon_start, self.epsilon_end, self.eval_epsilon):
@@ -512,10 +505,8 @@ def agent_exit_curve(agent: AgentModel, opponent: AgentModel, game: GameSpec,
     normalized plug-in MI between the resulting predictions and the
     opponent's actual moves over fresh frozen evaluation games.
     """
-    require_ints(episodes=episodes)
+    require_ints(100, episodes=episodes)
     grid = _check_ia_grid(ia_grid)
-    if episodes < 100:
-        raise ValidationError("episodes must be >= 100")
     match = _Match(agent, opponent, game)
     counts, opponent_plies = match.counts, 1 - match.agents.index(agent)
     # both agents are frozen for the whole curve

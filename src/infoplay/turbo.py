@@ -202,16 +202,8 @@ class Interleaver:
         return np.asarray(x)[..., self._inverse]
 
 
-def _require_counts(**counts) -> None:
-    """``require_ints``, and refuse a count below 0."""
-    require_ints(**counts)
-    for name, count in counts.items():
-        if count < 0:
-            raise ValidationError(f"{name} must be >= 0, got {count}")
-
-
 def random_interleaver(n: int, seed) -> Interleaver:
-    _require_counts(n=n)
+    require_ints(0, n=n)
     return Interleaver(np.random.default_rng(seed).permutation(n))
 
 
@@ -224,10 +216,10 @@ def s_random_interleaver(n: int, seed, s: int | None = None) -> Interleaver:
     reshuffled to the front of the next attempt so the hard cases are
     placed first.  Deterministic for a fixed seed.
     """
-    _require_counts(n=n)
+    require_ints(0, n=n)
     if s is None:
         s = int(np.sqrt(n / 2))
-    _require_counts(s=s)
+    require_ints(0, s=s)
     rng = np.random.default_rng(seed)
     vector = list(rng.permutation(n))
     for _ in range(_S_RANDOM_TRIES):
@@ -251,7 +243,7 @@ def s_random_interleaver(n: int, seed, s: int | None = None) -> Interleaver:
                     r = perm[-s - 1]
                     busy[position[max(r - s + 1, 0):r + s]] -= 1
         if len(perm) == n:
-            return Interleaver(np.array(perm))
+            return Interleaver(np.array(perm, dtype=np.intp))
         candidates = list(order[busy <= n])
         rng.shuffle(candidates)
         vector = candidates + perm
@@ -634,9 +626,7 @@ def simulate_turbo(
     (``_decode_in_halves``) from the bits and noise seeds drawn here.  Row
     b of the trace is block b, identical to decoding that block alone.
     """
-    require_ints(n_info=n_info, n_blocks=n_blocks, max_iters=max_iters)
-    if min(n_info, n_blocks, max_iters) < 1:
-        raise ValidationError("n_info, n_blocks and max_iters must each be >= 1")
+    require_ints(1, n_info=n_info, n_blocks=n_blocks, max_iters=max_iters)
     require_addressable(trellis=n_blocks * (n_info + code.memory) * code.n_states,
                         trace=3 * n_blocks * max_iters)
     root = _seed_sequence(seed)

@@ -72,13 +72,12 @@ SMALL_PARAMS = {
     "agent-exit": {"agent_a": "a.txt", "agent_b": "b.txt", "ia_grid": "0,1", "episodes": 100},
 }
 
-_BOARD_VALUES = {"rows": (1, 2, 0, -1), "cols": (1, 2, 0, -1), "k": (1, 2, 0, -2)}
+_BOARD_VALUES = {"rows": (1, 2, 0, -1), "cols": (1, 2, 0, -1), "k": (1, 2, 0, -2, "full")}
 
 # per kind, values each param is fuzzed with besides "nan", "x" and "2%":
 # zero, negatives and edge values, every size kept small
 FUZZ_VALUES = {
-    "capacity": dict(_BOARD_VALUES, win=("board_full_scoring", "x"),
-                     max_states=(10, 0, -1), require_exact=(1, -1)),
+    "capacity": dict(_BOARD_VALUES, max_states=(10, 0, -1), require_exact=(1, -1)),
     "turbo": {"n_info": (1, 2, 0, -3), "ebn0_db": (0, -5, "inf"), "blocks": (2, 0, -1),
               "iterations": (2, 0, -1), "interleaver": ("s_random", "x"),
               "feedback": ("13", "0", "9"), "feedforward": ("0", "17"), "memory": (1, 3, 0, -1)},
@@ -147,19 +146,18 @@ class TestConfigLoading:
         cfg = write_config(tmp_path / "c.ini", "capacity", CAPACITY_PARAMS, seed=7)
         rc = load_config(cfg)
         assert rc.kind == "capacity" and rc.seed == 7
-        assert rc.params["win"] == "k_in_a_row"  # default filled in
+        assert rc.params["require_exact"] == 0  # default filled in
 
-    @pytest.mark.parametrize("win, k", [("k_in_a_row", 2), ("board_full_scoring", None)])
-    def test_win_sets_the_line_length(self, tmp_path, win, k):
-        # under board_full_scoring the k param is read by nothing
-        cfg = write_config(tmp_path / "c.ini", "capacity", {"rows": 2, "cols": 3, "win": win,
-                                                            "k": 2})
+    @pytest.mark.parametrize("raw, k", [("2", 2), ("full", None)])
+    def test_k_sets_the_line_length(self, tmp_path, raw, k):
+        cfg = write_config(tmp_path / "c.ini", "capacity", {"rows": 2, "cols": 3, "k": raw})
         assert _game_from_params(load_config(cfg).params) == GameSpec(2, 3, k=k)
 
-    def test_unknown_win_rule(self, tmp_path):
-        cfg = write_config(tmp_path / "c.ini", "capacity", dict(CAPACITY_PARAMS, win="full"))
-        with pytest.raises(ConfigError, match="params.win"):
-            _game_from_params(load_config(cfg).params)
+    @pytest.mark.parametrize("raw", ["x", "Full", "2.0"])
+    def test_k_neither_int_nor_full(self, tmp_path, raw):
+        cfg = write_config(tmp_path / "c.ini", "capacity", dict(CAPACITY_PARAMS, k=raw))
+        with pytest.raises(ConfigError, match="params.k: cannot parse"):
+            load_config(cfg)
 
     def test_missing_required_param(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "capacity", {"rows": 3})
@@ -278,6 +276,21 @@ class TestRun:
         assert (ae_out / "agent_exit_curves.csv").exists()
         assert (ae_out / "agent_exit_chart.svg").exists()
 
+    def test_board_full_scoring_selfplay_then_agent_exit(self, tmp_path):
+        board = {"rows": 1, "cols": 3, "k": "full"}
+        out = tmp_path / "out"
+        sp_cfg = write_config(tmp_path / "sp.ini", "selfplay", dict(SELFPLAY_PARAMS, **board),
+                              name="train")
+        assert main(["run", str(sp_cfg), "--output-dir", str(out)]) == EXIT_OK
+        for role in "ab":
+            assert "\ngame 1x3-full\n" in (out / "train" / f"agent_{role}.txt").read_text()
+        assert json.loads((out / "train" / "manifest.json").read_text())["params"]["k"] is None
+        ae_cfg = write_config(tmp_path / "ae.ini", "agent-exit",
+                              dict(board, agent_a="out/train/agent_a.txt",
+                                   agent_b="out/train/agent_b.txt", episodes=100))
+        assert main(["run", str(ae_cfg), "--output-dir", str(out)]) == EXIT_OK
+        assert (out / "agent-exit" / "agent_exit_curves.csv").exists()
+
     def test_failed_run_leaves_no_partial_artifacts(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "agent-exit",
                            {"agent_a": "missing_a.txt", "agent_b": "missing_b.txt"})
@@ -304,7 +317,7 @@ class TestMainEntry:
     def test_list_is_stable(self):
         # sha256 of the listing of the schemas as committed; a schema edit must update it
         digest = hashlib.sha256(list_experiments().encode()).hexdigest()
-        assert digest == "4cd017b472531c7fc6401370b77dad93f9b2c8bf4a19b6d8a9bf7e6938586c04"
+        assert digest == "783da0dffa7e461cc53f0f720a31cab4223e7581c81712884bb8294fa76a53fe"
 
     def test_schema_grammar(self):
         for line in list_experiments().splitlines():
@@ -312,7 +325,8 @@ class TestMainEntry:
                 body = line[2:].split("  # ")[0]
                 name, _, rest = body.partition(": ")
                 assert name and rest
-                assert rest.split(" ")[0] in ("int", "float", "str", "octal", "floats", "path")
+                assert rest.split(" ")[0] in ("int", "int_or_full", "float", "str", "octal",
+                                              "floats", "path")
                 assert "(required)" in rest or "=" in rest
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):

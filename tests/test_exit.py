@@ -55,6 +55,17 @@ class TestExitCurveType:
         with pytest.raises(ValidationError):
             ExitCurve(points=((0.0, 0.1), (0.0, 0.2)))
 
+    @pytest.mark.parametrize("points", [(), ((0.5, 0.5),)])
+    def test_requires_two_points(self, points):
+        with pytest.raises(ValidationError, match="at least two points"):
+            ExitCurve(points=points)
+
+    @pytest.mark.parametrize("points", [((0.0, 0.1), (0.5, np.nan)),
+                                        ((np.nan, 0.1), (0.5, 0.2))])
+    def test_nan_coordinate_rejected(self, points):
+        with pytest.raises(ValidationError):
+            ExitCurve(points=points)
+
     def test_requires_unit_square(self):
         with pytest.raises(ValidationError):
             ExitCurve(points=((0.0, 0.1), (0.5, 1.2)))

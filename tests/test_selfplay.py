@@ -550,7 +550,7 @@ class TestLearn:
 
     def test_stop_window_needs_two_generations(self):
         # one generation holds no change, so the rule would fire at once
-        with pytest.raises(ValidationError, match="stop_window must be >= 2"):
+        with pytest.raises(ValidationError, match="stop_window must be at least 2, got 1"):
             LearnConfig(stop_window=1)
         LearnConfig(stop_window=2)
 
