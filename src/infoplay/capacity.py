@@ -118,19 +118,29 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
     ``uint64`` when they fit in 64, else a Python int in an ``object``
     array; every constant fits the key width, so numpy keeps the arithmetic
     in it.  A key with s stones has n - s empty cells, so n - s passes of
-    ``low = -empty & empty`` (its lowest empty cell; unsigned negation
-    wraps) give all its children.  The frontier is cut into chunks of at
-    most ``_CHUNK_CHILDREN`` children.  Each chunk is sorted and
-    deduplicated; under symmetry reduction its distinct children are then
-    canonicalised (each to the least key among its images; equal keys have
-    equal images) and sorted and deduplicated again.  The chunk is then
+    ``low = -empty & empty`` (its lowest empty cell, with ``empty`` shifted
+    into the mover's half; unsigned negation wraps) give all its children,
+    each pass in place in one reused ``low``.  The frontier is cut into
+    chunks of at most ``_CHUNK_CHILDREN`` children.  Each chunk is sorted
+    and deduplicated by ``_distinct``, which keeps the first key of each
+    run of repeats with ``compress``: a chunk keeps about a quarter of its
+    keys, and ``compress`` copies the keys of so sparse a mask about 4x
+    faster than boolean indexing does.  Under symmetry reduction the
+    chunk's distinct children are then canonicalised (each to the least
+    key among its images; equal keys have equal images) and sorted and
+    deduplicated again.  The chunk is then
     stripped of the keys already in the layer so far, which is a stack of
     disjoint sorted runs: a run is merged into the one below while that is
     under twice its size, and all after the last chunk, so a key is copied
     O(log chunks) times.  Only the new stone can complete a line, so a
     position is won when the mover's mask covers one of the line masks of
     ``games.line_masks`` (the rules' table); the other positions with an
-    empty cell are the next frontier.
+    empty cell are the next frontier.  After ply p the mover holds
+    ceil(p / 2) stones, so the line test starts at ply 2k - 1, the first
+    at which the mover can hold k stones (with ``k`` None there are no
+    lines).  The frontier keeps the unwon keys by boolean indexing, not
+    ``compress``: it keeps most of a layer, where ``compress`` is no
+    faster and holds an 8-byte index per kept key.
 
     The cap bounds memory to a few layer-sized arrays and one chunk.
     Before ply 0 the closed-form ``_reachable_lower_bound`` refuses a board
@@ -139,7 +149,9 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
     mover (times the group order under symmetry reduction), which bounds a
     layer's distinct children from below: a layer certain to push the count
     past the cap is refused before it is built.  Otherwise the count so far
-    is checked after every chunk.
+    is checked after every chunk.  Each scratch array is deleted once it
+    is spent, so that neither the next step nor the generator suspended at
+    its ``yield`` (while the caller reads the layer) holds it.
     """
     n = game.cells
     group = (8 if game.rows == game.cols else 4) if symmetry_reduction else 1
@@ -164,12 +176,15 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
         runs = []  # the layer so far
         for start in range(0, frontier.size, step):
             keys = frontier[start:start + step]
-            empty = ~(keys | keys >> n) & (1 << n) - 1
+            empty = (~(keys | keys >> n) & (1 << n) - 1) << shift  # in the mover's half
+            low = np.empty_like(empty)
             children = np.empty((free, keys.size), dtype=dtype)
             for row in children:
-                low = -empty & empty
-                np.bitwise_or(keys, low << shift, out=row)
+                np.negative(empty, out=low)
+                low &= empty
                 empty ^= low
+                np.bitwise_or(keys, low, out=row)
+            del empty, low
             children = _distinct(children.ravel())
             if tables:
                 key_bytes = [(children >> c & 255).astype(np.uint8) for c in range(0, 2 * n, 8)]
@@ -178,10 +193,13 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
                     for table, byte in zip(per_byte[1:], key_bytes[1:]):
                         image |= table[byte]
                     np.minimum(children, image, out=children)
+                del key_bytes, image
                 children = _distinct(children)
             for run in runs:
                 at = np.searchsorted(run, children)
-                children = children[run[np.minimum(at, run.size - 1)] != children]
+                np.minimum(at, run.size - 1, out=at)
+                children = children[run[at] != children]
+                del at
             count += children.size
             if count > max_states:
                 raise ResourceCapError(exceeded)
@@ -193,9 +211,15 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
                 runs[-1].sort(kind="stable")  # timsort: one merge of two runs
         layer = runs[0]
         won = np.zeros(layer.size, dtype=bool)
-        for line in lines:
-            mask = line << shift
-            won |= (layer & mask) == mask
+        if lines and (ply + 2) // 2 >= game.k:
+            covered = np.empty_like(layer)
+            hit = np.empty(layer.size, dtype=bool)
+            for line in lines:
+                mask = line << shift
+                np.bitwise_and(layer, mask, out=covered)
+                won |= np.equal(covered, mask, out=hit)
+            del covered, hit
+        del children
         yield layer, won
         frontier = layer[~won]
 
@@ -203,7 +227,10 @@ def _layers(game: GameSpec, max_states: int, symmetry_reduction: bool):
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """Sort ``keys`` in place and return a copy without repeats."""
     keys.sort()
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys.compress(first)
 
 
 def _reachable_lower_bound(game: GameSpec, cap: int) -> int:

@@ -82,6 +82,31 @@ def _has_line(mask, rows, cols, k):
                for r, c in cells for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)))
 
 
+@lru_cache(maxsize=None)
+def _holds_line(rows, cols, k):
+    """For every cell mask of the board, whether it holds k in a row
+    (never, with k None)."""
+    return np.array([k is not None and _has_line(mask, rows, cols, k)
+                     for mask in range(1 << rows * cols)])
+
+
+def _check_layers(rows, cols, k, layers):
+    """Check each (layer, won) of ``_layers``: the keys strictly increase,
+    each holds the stones of its ply, and won is exactly the keys whose
+    mover holds a line.  Returns the layer sizes."""
+    n = rows * cols
+    holds_line = _holds_line(rows, cols, k)
+    sizes = []
+    for ply, (layer, won) in enumerate(layers, start=1):
+        assert (layer[1:] > layer[:-1]).all()
+        a, b = layer & (1 << n) - 1, layer >> n
+        assert (np.bitwise_count(a) == (ply + 1) // 2).all()
+        assert (np.bitwise_count(b) == ply // 2).all()
+        assert np.array_equal(won, holds_line[a if ply % 2 else b])
+        sizes.append(layer.size)
+    return sizes
+
+
 class TestEnumeration:
     def test_tic_tac_toe_count(self):
         res = enumerate_reachable_states(tic_tac_toe())
@@ -268,21 +293,23 @@ class TestEnumeration:
     @pytest.mark.parametrize("symmetry", [False, True])
     @pytest.mark.parametrize("spec", [(3, 3, 3), (2, 4, 3), (2, 3, None)])
     def test_layers(self, spec, symmetry):
-        rows, cols, k = spec
         game = _game(*spec)
-        n = game.cells
-        sizes = []
-        for ply, (layer, won) in enumerate(capacity._layers(game, 10**6, symmetry), start=1):
-            assert (layer[1:] > layer[:-1]).all()
-            assert won.shape == layer.shape
-            for key, key_won in zip(layer.tolist(), won.tolist()):
-                a, b = key & (1 << n) - 1, key >> n
-                assert (a.bit_count(), b.bit_count()) == ((ply + 1) // 2, ply // 2)
-                mover = a if ply % 2 else b
-                assert key_won == (k is not None and _has_line(mover, rows, cols, k))
-            sizes.append(layer.size)
+        sizes = _check_layers(*spec, capacity._layers(game, 10**6, symmetry))
         assert 1 + sum(sizes) == enumerate_reachable_states(
             game, symmetry_reduction=symmetry).count
+
+    @pytest.mark.parametrize("chunk", [capacity._CHUNK_CHILDREN, 64])
+    @settings(max_examples=25, deadline=None)
+    @given(spec=_small_games())
+    @example(spec=(3, 4, 1))  # the line test from ply 1
+    @example(spec=(3, 4, 2))  # from ply 3, the first with two stones of one player
+    @example(spec=(3, 4, None))  # no line test
+    def test_layers_on_random_boards(self, spec, chunk):
+        # with 64 children per chunk, every ply past the first few
+        # deduplicates and merges many chunks
+        with mock.patch.object(capacity, "_CHUNK_CHILDREN", chunk):
+            sizes = _check_layers(*spec, capacity._layers(_game(*spec), 10**7, False))
+        assert 1 + sum(sizes) == _reference_count(*spec, False)
 
     @pytest.mark.parametrize("symmetry", [False, True])
     def test_cap_boundary(self, symmetry):

@@ -200,6 +200,23 @@ class TestRun:
         digest = hashlib.sha256((outdir / "capacity.csv").read_bytes()).hexdigest()
         assert manifest["artifacts"]["capacity.csv"] == digest
 
+    @pytest.mark.parametrize("params,digest", [
+        ({"rows": 3, "cols": 3, "k": 3},
+         "0cb0182e7518aa03a5e624cc2aaeaaee1838c1c16276671a89f4bc3ac8fcdfd5"),
+        ({"rows": 3, "cols": 4, "k": 3, "require_exact": 1},
+         "e97ef9c1445877d963e0b416b3d559a0b19fbab0674093b3b2893fe514e5f947"),
+        ({"rows": 3, "cols": 4, "k": 4},
+         "aa53201d7b9f22bfadc95bbdea3f6956b8a6a19fa1b325b11268e4e2d6a68f03"),
+        ({"rows": 2, "cols": 6, "k": 3},
+         "947a5818fb3093cf94d24e189824259a3724ead109ec601a452cb6e473d7e867"),
+    ])
+    def test_capacity_csv_digests(self, tmp_path, params, digest):
+        # the four capacity runs of the benchmark's capacity workload, at its
+        # seed: a faster enumeration must write the same bytes
+        cfg = write_config(tmp_path / "c.ini", "capacity", params, seed=42)
+        outdir = run(cfg, output_dir=tmp_path / "out")
+        assert hashlib.sha256((outdir / "capacity.csv").read_bytes()).hexdigest() == digest
+
     def test_demo_runs_regenerate_committed_out(self, tmp_path):
         # the selfplay demo, then the agent-exit demo on its fresh snapshots,
         # reproduce the committed out/ artifacts byte for byte

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infoplay import exit_chart
+from infoplay.entropy import _llr_information, sample_consistent_gaussian_apriori
 from infoplay.errors import NumericalContractError, ValidationError
 from infoplay.exit_chart import (
     OPEN,
@@ -21,7 +22,8 @@ from infoplay.exit_chart import (
     render_exit_chart,
     tunnel_analysis,
 )
-from infoplay.turbo import ChannelModel, RscCode
+from infoplay.turbo import (ChannelModel, RscCode, _bcjr_batch, _extrinsic, rsc_encode,
+                            transmit)
 from oracles import ref_isotonic
 
 CODE75 = RscCode()
@@ -337,6 +339,50 @@ class TestMeasuredCurves:
     def test_samples_per_point_must_be_an_int(self):
         with pytest.raises(ValidationError, match="samples_per_point must be an int"):
             measure_exit_curve(CODE75, ChannelModel(1.0), [0.0, 0.5], 2000.0, seed=1)
+
+
+def _exit_extrinsic(ia, exact):
+    """``measure_exit_curve``'s decode of one grid point: 20 blocks of
+    ``EXIT_BLOCK_LEN`` bits through the (7,5) code at 0.8 dB and rate 1/3,
+    consistent-Gaussian a-priori LLRs at information ``ia``, fixed seeds.
+    Returns the extrinsic LLRs and the bits."""
+    ss_bits, ss_chan, ss_apriori = np.random.SeedSequence(0).spawn(3)
+    bits = np.random.default_rng(ss_bits).integers(0, 2, (20, exit_chart.EXIT_BLOCK_LEN),
+                                                   dtype=np.int8)
+    sys_bits, par_bits = rsc_encode(bits, CODE75)
+    word = np.concatenate([sys_bits, par_bits]).ravel()
+    ls, lp = transmit(word, ChannelModel(0.8, rate=1.0 / 3.0), ss_chan).llrs.reshape(2, 20, -1)
+    la = sample_consistent_gaussian_apriori(bits.ravel(), ia, ss_apriori).llrs.reshape(bits.shape)
+    app = _bcjr_batch(ls, lp, la, CODE75, terminated=True, exact=exact)
+    return _extrinsic(app, la, ls), bits
+
+
+def _consistency_gap(llrs, bits):
+    """Per block, the I_E reading ``_llr_information`` (a cross-entropy
+    against the bits) minus 1 - mean h2(sigma(L)) (the LLRs' own entropy,
+    read without the bits); returns the mean and its standard error."""
+    minus_ln_p0 = np.logaddexp(0.0, -llrs)  # -ln sigma(L), bit 0's probability
+    minus_ln_p1 = np.logaddexp(0.0, llrs)
+    h2 = (np.exp(-minus_ln_p0) * minus_ln_p0 + np.exp(-minus_ln_p1) * minus_ln_p1) / np.log(2)
+    gaps = _llr_information(llrs, bits) - (1.0 - h2.mean(axis=1))
+    return gaps.mean(), gaps.std(ddof=1) / np.sqrt(gaps.size)
+
+
+class TestExtrinsicConsistency:
+    # For LLRs that are true posteriors, E[log2(1 + e^(-xL))] equals
+    # E[h2(sigma(L))], so the I_E reading is an information, not only a
+    # cross-entropy.  A log-MAP decoder's extrinsic LLRs are posteriors
+    # given the other observations; max-log ones are not.
+
+    @pytest.mark.parametrize("ia", [0.0, 0.4, 0.8])
+    def test_log_map_readings_agree(self, ia):
+        gap, se = _consistency_gap(*_exit_extrinsic(ia, exact=True))
+        assert abs(gap) <= 4 * se
+
+    def test_max_log_readings_disagree(self):
+        # about -0.18 bits, 13 standard errors, at these seeds
+        gap, se = _consistency_gap(*_exit_extrinsic(0.0, exact=False))
+        assert abs(gap) > 10 * se
 
 
 class TestExports:
